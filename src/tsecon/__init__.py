@@ -1,35 +1,46 @@
-"""tsecon: annual time-series econometrics engine and reproduction pipeline."""
+"""tsecon: annual time-series econometrics engine and reproduction pipeline.
 
-from .cointegration import CointegrationResult, engle_granger
-from .dataset import (
-    AnnualSeries,
-    Dataset,
-    DatasetError,
-    Term,
-    TermError,
-    apply_term,
-    estimate_tax_benefit,
-    load_dataset,
-    parse_term,
-    real_interest_rate,
-)
-from .dynamics import (
-    ArFitResult,
-    ArSpec,
-    ChowResult,
-    GrangerResult,
-    chow_test,
-    cochrane_orcutt_fit,
-    compare_models,
-    granger_causality,
-)
-from .manifest import PipelineManifest, default_manifest_text, parse_manifest
-from .pipeline import run_pipeline
-from .regress import EstimationError, FitResult, ModelSpec, ols_fit, vif
-from .report import ReportBundle, render_irf_plot, render_table
-from .scenario import CapitalScenario, ScenarioResult, simulate_exports, simulate_unemployment
-from .tsls import TslsSpec, tsls_fit
-from .unitroot import AdfResult, AdfSpec, adf_test, df_residual_test
-from .var import VarModel, impulse_response, var_fit, variance_decomposition
+The public names below load their module on first access (PEP 562), so
+``import tsecon`` is cheap and only what a caller touches pulls in numpy and
+scipy.
+"""
+import importlib
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "cointegration": ("CointegrationResult", "engle_granger"),
+        "dataset": (
+            "AnnualSeries", "Dataset", "DatasetError", "Term", "TermError", "apply_term",
+            "estimate_tax_benefit", "load_dataset", "parse_term", "real_interest_rate",
+        ),
+        "dynamics": (
+            "ArFitResult", "ArSpec", "ChowResult", "GrangerResult", "chow_test",
+            "cochrane_orcutt_fit", "compare_models", "granger_causality",
+        ),
+        "manifest": ("PipelineManifest", "default_manifest_text", "parse_manifest"),
+        "pipeline": ("run_pipeline",),
+        "regress": ("EstimationError", "FitResult", "ModelSpec", "ols_fit", "vif"),
+        "report": ("ReportBundle", "render_irf_plot", "render_table"),
+        "scenario": ("CapitalScenario", "ScenarioResult", "simulate_exports", "simulate_unemployment"),
+        "tsls": ("TslsSpec", "tsls_fit"),
+        "unitroot": ("AdfResult", "AdfSpec", "adf_test", "df_residual_test"),
+        "var": ("VarModel", "impulse_response", "var_fit", "variance_decomposition"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

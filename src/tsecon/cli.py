@@ -13,17 +13,11 @@ from pathlib import Path
 
 import click
 
-from .dataset import DatasetError, apply_term, load_dataset, parse_term
-from .dynamics import ArSpec, chow_test, cochrane_orcutt_fit, granger_causality
-from .cointegration import engle_granger
+from .dataset import DatasetError, load_dataset, parse_term
 from .manifest import ManifestError, default_manifest_text, parse_manifest
-from .pipeline import StepError, run_pipeline, windowed_series
-from .regress import ModelSpec, ols_fit
-from .report import render_irf_plot, render_table
-from .scenario import CapitalScenario, simulate_exports, simulate_unemployment
-from .tsls import TslsSpec, tsls_fit
-from .unitroot import AdfSpec, adf_test
-from .var import impulse_response, var_fit
+
+# Each command imports the engine modules it uses in its own body, so a
+# command that needs no estimation (``ingest``) never loads numpy or scipy.
 
 EXIT_MANIFEST = 2
 EXIT_DATASET = 3
@@ -42,6 +36,8 @@ def _load(dataset_path: str | None):
 def _run(fn):
     try:
         return fn()
+    except click.ClickException:
+        raise
     except ManifestError as exc:
         click.echo(f"manifest error: {exc}", err=True)
         sys.exit(EXIT_MANIFEST)
@@ -53,20 +49,26 @@ def _run(fn):
         sys.exit(EXIT_STEP)
 
 
-def _spec_from_flags(dependent, regressors, constant, sample) -> ModelSpec:
+def _spec_from_flags(dependent, regressors, constant, sample):
+    from .regress import ModelSpec
+
     return ModelSpec(
         dependent=parse_term(dependent),
         regressors=tuple(parse_term(t) for t in regressors.split(",") if t.strip()),
         include_constant=constant,
-        sample=_window(sample),
+        sample=sample,
     )
 
 
-def _window(text):
+def _window(ctx, param, text):
+    """Option callback: parse ``YYYY:YYYY`` into a ``(first, last)`` year pair."""
     if not text:
         return None
-    lo, hi = text.split(":")
-    return int(lo), int(hi)
+    try:
+        lo, hi = text.split(":")
+        return int(lo), int(hi)
+    except ValueError:
+        raise click.BadParameter(f"{text!r} is not a YYYY:YYYY year window") from None
 
 
 @click.group()
@@ -93,14 +95,19 @@ def ingest(dataset):
               type=click.Choice(["none", "constant", "trend"]),
               help="'trend' means constant and trend.")
 @click.option("--lags", default=1, type=int)
-@click.option("--window", default=None, help="YYYY:YYYY window applied before testing.")
+@click.option("--window", default=None, callback=_window,
+              help="YYYY:YYYY window applied before testing.")
 def adf(dataset, series, det, lags, window):
     """Augmented Dickey-Fuller unit-root test."""
+    from .pipeline import windowed_series
+    from .report import render_table
+    from .unitroot import AdfSpec, adf_test
+
     ds = _load(dataset)
     deterministic = "constant_and_trend" if det == "trend" else det
 
     def go():
-        s = windowed_series(ds, series, window)
+        s = windowed_series(ds, series, window and f"{window[0]}:{window[1]}")
         res = adf_test(s, AdfSpec(deterministic, lags))
         click.echo(render_table(res)[0])
 
@@ -112,9 +119,12 @@ def adf(dataset, series, det, lags, window):
 @click.option("--dependent", required=True)
 @click.option("--regressors", required=True, help="Comma-separated term expressions.")
 @click.option("--constant/--no-constant", default=True)
-@click.option("--sample", default=None)
+@click.option("--sample", default=None, callback=_window)
 def fit_ols(dataset, dependent, regressors, constant, sample):
     """Ordinary least squares with the full diagnostic block."""
+    from .regress import ols_fit
+    from .report import render_table
+
     ds = _load(dataset)
     _run(lambda: click.echo(render_table(ols_fit(ds, _spec_from_flags(dependent, regressors, constant, sample)))[0]))
 
@@ -126,9 +136,12 @@ def fit_ols(dataset, dependent, regressors, constant, sample):
 @click.option("--endogenous", required=True, help="Comma-separated regressor labels.")
 @click.option("--instruments", required=True, help="Comma-separated term expressions.")
 @click.option("--constant/--no-constant", default=True)
-@click.option("--sample", default=None)
+@click.option("--sample", default=None, callback=_window)
 def fit_tsls(dataset, dependent, regressors, endogenous, instruments, constant, sample):
     """Two-stage least squares with an explicit instrument list."""
+    from .report import render_table
+    from .tsls import TslsSpec, tsls_fit
+
     ds = _load(dataset)
 
     def go():
@@ -148,9 +161,12 @@ def fit_tsls(dataset, dependent, regressors, endogenous, instruments, constant, 
 @click.option("--regressors", required=True)
 @click.option("--ar-lags", required=True, help="Space- or comma-separated lag list, e.g. '1 2'.")
 @click.option("--constant/--no-constant", default=True)
-@click.option("--sample", default=None)
+@click.option("--sample", default=None, callback=_window)
 def fit_ar(dataset, dependent, regressors, ar_lags, constant, sample):
     """Iterative AR estimation (generalized quasi-differencing)."""
+    from .dynamics import ArSpec, cochrane_orcutt_fit
+    from .report import render_table
+
     ds = _load(dataset)
 
     def go():
@@ -168,10 +184,13 @@ def fit_ar(dataset, dependent, regressors, ar_lags, constant, sample):
 @click.option("--dependent", required=True)
 @click.option("--regressors", required=True)
 @click.option("--constant/--no-constant", default=False)
-@click.option("--sample", default=None)
+@click.option("--sample", default=None, callback=_window)
 @click.option("--residual-lag", default=1, type=int)
 def coint(dataset, dependent, regressors, constant, sample, residual_lag):
     """Engle-Granger two-step cointegration (inputs asserted I(1))."""
+    from .cointegration import engle_granger
+    from .report import render_table
+
     ds = _load(dataset)
 
     def go():
@@ -188,12 +207,15 @@ def coint(dataset, dependent, regressors, constant, sample, residual_lag):
 @click.option("--x", "x_term", required=True, help="Candidate cause (term expression).")
 @click.option("--y", "y_term", required=True, help="Candidate effect (term expression).")
 @click.option("--lags", default=4, type=int)
-@click.option("--sample", default=None)
+@click.option("--sample", default=None, callback=_window)
 def granger(dataset, x_term, y_term, lags, sample):
     """Granger causality F tests, both directions."""
+    from .dynamics import granger_causality
+    from .report import render_table
+
     ds = _load(dataset)
     _run(lambda: click.echo(render_table(
-        granger_causality(ds, parse_term(x_term), parse_term(y_term), lags, sample=_window(sample))
+        granger_causality(ds, parse_term(x_term), parse_term(y_term), lags, sample=sample)
     )[0]))
 
 
@@ -204,9 +226,12 @@ def granger(dataset, x_term, y_term, lags, sample):
 @click.option("--regressors",
               default="ln(Public investment), ln(GDP model base), ln(Credit)")
 @click.option("--constant/--no-constant", default=False)
-@click.option("--sample", default="1970:2010")
+@click.option("--sample", default="1970:2010", callback=_window)
 def chow(dataset, break_year, dependent, regressors, constant, sample):
     """Chow structural-break test (defaults to the bundled 41-obs model)."""
+    from .dynamics import chow_test
+    from .report import render_table
+
     ds = _load(dataset)
     _run(lambda: click.echo(render_table(
         chow_test(ds, _spec_from_flags(dependent, regressors, constant, sample), break_year)
@@ -217,14 +242,16 @@ def chow(dataset, break_year, dependent, regressors, constant, sample):
 @click.option("--dataset", default=None)
 @click.option("--variables", required=True, help="Ordered comma-separated terms (Cholesky order).")
 @click.option("--lags", default=4, type=int)
-@click.option("--sample", default=None)
+@click.option("--sample", default=None, callback=_window)
 def var(dataset, variables, lags, sample):
     """Estimate a VAR(p) and print per-equation coefficients."""
+    from .var import var_fit
+
     ds = _load(dataset)
 
     def go():
         model = var_fit(ds, tuple(parse_term(t) for t in variables.split(",") if t.strip()),
-                        lags, _window(sample))
+                        lags, sample)
         click.echo(f"VAR({model.p}) on {', '.join(model.labels)}; sample "
                    f"{model.sample[0]}-{model.sample[1]}; n_eff {model.n_effective}")
         for i, lbl in enumerate(model.labels):
@@ -240,18 +267,26 @@ def var(dataset, variables, lags, sample):
 @click.option("--dataset", default=None)
 @click.option("--variables", required=True)
 @click.option("--lags", default=4, type=int)
-@click.option("--sample", default=None)
+@click.option("--sample", default=None, callback=_window)
 @click.option("--horizon", default=10, type=int)
 @click.option("--shock", required=True, help="Shock variable label.")
 @click.option("--response", required=True, help="Responding variable label.")
 @click.option("--svg", "svg_path", default=None, help="Write the plot to this SVG file.")
 def irf(dataset, variables, lags, sample, horizon, shock, response, svg_path):
     """Orthogonalized impulse responses from a fitted VAR."""
+    from .report import render_irf_plot
+    from .var import impulse_response, var_fit
+
     ds = _load(dataset)
 
     def go():
         model = var_fit(ds, tuple(parse_term(t) for t in variables.split(",") if t.strip()),
-                        lags, _window(sample))
+                        lags, sample)
+        for flag, label in (("--shock", shock), ("--response", response)):
+            if label not in model.labels:
+                raise click.BadParameter(
+                    f"{label!r} is not a VAR variable; choose from {', '.join(model.labels)}",
+                    param_hint=f"'{flag}'")
         res = impulse_response(model, horizon)
         vals = res.response(shock, response)
         click.echo(f"{response} <- {shock}: " + " ".join(f"{v:.5g}" for v in vals))
@@ -266,11 +301,16 @@ def irf(dataset, variables, lags, sample, horizon, shock, response, svg_path):
 @click.option("--dataset", default=None)
 @click.option("--kind", type=click.Choice(["unemployment", "exports"]), required=True)
 @click.option("--overrides", required=True, help="e.g. '2005:0.15 2006:0.10'.")
-@click.option("--window", default="2000:2010")
+@click.option("--window", default="2000:2010", callback=_window)
 @click.option("--eap", default=1_665_000.0, type=float)
 @click.option("--terminal-actual-usd", default=6_762_000_000.0, type=float)
 def simulate(dataset, kind, overrides, window, eap, terminal_actual_usd):
     """Capital-growth scenario simulation using the bundled default models."""
+    from .dataset import apply_term
+    from .regress import ModelSpec
+    from .scenario import CapitalScenario, simulate_exports, simulate_unemployment
+    from .tsls import TslsSpec, tsls_fit
+
     ds = _load(dataset)
 
     def go():
@@ -293,7 +333,7 @@ def simulate(dataset, kind, overrides, window, eap, terminal_actual_usd):
                 instruments=(parse_term("dln(GDP)"), parse_term("dln(Total investment)@1")),
             )
             fit = tsls_fit(ds, spec)
-            res = simulate_unemployment(fit, scenario, _window(window), eap,
+            res = simulate_unemployment(fit, scenario, window, eap,
                                         ds.get("Unemployment rate"), g)
         else:
             spec = TslsSpec(
@@ -306,7 +346,7 @@ def simulate(dataset, kind, overrides, window, eap, terminal_actual_usd):
                 instruments=(parse_term("dln(GDP)"), parse_term("dln(Total investment)@1")),
             )
             fit = tsls_fit(ds, spec)
-            res = simulate_exports(fit, scenario, _window(window), terminal_actual_usd,
+            res = simulate_exports(fit, scenario, window, terminal_actual_usd,
                                    ds.get("Exports"), g)
         click.echo(f"terminal delta: {res.terminal_delta:.6g}")
         for k in sorted(res.derived_quantities):
@@ -322,6 +362,8 @@ def simulate(dataset, kind, overrides, window, eap, terminal_actual_usd):
 @click.option("--output", default=None, help="Override the manifest's output directory.")
 def report(manifest_path, dataset, output):
     """Run a full pipeline manifest and write the report bundle."""
+    from .pipeline import StepError, run_pipeline
+
     try:
         text = (default_manifest_text() if manifest_path == "default"
                 else Path(manifest_path).read_text("utf-8"))

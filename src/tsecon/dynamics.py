@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .dataset import Dataset, Term, apply_term
 from .regress import (
@@ -15,6 +14,7 @@ from .regress import (
     ModelSpec,
     build_design,
     diagnostics,
+    f_pvalue,
     solve_ls,
 )
 
@@ -202,7 +202,7 @@ def _granger_one_direction(x: np.ndarray, y: np.ndarray, lags: int) -> tuple[flo
     ssr_r = float((Y - Xr @ br) @ (Y - Xr @ br))
     ssr_u = float((Y - Xu @ bu) @ (Y - Xu @ bu))
     f = ((ssr_r - ssr_u) / lags) / (ssr_u / (rows - k_u))
-    return float(f), float(stats.f.sf(f, lags, rows - k_u)), rows
+    return float(f), f_pvalue(f, lags, rows - k_u), rows
 
 
 def granger_causality(
@@ -259,5 +259,5 @@ def chow_test(dataset: Dataset, spec: ModelSpec, break_year: int) -> ChowResult:
     ssr_1 = ssr(y[mask], X[mask])
     ssr_2 = ssr(y[~mask], X[~mask])
     f = ((ssr_p - ssr_1 - ssr_2) / p) / ((ssr_1 + ssr_2) / (n - 2 * p))
-    pval = float(stats.f.sf(f, p, n - 2 * p))
+    pval = f_pvalue(f, p, n - 2 * p)
     return ChowResult(break_year, float(f), (p, n - 2 * p), pval, pval < 0.05)

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .dataset import AnnualSeries, Dataset, Term, apply_term
 
@@ -23,6 +23,7 @@ __all__ = [
     "ModelSpec",
     "build_design",
     "diagnostics",
+    "f_pvalue",
     "ols_fit",
     "solve_ls",
     "vif",
@@ -150,6 +151,16 @@ def solve_ls(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.linalg.solve(R, Q.T @ y)
 
 
+def f_pvalue(f: float, dfn: float, dfd: float) -> float:
+    """Upper-tail probability of an F(dfn, dfd) statistic.
+
+    A negative F (rounding when the restricted and unrestricted fits agree)
+    lies below the support and has p = 1; ``fdtrc`` alone would return NaN
+    there.
+    """
+    return float(special.fdtrc(dfn, dfd, max(f, 0.0)))
+
+
 def diagnostics(
     y: np.ndarray,
     X: np.ndarray,
@@ -180,9 +191,9 @@ def diagnostics(
     with np.errstate(divide="ignore", invalid="ignore"):
         tvals = np.where(se > 0, beta / np.where(se > 0, se, 1.0), np.inf * np.sign(beta))
     if p_dist == "t":
-        pvals = 2.0 * stats.t.sf(np.abs(tvals), df)
+        pvals = 2.0 * special.stdtr(df, -np.abs(tvals))
     else:
-        pvals = 2.0 * stats.norm.sf(np.abs(tvals))
+        pvals = 2.0 * special.ndtr(-np.abs(tvals))
     coeffs = tuple(
         Coefficient(lbl, float(b), float(s), float(t), float(pv))
         for lbl, b, s, t, pv in zip(labels, beta, se, tvals, pvals)
@@ -193,7 +204,7 @@ def diagnostics(
     q = p - 1 if include_constant else p
     if q > 0 and r2 < 1.0:
         f = (r2 / q) / ((1.0 - r2) / df)
-        f_p = float(stats.f.sf(f, q, df))
+        f_p = f_pvalue(f, q, df)
     else:
         f, f_p = float("nan"), float("nan")
     # a bitwise-perfect fit has unbounded concentrated likelihood

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .dataset import AnnualSeries
 from .regress import EstimationError
@@ -93,7 +93,7 @@ def mackinnon_pvalue(tau: float, deterministic: str, n_vars: int = 1) -> float:
         else _LARGEP[deterministic][i]
     )
     poly = sum(c * tau**k for k, c in enumerate(coeffs))
-    return float(stats.norm.cdf(poly))
+    return float(special.ndtr(poly))
 
 
 @dataclass(frozen=True)

@@ -115,6 +115,30 @@ class TestCli:
         r = CliRunner().invoke(main, ["adf", "--nope", "x"])
         assert r.exit_code == 2
 
+    def test_bad_sample_is_usage_error_naming_the_flag(self):
+        r = CliRunner().invoke(
+            main, ["granger", "--x", "dln(GDP)", "--y", "dln(Industrial Investment)",
+                   "--sample", "1970-2010"],
+        )
+        assert r.exit_code == 2
+        assert "Invalid value for '--sample'" in r.output
+        assert "YYYY:YYYY" in r.output
+
+    def test_bad_window_is_usage_error_not_manifest_error(self):
+        r = CliRunner().invoke(main, ["adf", "--series", "ln(Inflation)", "--window", "x"])
+        assert r.exit_code == 2
+        assert "Invalid value for '--window'" in r.output
+        assert "manifest error" not in r.output
+
+    def test_unknown_irf_label_is_usage_error_naming_the_flag(self):
+        r = CliRunner().invoke(
+            main, ["irf", "--variables", "dln(GDP), dln(Exports)",
+                   "--shock", "nope", "--response", "d_Ln(GDP)"],
+        )
+        assert r.exit_code == 2
+        assert "Invalid value for '--shock'" in r.output
+        assert "d_Ln(GDP), d_Ln(Exports)" in r.output
+
     def test_dataset_error_exits_3(self):
         r = CliRunner().invoke(main, ["ingest", "--dataset", "/no/such/path"])
         assert r.exit_code == 3

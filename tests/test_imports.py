@@ -1,0 +1,83 @@
+"""Import hygiene: what a fresh process loads for each entry point.
+
+Start-up time is dominated by imports, so these checks run each entry point
+in a new interpreter and inspect ``sys.modules`` afterwards.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tsecon
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PUBLIC_NAMES = [
+    "AdfResult", "AdfSpec", "AnnualSeries", "ArFitResult", "ArSpec", "CapitalScenario",
+    "ChowResult", "CointegrationResult", "Dataset", "DatasetError", "EstimationError",
+    "FitResult", "GrangerResult", "ModelSpec", "PipelineManifest", "ReportBundle",
+    "ScenarioResult", "Term", "TermError", "TslsSpec", "VarModel", "adf_test", "apply_term",
+    "chow_test", "cochrane_orcutt_fit", "compare_models", "default_manifest_text",
+    "df_residual_test", "engle_granger", "estimate_tax_benefit", "granger_causality",
+    "impulse_response", "load_dataset", "ols_fit", "parse_manifest", "parse_term",
+    "real_interest_rate", "render_irf_plot", "render_table", "run_pipeline",
+    "simulate_exports", "simulate_unemployment", "tsls_fit", "var_fit",
+    "variance_decomposition", "vif",
+]
+
+REPORT_MODULES = """
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))))
+"""
+
+
+def loaded_after(code: str) -> list[str]:
+    """numpy/scipy modules loaded by ``code`` in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code + REPORT_MODULES], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_ingest_loads_neither_numpy_nor_scipy():
+    code = """
+import runpy, sys
+sys.argv = ["tsecon", "ingest"]
+try:
+    runpy.run_module("tsecon.cli", run_name="__main__")
+except SystemExit as exc:
+    assert not exc.code, exc.code
+"""
+    assert loaded_after(code) == []
+
+
+def test_import_tsecon_loads_neither_numpy_nor_scipy():
+    assert loaded_after("import tsecon") == []
+
+
+def test_full_pipeline_never_loads_scipy_stats():
+    code = """
+import tsecon
+manifest = tsecon.parse_manifest(tsecon.default_manifest_text())
+bundle = tsecon.run_pipeline(manifest, tsecon.load_dataset())
+assert "pipeline_summary" in bundle.tables
+"""
+    loaded = loaded_after(code)
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")]
+
+
+def test_public_names_unchanged():
+    assert sorted(tsecon.__all__) == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(tsecon))
+    for name in PUBLIC_NAMES:
+        assert getattr(tsecon, name).__name__ == name
+
+
+def test_unknown_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        tsecon.nope

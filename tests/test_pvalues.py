@@ -1,0 +1,131 @@
+"""P-value tails against the scipy.stats oracle, bit for bit.
+
+The engine calls ``scipy.special`` directly (``stdtr``, ``ndtr``, ``fdtrc``)
+because importing ``scipy.stats`` dominates start-up.  ``scipy.stats`` itself
+delegates to those functions, so every p-value must stay bitwise identical,
+including at the edges: infinite t (zero standard error), NaN, non-positive
+degrees of freedom and a negative F.
+"""
+import types
+
+import numpy as np
+import pytest
+from scipy import special, stats
+
+import tsecon.unitroot as unitroot
+from tsecon.dataset import parse_term
+from tsecon.dynamics import chow_test, granger_causality
+from tsecon.regress import ModelSpec, f_pvalue, ols_fit
+from tsecon.tsls import TslsSpec, tsls_fit
+from tsecon.unitroot import DETERMINISTICS, AdfSpec, adf_test, mackinnon_pvalue
+
+EDGES = [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, 1e-300, 1e300, -1e-15]
+DFS = [-3, -1, 0, 1, 2, 3, 5, 10, 36, 100, 1e6]
+DFNS = [-1, 0, 1, 2, 4, 7]
+DFDS = [-2, 0, 1, 3, 30]
+
+
+def grid(n=2000, seed=20231011):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([EDGES, 5.0 * rng.standard_normal(n // 2), rng.standard_cauchy(n // 2)])
+
+
+def bits(x):
+    """Float64 bytes with every NaN made the same NaN."""
+    a = np.asarray(x, dtype=float)
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+class TestTails:
+    @pytest.mark.parametrize("df", DFS)
+    def test_t_two_sided(self, df):
+        a = np.abs(grid())
+        assert bits(special.stdtr(df, -a)) == bits(stats.t.sf(a, df))
+
+    def test_normal_two_sided(self):
+        a = np.abs(grid())
+        assert bits(special.ndtr(-a)) == bits(stats.norm.sf(a))
+
+    def test_normal_cdf(self):
+        x = grid()
+        assert bits(special.ndtr(x)) == bits(stats.norm.cdf(x))
+
+    @pytest.mark.parametrize("dfn", DFNS)
+    @pytest.mark.parametrize("dfd", DFDS)
+    def test_f_upper_tail(self, dfn, dfd):
+        fs = grid(400)
+        got = [f_pvalue(f, dfn, dfd) for f in fs]
+        assert bits(got) == bits(stats.f.sf(fs, dfn, dfd))
+
+    @pytest.mark.parametrize("f", [-1e-15, -0.0, -3.0, -np.inf])
+    def test_negative_f_has_p_one(self, f):
+        # equal restricted and unrestricted SSR can round to a negative F
+        assert f_pvalue(f, 4, 27) == 1.0 == stats.f.sf(f, 4, 27)
+        assert np.isnan(special.fdtrc(4, 27, f)) or f == 0.0
+
+
+class TestPublicFits:
+    def test_ols_coefficient_and_f_pvalues(self, dataset):
+        spec = ModelSpec(
+            dependent=parse_term("ln(Industrial Investment)"),
+            regressors=tuple(parse_term(t) for t in
+                             ("ln(Public investment)", "ln(GDP model base)", "ln(Credit)")),
+            include_constant=True,
+            sample=(1970, 2010),
+        )
+        fit = ols_fit(dataset, spec)
+        df = fit.n_obs - len(fit.coefficients)
+        t = np.array([c.t_stat for c in fit.coefficients])
+        assert bits([c.p_value for c in fit.coefficients]) == bits(2.0 * stats.t.sf(np.abs(t), df))
+        assert bits(fit.f_p_value) == bits(stats.f.sf(fit.f_stat, *fit.f_df))
+
+    def test_tsls_normal_pvalues(self, dataset):
+        growth = parse_term("dln(Total investment) as d_Ln(K)")
+        spec = TslsSpec(
+            model=ModelSpec(
+                dependent=parse_term("Unemployment rate"),
+                regressors=(growth, parse_term("Unemployment rate@1"),
+                            parse_term("Unemployment rate@2")),
+                include_constant=True, sample=(1970, 2010),
+            ),
+            endogenous=("d_Ln(K)",),
+            instruments=(parse_term("dln(GDP)"), parse_term("dln(Total investment)@1")),
+        )
+        fit = tsls_fit(dataset, spec)
+        t = np.array([c.t_stat for c in fit.coefficients])
+        assert bits([c.p_value for c in fit.coefficients]) == bits(2.0 * stats.norm.sf(np.abs(t)))
+
+    @pytest.mark.parametrize("break_year", [1974, 1982, 1998, 2007])
+    def test_chow_pvalue(self, dataset, break_year):
+        spec = ModelSpec(
+            dependent=parse_term("ln(Industrial Investment)"),
+            regressors=tuple(parse_term(t) for t in
+                             ("ln(Public investment)", "ln(GDP model base)", "ln(Credit)")),
+            include_constant=False,
+            sample=(1970, 2010),
+        )
+        res = chow_test(dataset, spec, break_year)
+        assert bits(res.p_value) == bits(stats.f.sf(res.f_stat, *res.df))
+
+    @pytest.mark.parametrize("lags", [1, 2, 4])
+    def test_granger_pvalues(self, dataset, lags):
+        res = granger_causality(dataset, parse_term("dln(GDP)"),
+                                parse_term("dln(Industrial Investment)"), lags,
+                                sample=(1976, 2010))
+        for e in res.pairs:
+            assert bits(e.p_value) == bits(stats.f.sf(e.f_stat, lags, e.n_obs - 2 * lags - 1))
+
+    def test_mackinnon_surface_matches_norm_cdf(self, monkeypatch):
+        taus = np.concatenate([np.linspace(-30.0, 5.0, 701), [np.nan]])
+        ours = {(d, k): [mackinnon_pvalue(t, d, k) for t in taus]
+                for d in DETERMINISTICS for k in range(1, 7)}
+        monkeypatch.setattr(unitroot, "special", types.SimpleNamespace(ndtr=stats.norm.cdf))
+        for (d, k), got in ours.items():
+            assert bits(got) == bits([mackinnon_pvalue(t, d, k) for t in taus]), (d, k)
+
+    def test_adf_pvalue_matches_norm_cdf(self, dataset, monkeypatch):
+        series = dataset.get("Inflation")
+        spec = AdfSpec("constant_and_trend", 1)
+        ours = adf_test(series, spec)
+        monkeypatch.setattr(unitroot, "special", types.SimpleNamespace(ndtr=stats.norm.cdf))
+        assert bits(ours.p_value) == bits(adf_test(series, spec).p_value)
