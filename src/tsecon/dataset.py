@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 __all__ = [
@@ -21,6 +24,7 @@ __all__ = [
     "ProvenanceNote",
     "Term",
     "TermError",
+    "align",
     "apply_term",
     "bundled_dataset_path",
     "estimate_tax_benefit",
@@ -53,9 +57,11 @@ class AnnualSeries:
     def __post_init__(self):
         if not self.values:
             raise DatasetError(f"series {self.name!r} is empty")
-        if not all(math.isfinite(v) for v in self.values):
+        # a finite sum proves every value finite; only an overflowing sum of
+        # finite values needs the per-value check
+        if not math.isfinite(sum(self.values)) and not all(map(math.isfinite, self.values)):
             raise DatasetError(f"series {self.name!r} contains non-finite values")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
 
     @property
     def end_year(self) -> int:
@@ -72,6 +78,12 @@ class AnnualSeries:
         if not self.start_year <= year <= self.end_year:
             raise DatasetError(f"series {self.name!r} has no value for {year}")
         return self.values[year - self.start_year]
+
+    def slice(self, first_year: int, last_year: int) -> tuple[float, ...]:
+        """Values of the years ``first_year``..``last_year``; the series must hold them all."""
+        if not self.start_year <= first_year <= last_year <= self.end_year:
+            raise DatasetError(f"series {self.name!r} does not cover {first_year}-{last_year}")
+        return self.values[first_year - self.start_year : last_year - self.start_year + 1]
 
     def window(self, first_year: int, last_year: int) -> "AnnualSeries":
         """Restrict to [first_year, last_year]; errors if the window is empty."""
@@ -204,25 +216,44 @@ def apply_term(dataset: Dataset, term: Term) -> AnnualSeries:
     is shorter by the same amount.  ``ln`` requires strictly positive values.
     """
     base = dataset.get(term.base)
-    values = list(base.values)
+    values = base.values
     start = base.start_year
     unit = base.unit
     if term.transform in ("ln", "diff_ln"):
-        bad = [start + i for i, v in enumerate(values) if v <= 0.0]
-        if bad:
+        if min(values) <= 0.0:
+            first = next(start + i for i, v in enumerate(values) if v <= 0.0)
             raise TermError(
-                f"ln of non-positive value in series {term.base!r} (first at {bad[0]})"
+                f"ln of non-positive value in series {term.base!r} (first at {first})"
             )
-        values = [math.log(v) for v in values]
+        # math.log, not np.log: the two differ in the last bit on some inputs
+        values = tuple(map(math.log, values))
         unit = f"ln({unit})" if unit else "ln"
     if term.transform in ("diff", "diff_ln"):
-        values = [b - a for a, b in zip(values, values[1:])]
+        values = tuple(map(operator.sub, values[1:], values[:-1]))
         start += 1
     # a lag leaves values untouched and re-dates them forward
     start += term.lag
     if not values:
         raise TermError(f"term {term.rendered_label()!r} evaluates to an empty series")
-    return AnnualSeries(term.rendered_label(), start, tuple(values), unit)
+    return AnnualSeries(term.rendered_label(), start, values, unit)
+
+
+def align(
+    dataset: Dataset, terms: Sequence[Term], sample: tuple[int, int] | None = None
+) -> tuple[list[AnnualSeries], range, list[tuple[float, ...]]]:
+    """Evaluate ``terms`` on their common year window, clipped to ``sample``.
+
+    Returns the evaluated series, the window's years and one column of values
+    per series.  When the window is empty the years and the columns are empty,
+    and the caller decides how to fail.
+    """
+    evaluated = [apply_term(dataset, t) for t in terms]
+    lo = max(s.start_year for s in evaluated)
+    hi = min(s.end_year for s in evaluated)
+    if sample is not None:
+        lo, hi = max(lo, sample[0]), min(hi, sample[1])
+    years = range(lo, hi + 1)
+    return evaluated, years, [s.slice(lo, hi) for s in evaluated] if years else []
 
 
 def real_interest_rate(nominal: AnnualSeries, inflation: AnnualSeries) -> AnnualSeries:
@@ -250,19 +281,13 @@ def _slug(name: str) -> str:
     return re.sub(r"[^a-z0-9]+", "_", name.lower()).strip("_")
 
 
-def _format_value(v: float) -> str:
-    if float(v).is_integer() and abs(v) < 1e16:
-        return str(int(v))
-    return repr(float(v))
-
-
 def _serialize_series(s: AnnualSeries) -> bytes:
-    lines = [f"year,{s.name}"]
-    if s.unit:
-        lines.append(f"# unit: {s.unit}")
-    for year, v in zip(s.years, s.values):
-        lines.append(f"{year},{_format_value(v)}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    head = f"year,{s.name}\n" + (f"# unit: {s.unit}\n" if s.unit else "")
+    rows = "".join(
+        f"{year},{int(v) if v.is_integer() and abs(v) < 1e16 else repr(v)}\n"
+        for year, v in zip(s.years, s.values)
+    )
+    return (head + rows).encode("utf-8")
 
 
 def serialize_dataset(dataset: Dataset) -> dict[str, bytes]:
@@ -278,6 +303,9 @@ def _checksum(series: dict[str, AnnualSeries]) -> str:
     return h.hexdigest()
 
 
+_UNIT_RE = re.compile(r"#\s*unit:\s*(.*)")
+
+
 def _parse_series_csv(text: str, origin: str) -> AnnualSeries:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("year,"):
@@ -285,30 +313,33 @@ def _parse_series_csv(text: str, origin: str) -> AnnualSeries:
     name = lines[0].split(",", 1)[1].strip()
     if not name:
         raise DatasetError(f"{origin}: missing series name in header")
+    rows = [ln for ln in lines[1:] if ln[0] != "#"]
     unit = ""
-    rows = []
-    for ln in lines[1:]:
-        if ln.startswith("#"):
-            m = re.match(r"#\s*unit:\s*(.*)", ln)
-            if m:
-                unit = m.group(1).strip()
-            continue
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise DatasetError(f"{origin}: malformed row {ln!r}")
-        try:
-            year = int(parts[0])
-            value = float(parts[1])
-        except ValueError:
-            raise DatasetError(f"{origin}: non-numeric cell in row {ln!r}") from None
-        rows.append((year, value))
+    if len(rows) < len(lines) - 1:
+        for m in filter(None, map(_UNIT_RE.match, lines[1:])):
+            unit = m.group(1).strip()
     if not rows:
         raise DatasetError(f"{origin}: series {name!r} has no rows")
-    years = [y for y, _ in rows]
-    for a, b in zip(years, years[1:]):
-        if b != a + 1:
-            raise DatasetError(f"{origin}: non-contiguous years {a} -> {b} in series {name!r}")
-    return AnnualSeries(name, years[0], tuple(v for _, v in rows), unit)
+    try:
+        year_cells, _, value_cells = zip(*map(str.partition, rows, repeat(",")))
+        years = list(map(int, year_cells))
+        values = tuple(map(float, value_cells))
+    except ValueError:
+        # a row with other than one comma leaves a comma or nothing in its
+        # value cell; re-scan so the first bad row names the error
+        for ln in rows:
+            parts = ln.split(",")
+            if len(parts) != 2:
+                raise DatasetError(f"{origin}: malformed row {ln!r}") from None
+            try:
+                int(parts[0]), float(parts[1])
+            except ValueError:
+                raise DatasetError(f"{origin}: non-numeric cell in row {ln!r}") from None
+        raise
+    if years != list(range(years[0], years[0] + len(years))):
+        a, b = next((a, b) for a, b in zip(years, years[1:]) if b != a + 1)
+        raise DatasetError(f"{origin}: non-contiguous years {a} -> {b} in series {name!r}")
+    return AnnualSeries(name, years[0], values, unit)
 
 
 def _parse_wide_csv(text: str, origin: str) -> list[AnnualSeries]:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, Term, apply_term
+from .dataset import Dataset, Term, align
 from .regress import (
     EstimationError,
     FitResult,
@@ -218,16 +218,10 @@ def granger_causality(
     pipeline feeds first differences of I(1) variables).  ``sample`` clips the
     common window of the two evaluated series.
     """
-    sx = apply_term(dataset, x)
-    sy = apply_term(dataset, y)
-    lo = max(sx.start_year, sy.start_year)
-    hi = min(sx.end_year, sy.end_year)
-    if sample is not None:
-        lo, hi = max(lo, sample[0]), min(hi, sample[1])
-    if lo > hi:
+    (sx, sy), window, columns = align(dataset, (x, y), sample)
+    if not window:
         raise EstimationError("Granger series do not overlap")
-    ax = np.array([sx.value_in(t) for t in range(lo, hi + 1)])
-    ay = np.array([sy.value_in(t) for t in range(lo, hi + 1)])
+    ax, ay = map(np.array, columns)
     entries = []
     for cause, effect, cs, es in ((sx, sy, ax, ay), (sy, sx, ay, ax)):
         f, p, rows = _granger_one_direction(cs, es, lags)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .dataset import AnnualSeries, Dataset, Term, apply_term
+from .dataset import AnnualSeries, Dataset, Term, align
 
 __all__ = [
     "Coefficient",
@@ -112,25 +112,20 @@ def build_design(dataset: Dataset, spec: ModelSpec):
     All terms are aligned on their common year window, clipped to the spec's
     sample; the constant column (when present) comes first.
     """
-    dep = apply_term(dataset, spec.dependent)
-    regs = [apply_term(dataset, t) for t in spec.regressors]
-    lo = max([dep.start_year] + [r.start_year for r in regs])
-    hi = min([dep.end_year] + [r.end_year for r in regs])
-    if spec.sample is not None:
-        lo, hi = max(lo, spec.sample[0]), min(hi, spec.sample[1])
-    if lo > hi:
+    _, window, columns = align(dataset, (spec.dependent, *spec.regressors), spec.sample)
+    if not window:
         raise EstimationError("empty estimation sample after term alignment")
-    years = np.arange(lo, hi + 1)
-    y = np.array([dep.value_in(int(t)) for t in years])
+    years = np.arange(window.start, window.stop)
+    y = np.array(columns[0])
     cols, labels = [], []
     if spec.include_constant:
         cols.append(np.ones(len(years)))
         labels.append("const")
-    for r, t in zip(regs, spec.regressors):
-        cols.append(np.array([r.value_in(int(ty)) for ty in years]))
+    for col, t in zip(columns[1:], spec.regressors):
+        cols.append(np.array(col))
         labels.append(t.rendered_label())
     for d in spec.dummies:
-        cols.append(np.array([1.0 if int(ty) in d.years else 0.0 for ty in years]))
+        cols.append(np.array([1.0 if ty in d.years else 0.0 for ty in window]))
         labels.append(d.name)
     if len(set(labels)) != len(labels):
         raise EstimationError("regressor labels must be unique")

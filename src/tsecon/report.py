@@ -7,6 +7,7 @@ carries full precision.  Plots are self-contained SVG 1.1 documents limited to
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -234,15 +235,18 @@ class ReportBundle:
         self.plots[name] = svg
 
     def write(self, outdir: str | Path) -> None:
-        out = Path(outdir)
-        (out / "tables").mkdir(parents=True, exist_ok=True)
+        # str paths, not Path objects: pathlib interns every path part, which
+        # made the peak RSS of a long-lived process creep with every bundle
+        out = os.fspath(outdir)
+        os.makedirs(os.path.join(out, "tables"), exist_ok=True)
         if self.plots:
-            (out / "plots").mkdir(parents=True, exist_ok=True)
-        for name in sorted(self.tables):
-            text, csv = self.tables[name]
-            (out / "tables" / f"{name}.txt").write_bytes(text.encode("utf-8"))
-            (out / "tables" / f"{name}.csv").write_bytes(csv.encode("utf-8"))
-        for name in sorted(self.plots):
-            (out / "plots" / f"{name}.svg").write_bytes(self.plots[name].encode("utf-8"))
-        (out / "manifest.echo.ini").write_bytes(self.manifest_echo.encode("utf-8"))
-        (out / "dataset.checksum").write_bytes((self.dataset_checksum + "\n").encode("utf-8"))
+            os.makedirs(os.path.join(out, "plots"), exist_ok=True)
+        files = {"manifest.echo.ini": self.manifest_echo, "dataset.checksum": self.dataset_checksum + "\n"}
+        for name, (text, csv) in self.tables.items():
+            files[f"tables/{name}.txt"] = text
+            files[f"tables/{name}.csv"] = csv
+        for name, svg in self.plots.items():
+            files[f"plots/{name}.svg"] = svg
+        for rel, text in files.items():
+            with open(os.path.join(out, rel), "wb") as f:
+                f.write(text.encode("utf-8"))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, Term, apply_term
+from .dataset import Dataset, DatasetError, Term, apply_term
 from .regress import EstimationError, FitResult, ModelSpec, build_design, diagnostics, solve_ls
 
 __all__ = ["TslsSpec", "tsls_fit"]
@@ -51,8 +51,8 @@ def tsls_fit(dataset: Dataset, spec: TslsSpec) -> FitResult:
     for t in spec.instruments:
         s = apply_term(dataset, t)
         try:
-            inst_cols.append(np.array([s.value_in(int(ty)) for ty in years]))
-        except Exception as exc:
+            inst_cols.append(np.array(s.slice(years[0], years[-1])))
+        except DatasetError as exc:
             raise EstimationError(
                 f"instrument {t.rendered_label()!r} does not cover the sample "
                 f"{years[0]}-{years[-1]}"

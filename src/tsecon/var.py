@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, Term, apply_term
+from .dataset import Dataset, Term, align
 from .regress import EstimationError
 
 __all__ = ["FevdResult", "IrfResult", "VarModel", "impulse_response", "var_fit", "variance_decomposition"]
@@ -72,15 +72,10 @@ def var_fit(
     """Fit a VAR(p) by per-equation OLS over the common sample."""
     if p < 1:
         raise EstimationError("VAR lag order must be >= 1")
-    evaluated = [apply_term(dataset, t) for t in variables]
-    lo = max(s.start_year for s in evaluated)
-    hi = min(s.end_year for s in evaluated)
-    if sample is not None:
-        lo, hi = max(lo, sample[0]), min(hi, sample[1])
-    if lo > hi:
+    evaluated, window, columns = align(dataset, variables, sample)
+    if not window:
         raise EstimationError("VAR variables do not share a sample window")
-    years = np.arange(lo, hi + 1)
-    Y = np.column_stack([[s.value_in(int(t)) for t in years] for s in evaluated])
+    Y = np.column_stack(columns)
     T, k = Y.shape
     rows = T - p
     ncoef = k * p + 1
@@ -102,7 +97,7 @@ def var_fit(
         intercepts=B[0].copy(),
         coefficient_matrices=A,
         residual_cov=(sigma + sigma.T) / 2.0,
-        sample=(int(years[0]), int(years[-1])),
+        sample=(window[0], window[-1]),
         n_effective=rows,
     )
 
