@@ -1,8 +1,8 @@
 """tsecon: annual time-series econometrics engine and reproduction pipeline.
 
 The public names below load their module on first access (PEP 562), so
-``import tsecon`` is cheap and only what a caller touches pulls in numpy and
-scipy.
+``import tsecon`` is cheap and only what a caller touches pulls in numpy.
+The engine needs no scipy: its p-value tails use ``math`` alone.
 """
 import importlib
 

@@ -17,7 +17,7 @@ from .dataset import DatasetError, load_dataset, parse_term
 from .manifest import ManifestError, default_manifest_text, parse_manifest
 
 # Each command imports the engine modules it uses in its own body, so a
-# command that needs no estimation (``ingest``) never loads numpy or scipy.
+# command that needs no estimation (``ingest``) never loads numpy.
 
 EXIT_MANIFEST = 2
 EXIT_DATASET = 3
@@ -69,6 +69,26 @@ def _window(ctx, param, text):
         return int(lo), int(hi)
     except ValueError:
         raise click.BadParameter(f"{text!r} is not a YYYY:YYYY year window") from None
+
+
+def _lags(ctx, param, text):
+    """Option callback: parse a space- or comma-separated lag list such as ``1 2``."""
+    try:
+        return tuple(int(v) for v in text.replace(",", " ").split())
+    except ValueError:
+        raise click.BadParameter(f"{text!r} is not a list of integer lags") from None
+
+
+def _overrides(ctx, param, text):
+    """Option callback: parse ``YYYY:rate`` pairs into a ``{year: rate}`` dict."""
+    overrides = {}
+    for chunk in text.split():
+        year, _, rate = chunk.partition(":")
+        try:
+            overrides[int(year)] = float(rate)
+        except ValueError:
+            raise click.BadParameter(f"{chunk!r} is not a YYYY:rate override") from None
+    return overrides
 
 
 @click.group()
@@ -159,7 +179,8 @@ def fit_tsls(dataset, dependent, regressors, endogenous, instruments, constant, 
 @click.option("--dataset", default=None)
 @click.option("--dependent", required=True)
 @click.option("--regressors", required=True)
-@click.option("--ar-lags", required=True, help="Space- or comma-separated lag list, e.g. '1 2'.")
+@click.option("--ar-lags", required=True, callback=_lags,
+              help="Space- or comma-separated lag list, e.g. '1 2'.")
 @click.option("--constant/--no-constant", default=True)
 @click.option("--sample", default=None, callback=_window)
 def fit_ar(dataset, dependent, regressors, ar_lags, constant, sample):
@@ -172,7 +193,7 @@ def fit_ar(dataset, dependent, regressors, ar_lags, constant, sample):
     def go():
         spec = ArSpec(
             model=_spec_from_flags(dependent, regressors, constant, sample),
-            ar_lags=tuple(int(v) for v in ar_lags.replace(",", " ").split()),
+            ar_lags=ar_lags,
         )
         click.echo(render_table(cochrane_orcutt_fit(ds, spec))[0])
 
@@ -300,7 +321,8 @@ def irf(dataset, variables, lags, sample, horizon, shock, response, svg_path):
 @main.command()
 @click.option("--dataset", default=None)
 @click.option("--kind", type=click.Choice(["unemployment", "exports"]), required=True)
-@click.option("--overrides", required=True, help="e.g. '2005:0.15 2006:0.10'.")
+@click.option("--overrides", required=True, callback=_overrides,
+              help="e.g. '2005:0.15 2006:0.10'.")
 @click.option("--window", default="2000:2010", callback=_window)
 @click.option("--eap", default=1_665_000.0, type=float)
 @click.option("--terminal-actual-usd", default=6_762_000_000.0, type=float)
@@ -314,11 +336,7 @@ def simulate(dataset, kind, overrides, window, eap, terminal_actual_usd):
     ds = _load(dataset)
 
     def go():
-        ov = {}
-        for chunk in overrides.split():
-            y, _, r = chunk.partition(":")
-            ov[int(y)] = float(r)
-        scenario = CapitalScenario("cli scenario", ov)
+        scenario = CapitalScenario("cli scenario", overrides)
         growth = parse_term("dln(Total investment) as d_Ln(K)")
         g = apply_term(ds, growth)
         if kind == "unemployment":

@@ -15,7 +15,7 @@ from .dataset import Dataset, DatasetError, Term, apply_term, load_dataset, pars
 from .dynamics import ArSpec, chow_test, cochrane_orcutt_fit, compare_models, granger_causality
 from .manifest import ManifestError, PipelineManifest, Step
 from .regress import ModelSpec, ols_fit
-from .report import ReportBundle, render_irf_plot, render_table
+from .report import ReportBundle, _csv, render_irf_plot, render_table
 from .scenario import CapitalScenario, simulate_exports, simulate_unemployment
 from .tsls import TslsSpec, tsls_fit
 from .unitroot import AdfSpec, adf_test
@@ -116,8 +116,7 @@ def run_pipeline(manifest: PipelineManifest, dataset: Dataset | None = None) -> 
     text = "Pipeline summary\n\n" + "\n".join(
         f"{r[0]:32s} {r[1]:22s} {r[2]}" for r in summary_rows[1:]
     ) + "\n"
-    csv = "\n".join(",".join(f'"{c}"' if "," in c else c for c in r) for r in summary_rows) + "\n"
-    bundle.add_table("pipeline_summary", (text, csv))
+    bundle.add_table("pipeline_summary", (text, _csv(summary_rows)))
     return bundle
 
 
@@ -207,9 +206,7 @@ def _run_step(step: Step, dataset: Dataset, results: dict, bundle: ReportBundle)
                 for j, src in enumerate(model.labels):
                     rows.append(f"    {src}(-{lag})  {A[i, j]:.6g}")
                     csv_rows.append([lbl, f"{src}(-{lag})", float(A[i, j])])
-        text = "\n".join(rows) + "\n"
-        csv = "\n".join(",".join(str(c) for c in r) for r in csv_rows) + "\n"
-        bundle.add_table(step.name, (text, csv))
+        bundle.add_table(step.name, ("\n".join(rows) + "\n", _csv(csv_rows)))
     elif op == "irf":
         model = results.get(step.require("var"))
         if model is None:
@@ -224,8 +221,7 @@ def _run_step(step: Step, dataset: Dataset, results: dict, bundle: ReportBundle)
                 text_rows.append(f"{resp} <- {shock}: " + " ".join(f"{v:.5g}" for v in vals))
                 for h, v in enumerate(vals):
                     csv_rows.append([shock, resp, h, float(v)])
-        bundle.add_table(step.name, ("\n".join(text_rows) + "\n",
-                                     "\n".join(",".join(str(c) for c in r) for r in csv_rows) + "\n"))
+        bundle.add_table(step.name, ("\n".join(text_rows) + "\n", _csv(csv_rows)))
         for spec_text in step.get_all("plot"):
             shock_lbl, _, resp_lbl = spec_text.partition("->")
             shock_lbl, resp_lbl = shock_lbl.strip(), resp_lbl.strip()
@@ -248,8 +244,7 @@ def _run_step(step: Step, dataset: Dataset, results: dict, bundle: ReportBundle)
                 )
                 for i, s in enumerate(fevd.ordering):
                     csv_rows.append([resp, h, s, float(shares[i])])
-        bundle.add_table(step.name, ("\n".join(text_rows) + "\n",
-                                     "\n".join(",".join(str(c) for c in r) for r in csv_rows) + "\n"))
+        bundle.add_table(step.name, ("\n".join(text_rows) + "\n", _csv(csv_rows)))
     elif op in ("simulate_unemployment", "simulate_exports"):
         fit = results.get(step.require("fit"))
         if fit is None:
@@ -285,13 +280,15 @@ def _evaluated(dataset: Dataset, term_text: str):
     return apply_term(dataset, parse_term(term_text))
 
 
-def windowed_series(dataset: Dataset, term_text: str, window_text: str | None):
+def windowed_series(dataset: Dataset, term: Term | str, window_text: str | None):
     """Evaluate a term with the window applied to the base series first.
 
-    Windowing before transforming matches subsample-then-transform tool
-    behaviour: a difference over a 1975-2010 window starts in 1976.
+    ``term`` is a parsed ``Term`` or its text.  Windowing before transforming
+    matches subsample-then-transform tool behaviour: a difference over a
+    1975-2010 window starts in 1976.
     """
-    term = parse_term(term_text)
+    if isinstance(term, str):
+        term = parse_term(term)
     w = _parse_window(window_text)
     if w is None:
         return apply_term(dataset, term)
@@ -302,7 +299,7 @@ def windowed_series(dataset: Dataset, term_text: str, window_text: str | None):
 def _run_adf_battery(step: Step, dataset: Dataset, bundle: ReportBundle) -> None:
     window = step.get("window")
     rows_text: list[list[str]] = [["Variable", "tau", "p-value", "Deterministic", "Lags", "Decision at 5%"]]
-    csv_rows: list[str] = ["variable,tau,p_value,deterministic,lag_order,decision"]
+    csv_rows: list[list] = [["variable", "tau", "p_value", "deterministic", "lag_order", "decision"]]
     for row in step.get_all("row"):
         parts = [p.strip() for p in row.split(";")]
         if len(parts) != 3:
@@ -312,35 +309,33 @@ def _run_adf_battery(step: Step, dataset: Dataset, bundle: ReportBundle) -> None
         if term.base not in dataset:
             rows_text.append([term.rendered_label(), "-", "-", det, lag_text,
                               "SKIPPED: data-unavailable"])
-            csv_rows.append(f"{term.rendered_label()},,,{det},{lag_text},skipped")
+            csv_rows.append([term.rendered_label(), "", "", det, lag_text, "skipped"])
             continue
-        series = windowed_series(dataset, term_text, window)
+        series = windowed_series(dataset, term, window)
         res = adf_test(series, AdfSpec(det, int(lag_text)))
         rows_text.append([
             term.rendered_label(), f"{res.t_stat:.6g}", f"{res.p_value:.4f}", det, lag_text,
             "reject" if res.reject_5pct else "fail to reject",
         ])
-        csv_rows.append(
-            f"{term.rendered_label()},{res.t_stat!r},{res.p_value!r},{det},{lag_text},"
-            + ("reject" if res.reject_5pct else "fail_to_reject")
-        )
+        csv_rows.append([term.rendered_label(), res.t_stat, res.p_value, det, lag_text,
+                         "reject" if res.reject_5pct else "fail_to_reject"])
     widths = [max(len(r[i]) for r in rows_text) for i in range(6)]
     lines = ["Unit-root battery" + (f" (window {window})" if window else ""), ""]
     for r in rows_text:
         lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    bundle.add_table(step.name, ("\n".join(lines) + "\n", "\n".join(csv_rows) + "\n"))
+    bundle.add_table(step.name, ("\n".join(lines) + "\n", _csv(csv_rows)))
 
 
 def _scenario_table(res, name: str) -> tuple[str, str]:
     b, c = res.baseline_path, res.counterfactual_path
     lines = [f"Scenario: {name}", "", "Year  Baseline      Counterfactual"]
-    csv_rows = ["year,baseline,counterfactual"]
+    csv_rows = [["year", "baseline", "counterfactual"]]
     for y, bv, cv in zip(b.years, b.values, c.values):
         lines.append(f"{y}  {bv:12.5g}  {cv:14.5g}")
-        csv_rows.append(f"{y},{bv!r},{cv!r}")
+        csv_rows.append([y, bv, cv])
     lines.append("")
     lines.append(f"Terminal delta: {res.terminal_delta:.6g}")
     for k in sorted(res.derived_quantities):
         lines.append(f"{k}: {res.derived_quantities[k]:.6g}")
-        csv_rows.append(f"{k},{res.derived_quantities[k]!r},")
-    return "\n".join(lines) + "\n", "\n".join(csv_rows) + "\n"
+        csv_rows.append([k, res.derived_quantities[k], ""])
+    return "\n".join(lines) + "\n", _csv(csv_rows)

@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from ._tails import f_sf, norm_cdf, t_two_sided
 from .dataset import AnnualSeries, Dataset, Term, align
 
 __all__ = [
@@ -150,10 +150,10 @@ def f_pvalue(f: float, dfn: float, dfd: float) -> float:
     """Upper-tail probability of an F(dfn, dfd) statistic.
 
     A negative F (rounding when the restricted and unrestricted fits agree)
-    lies below the support and has p = 1; ``fdtrc`` alone would return NaN
+    lies below the support and has p = 1; ``f_sf`` alone would return NaN
     there.
     """
-    return float(special.fdtrc(dfn, dfd, max(f, 0.0)))
+    return f_sf(max(float(f), 0.0), dfn, dfd)
 
 
 def diagnostics(
@@ -186,9 +186,9 @@ def diagnostics(
     with np.errstate(divide="ignore", invalid="ignore"):
         tvals = np.where(se > 0, beta / np.where(se > 0, se, 1.0), np.inf * np.sign(beta))
     if p_dist == "t":
-        pvals = 2.0 * special.stdtr(df, -np.abs(tvals))
+        pvals = [t_two_sided(t, df) for t in tvals.tolist()]
     else:
-        pvals = 2.0 * special.ndtr(-np.abs(tvals))
+        pvals = [2.0 * norm_cdf(-abs(t)) for t in tvals.tolist()]
     coeffs = tuple(
         Coefficient(lbl, float(b), float(s), float(t), float(pv))
         for lbl, b, s, t, pv in zip(labels, beta, se, tvals, pvals)

@@ -35,8 +35,10 @@ def _g6(x: float) -> str:
 
 
 def _csv_field(x) -> str:
-    s = repr(float(x)) if isinstance(x, float) else str(x)
-    if any(c in s for c in ',"\n'):
+    if isinstance(x, float):
+        return repr(float(x))  # never holds a comma, quote or newline
+    s = str(x)
+    if "," in s or '"' in s or "\n" in s:
         s = '"' + s.replace('"', '""') + '"'
     return s
 

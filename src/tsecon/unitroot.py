@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from ._tails import norm_cdf
 from .dataset import AnnualSeries
 from .regress import EstimationError
 
@@ -93,7 +93,7 @@ def mackinnon_pvalue(tau: float, deterministic: str, n_vars: int = 1) -> float:
         else _LARGEP[deterministic][i]
     )
     poly = sum(c * tau**k for k, c in enumerate(coeffs))
-    return float(special.ndtr(poly))
+    return norm_cdf(float(poly))
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,14 @@ def _adf_regression(values: np.ndarray, spec: AdfSpec) -> tuple[float, float, in
     e = Y - X @ beta
     df = rows - X.shape[1]
     s2 = float(e @ e) / df
-    se = math.sqrt(s2 * np.linalg.inv(X.T @ X)[level_idx, level_idx])
+    try:
+        XtX_inv = np.linalg.inv(X.T @ X)
+    except np.linalg.LinAlgError:
+        raise EstimationError(
+            f"singular ADF design ({spec.deterministic}, {k} lags): the deterministic "
+            "terms, lagged level and lagged differences are collinear"
+        ) from None
+    se = math.sqrt(s2 * XtX_inv[level_idx, level_idx])
     return float(beta[level_idx] / se), float(beta[level_idx]), rows
 
 

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import shutil
 from pathlib import Path
@@ -84,6 +85,30 @@ class TestPipeline:
             assert name in bundle.tables
 
 
+    def test_every_csv_table_reads_back_rectangular(self, tmp_path, dataset):
+        # labels holding a comma or a quote must be quoted, not split
+        m = parse_manifest(
+            "[step battery]\nop = adf_battery\nwindow = 1975:2010\n"
+            "row = ln(GDP) as GDP, log ; constant ; 1\n"
+            'row = ln(Nope) as "absent", log ; constant ; 1\n'
+            "[step v]\nop = var\nvariables = dln(GDP) as \"g\", dln(Exports)\nlags = 1\n"
+            "[step i]\nop = irf\nvar = v\nhorizon = 2\n"
+            "[step f]\nop = fevd\nvar = v\nhorizon = 2\n"
+        )
+        run_pipeline(m, dataset).write(tmp_path)
+        files = sorted((tmp_path / "tables").glob("*.csv"))
+        assert [f.stem for f in files] == ["battery", "f", "i", "pipeline_summary", "v"]
+        tables = {}
+        for f in files:
+            with open(f, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert {len(r) for r in rows} == {len(rows[0])}, f.name
+            tables[f.stem] = rows
+        assert [r[0] for r in tables["battery"][1:]] == ["GDP, log", '"absent", log']
+        assert tables["battery"][2][-1] == "skipped"
+        assert {r[0] for r in tables["v"][1:]} == {'"g"', "d_Ln(Exports)"}
+
+
 class TestCli:
     def test_ingest(self):
         r = CliRunner().invoke(main, ["ingest"])
@@ -138,6 +163,37 @@ class TestCli:
         assert r.exit_code == 2
         assert "Invalid value for '--shock'" in r.output
         assert "d_Ln(GDP), d_Ln(Exports)" in r.output
+
+    @pytest.mark.parametrize("lags", ["1 x", "1,,2.5"])
+    def test_bad_ar_lags_is_usage_error_naming_the_flag(self, lags):
+        r = CliRunner().invoke(
+            main, ["fit-ar", "--dependent", "ln(Industrial Investment)",
+                   "--regressors", "ln(GDP)", "--ar-lags", lags],
+        )
+        assert r.exit_code == 2
+        assert "Invalid value for '--ar-lags'" in r.output
+        assert "invalid literal" not in r.output
+
+    @pytest.mark.parametrize("overrides", ["2005:0.15 2006", "2005:x", "y2005:0.1"])
+    def test_bad_overrides_is_usage_error_naming_the_flag(self, overrides):
+        r = CliRunner().invoke(
+            main, ["simulate", "--kind", "unemployment", "--overrides", overrides],
+        )
+        assert r.exit_code == 2
+        assert "Invalid value for '--overrides'" in r.output
+        assert "YYYY:rate" in r.output
+
+    def test_good_ar_lags_and_overrides_still_run(self):
+        r = CliRunner().invoke(
+            main, ["fit-ar", "--dependent", "ln(Industrial Investment)",
+                   "--regressors", "ln(GDP), ln(Public investment)", "--ar-lags", "1, 2"],
+        )
+        assert r.exit_code == 0, r.output
+        r = CliRunner().invoke(
+            main, ["simulate", "--kind", "exports", "--overrides", "2005:0.15 2006:0.10"],
+        )
+        assert r.exit_code == 0, r.output
+        assert "terminal delta:" in r.output
 
     def test_dataset_error_exits_3(self):
         r = CliRunner().invoke(main, ["ingest", "--dataset", "/no/such/path"])

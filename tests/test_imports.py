@@ -67,8 +67,26 @@ bundle = tsecon.run_pipeline(manifest, tsecon.load_dataset())
 assert "pipeline_summary" in bundle.tables
 """
     loaded = loaded_after(code)
-    assert "scipy.special" in loaded
-    assert not [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")]
+    assert "numpy" in loaded
+    assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+
+
+def test_report_loads_no_scipy_nor_numpy_tooling(tmp_path):
+    # scipy's array-API layer pulls in numpy.f2py and numpy.testing; a cold
+    # report needs neither
+    code = f"""
+import runpy, sys
+sys.argv = ["tsecon", "report", "--output", {str(tmp_path / "out")!r}]
+try:
+    runpy.run_module("tsecon.cli", run_name="__main__")
+except SystemExit as exc:
+    assert not exc.code, exc.code
+"""
+    loaded = loaded_after(code)
+    assert (tmp_path / "out" / "tables" / "pipeline_summary.csv").exists()
+    assert "numpy.linalg" in loaded
+    assert not [m for m in loaded if m.split(".")[0] == "scipy"
+                or m.startswith(("numpy.f2py", "numpy.testing"))]
 
 
 def test_public_names_unchanged():

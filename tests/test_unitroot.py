@@ -88,6 +88,13 @@ class TestAdf:
         with pytest.raises(EstimationError, match="constant series"):
             adf_test(s, AdfSpec("constant", 1))
 
+    def test_singular_design_is_estimation_error(self):
+        # a deterministic trend makes the lagged level a combination of the
+        # constant and trend columns, so X'X cannot be inverted
+        s = AnnualSeries("trend", 1970, tuple(float(v) for v in range(40)))
+        with pytest.raises(EstimationError, match="singular ADF design"):
+            adf_test(s, AdfSpec("constant_and_trend", 1))
+
     def test_conclusion_consistent_with_pvalue(self):
         s = AnnualSeries("s", 1990, FIXED_12)
         res = adf_test(s, AdfSpec("constant", 1))
