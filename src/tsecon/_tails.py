@@ -5,9 +5,13 @@ Phi splits between ``erf`` and ``erfc`` as the Cephes ``ndtr`` does
 beta functions evaluated by Lentz's continued fraction (Press et al.,
 *Numerical Recipes*, ``betai``/``betacf``).  The incomplete beta takes both
 x and 1 - x, each computed directly from the statistic, so neither tail
-loses digits to cancellation, and log B(a, b) uses Stirling's series when one
-argument is large.  Against ``scipy.stats`` the tails agree to 1e-12 relative
-for up to 1000 degrees of freedom and to 1e-9 up to 1e6
+loses digits to cancellation.  log B(a, b) uses Stirling's series when one
+argument is large; when both are, so does the whole prefactor
+x**a (1 - x)**b / B(a, b) (DiDonato & Morris 1992), which keeps the
+incomplete beta within 1e-12 of ``scipy.special.betainc`` for shapes up to
+1e6; beyond, the continued fraction's own rounding grows to about 6e-12 at
+5e7.  Against ``scipy.stats`` the tails agree
+to 1e-12 relative for up to 1000 degrees of freedom and to 1e-9 up to 1e6
 (``tests/test_pvalues.py``).  Edge values follow scipy: NaN in, NaN out;
 infinite statistics give 0; non-positive or NaN degrees of freedom give NaN.
 So do infinite ones, which no estimator produces.
@@ -19,6 +23,7 @@ import math
 __all__ = ["f_sf", "norm_cdf", "t_two_sided"]
 
 _SQRT1_2 = math.sqrt(0.5)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _EPS = 1e-15  # relative change of the continued fraction at convergence
 _TINY = 1e-300  # keeps Lentz's denominators away from zero
 _MAX_TERMS = 10_000
@@ -64,14 +69,29 @@ def _betai(a: float, b: float, x: float, y: float) -> float:
         return 1.0
     if x == 0.0:
         return 0.0
-    log_x = math.log(x) if x < 0.5 else math.log1p(-y)
-    log_y = math.log(y) if y < 0.5 else math.log1p(-x)
-    front = math.exp(a * log_x + b * log_y - _lbeta(a, b))
+    front = _front(a, b, x, y)
     # the fraction converges fast below the mean of Beta(a, b); above it use
     # the symmetry I_x(a, b) = 1 - I_y(b, a)
     if x * (a + b + 2.0) < a + 1.0:
         return front * _betacf(a, b, x) / a
     return 1.0 - front * _betacf(b, a, y) / b
+
+
+def _front(a: float, b: float, x: float, y: float) -> float:
+    """x**a * y**b / B(a, b), the factor in front of the continued fraction."""
+    if min(a, b) < 20.0:
+        log_x = math.log(x) if x < 0.5 else math.log1p(-y)
+        log_y = math.log(y) if y < 0.5 else math.log1p(-x)
+        return math.exp(a * log_x + b * log_y - _lbeta(a, b))
+    # both large: a ln x, b ln y and ln B(a, b) are each huge and nearly
+    # cancel.  Stirling's series for all three gammas leaves only the
+    # deviation d = b x - a y = (a + b)(x - x0) of x from x0 = a / (a + b):
+    # x**a y**b / B = sqrt(a b / (a + b) / 2 pi) (1 + d/a)**a (1 - d/b)**b
+    # exp(corrections)  (DiDonato & Morris 1992, ACM TOMS 708, ``brcomp``)
+    s = a + b
+    d = b * x - a * y
+    z = a * math.log1p(d / a) + b * math.log1p(-d / b) - _stirling(a) - _stirling(b) + _stirling(s)
+    return math.sqrt(a * b / s) / _SQRT_2PI * math.exp(z)
 
 
 def _betacf(a: float, b: float, x: float) -> float:

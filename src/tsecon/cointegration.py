@@ -7,9 +7,9 @@ pipeline runs the unit-root battery first) and are never re-tested silently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
+from ._record import record
 from .dataset import Dataset
 from .regress import EstimationError, FitResult, ModelSpec, ols_fit
 from .unitroot import AdfResult, df_residual_test
@@ -17,7 +17,7 @@ from .unitroot import AdfResult, df_residual_test
 __all__ = ["CointegrationResult", "engle_granger"]
 
 
-@dataclass(frozen=True)
+@record
 class CointegrationResult:
     long_run: FitResult
     residual_test: AdfResult

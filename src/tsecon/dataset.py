@@ -13,9 +13,10 @@ import math
 import operator
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
+
+from ._record import record
 
 __all__ = [
     "AnnualSeries",
@@ -45,7 +46,7 @@ class TermError(Exception):
     """Raised when a term cannot be parsed or evaluated."""
 
 
-@dataclass(frozen=True)
+@record
 class AnnualSeries:
     """A contiguous annual series: value ``values[i]`` belongs to ``start_year + i``."""
 
@@ -99,7 +100,7 @@ class AnnualSeries:
         )
 
 
-@dataclass(frozen=True)
+@record
 class ProvenanceNote:
     """One curated cell: what the source printed and what the bundle ships."""
 
@@ -110,7 +111,7 @@ class ProvenanceNote:
     reason: str
 
 
-@dataclass(frozen=True)
+@record
 class Dataset:
     """Immutable collection of named series plus curation notes and a checksum."""
 
@@ -142,7 +143,7 @@ class Dataset:
         return Dataset(merged, self.provenance, _checksum({**self.series, extra.name: extra}))
 
 
-@dataclass(frozen=True)
+@record
 class Term:
     """A model variable: a transform of a base series, optionally lagged.
 

@@ -3,10 +3,9 @@ arbitrary disturbance-lag list, nested model comparison, Granger causality,
 and Chow structural-break tests."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import record
 from .dataset import Dataset, Term, align
 from .regress import (
     EstimationError,
@@ -32,7 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class ArSpec:
     """A regression plus the lag structure of its disturbance process.
 
@@ -56,7 +55,7 @@ class ArSpec:
             raise EstimationError("max_iterations must be >= 1")
 
 
-@dataclass(frozen=True)
+@record
 class ArFitResult:
     structural: FitResult
     rho: tuple[float, ...]
@@ -66,7 +65,7 @@ class ArFitResult:
     divergence_flag: bool
 
 
-@dataclass(frozen=True)
+@record
 class GrangerEntry:
     cause: str
     effect: str
@@ -77,12 +76,12 @@ class GrangerEntry:
     reject_5pct: bool
 
 
-@dataclass(frozen=True)
+@record
 class GrangerResult:
     pairs: tuple[GrangerEntry, ...]
 
 
-@dataclass(frozen=True)
+@record
 class ChowResult:
     break_year: int
     f_stat: float
@@ -156,7 +155,7 @@ def cochrane_orcutt_fit(dataset: Dataset, spec: ArSpec) -> ArFitResult:
     return ArFitResult(final, tuple(float(r) for r in rho), lags, iterations, converged, diverged)
 
 
-@dataclass(frozen=True)
+@record
 class ModelComparison:
     """Side-by-side selection statistics for two fits of the same dependent."""
 

@@ -9,8 +9,9 @@ doubles as executable documentation of it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
+
+from ._record import record
 
 __all__ = ["ManifestError", "PipelineManifest", "Step", "default_manifest_text", "parse_manifest"]
 
@@ -19,7 +20,7 @@ class ManifestError(Exception):
     """Raised for manifest syntax or reference errors."""
 
 
-@dataclass(frozen=True)
+@record
 class Step:
     name: str
     op: str
@@ -39,7 +40,7 @@ class Step:
         return v
 
 
-@dataclass(frozen=True)
+@record
 class PipelineManifest:
     dataset_path: str
     output_dir: str

@@ -45,6 +45,19 @@ def _parse_window(text: str | None) -> tuple[int, int] | None:
         raise ManifestError(f"bad sample/window {text!r}; expected YYYY:YYYY") from None
 
 
+def _number(step: Step, key: str, text: str, kind=int, minimum: int | None = None):
+    """``text``, a value of ``key``, as an int (or ``kind``); a bad value is a manifest error."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if value is None or (minimum is not None and value < minimum):
+        expected = ("an integer" if kind is int else "a number") + (
+            f" >= {minimum}" if minimum is not None else "")
+        raise ManifestError(f"step {step.name!r}: bad {key} {text!r}; expected {expected}")
+    return value
+
+
 def _parse_bool(text: str | None, default: bool) -> bool:
     if text is None:
         return default
@@ -125,7 +138,8 @@ def _run_step(step: Step, dataset: Dataset, results: dict, bundle: ReportBundle)
     if op == "adf_battery":
         _run_adf_battery(step, dataset, bundle)
     elif op == "adf":
-        spec = AdfSpec(step.get("deterministic", "constant"), int(step.get("lag_order", "1")))
+        spec = AdfSpec(step.get("deterministic", "constant"),
+                       _number(step, "lag_order", step.get("lag_order", "1"), minimum=0))
         series = windowed_series(dataset, step.require("series"), step.get("window"))
         res = adf_test(series, spec)
         results[step.name] = res
@@ -146,9 +160,10 @@ def _run_step(step: Step, dataset: Dataset, results: dict, bundle: ReportBundle)
     elif op == "ar":
         spec = ArSpec(
             model=_model_spec(step),
-            ar_lags=tuple(int(v) for v in step.require("ar_lags").replace(",", " ").split()),
-            max_iterations=int(step.get("max_iterations", "20")),
-            convergence_rel_tol=float(step.get("tolerance", "5e-5")),
+            ar_lags=tuple(_number(step, "ar_lags", v, minimum=1)
+                          for v in step.require("ar_lags").replace(",", " ").split()),
+            max_iterations=_number(step, "max_iterations", step.get("max_iterations", "20"), minimum=1),
+            convergence_rel_tol=_number(step, "tolerance", step.get("tolerance", "5e-5"), float),
         )
         res = cochrane_orcutt_fit(dataset, spec)
         results[step.name] = res
@@ -166,23 +181,27 @@ def _run_step(step: Step, dataset: Dataset, results: dict, bundle: ReportBundle)
         if step.get("assume_i1") == "all":
             labels = [spec.dependent.rendered_label()] + [t.rendered_label() for t in spec.regressors]
             orders = {lbl: 1 for lbl in labels}
-        res = engle_granger(dataset, spec, int(step.get("residual_lag", "1")), orders)
+        residual_lag = _number(step, "residual_lag", step.get("residual_lag", "1"), minimum=0)
+        res = engle_granger(dataset, spec, residual_lag, orders)
         results[step.name] = res
         bundle.add_table(step.name, render_table(res, f"Engle-Granger: {step.name}"))
     elif op == "granger":
+        lags = _number(step, "lags", step.get("lags", "4"), minimum=1)
         res = granger_causality(
             dataset,
             parse_term(step.require("x")),
             parse_term(step.require("y")),
-            int(step.get("lags", "4")),
+            lags,
             sample=_parse_window(step.get("sample")),
         )
         results[step.name] = res
         bundle.add_table(step.name, render_table(res, f"Granger causality: {step.name}"))
     elif op == "chow":
         spec = _model_spec(step)
-        for year_text in step.require("break_years").split():
-            res = chow_test(dataset, spec, int(year_text))
+        year_texts = step.require("break_years").split()
+        years = [_number(step, "break_years", text) for text in year_texts]
+        for year_text, year in zip(year_texts, years):
+            res = chow_test(dataset, spec, year)
             name = f"{step.name}_{year_text}"
             results[name] = res
             bundle.add_table(name, render_table(res, f"Chow test at {year_text}"))
@@ -190,7 +209,7 @@ def _run_step(step: Step, dataset: Dataset, results: dict, bundle: ReportBundle)
         model = var_fit(
             dataset,
             _parse_terms(step.require("variables")),
-            int(step.get("lags", "4")),
+            _number(step, "lags", step.get("lags", "4"), minimum=1),
             _parse_window(step.get("sample")),
         )
         results[step.name] = model
@@ -211,7 +230,7 @@ def _run_step(step: Step, dataset: Dataset, results: dict, bundle: ReportBundle)
         model = results.get(step.require("var"))
         if model is None:
             raise ManifestError(f"step {step.name!r} references a VAR step that did not run")
-        irf = impulse_response(model, int(step.get("horizon", "10")))
+        irf = impulse_response(model, _number(step, "horizon", step.get("horizon", "10"), minimum=0))
         results[step.name] = irf
         csv_rows = [["shock", "response", "step", "value"]]
         text_rows = [f"Orthogonalized impulse responses (ordering: {' -> '.join(irf.ordering)})", ""]
@@ -231,7 +250,8 @@ def _run_step(step: Step, dataset: Dataset, results: dict, bundle: ReportBundle)
         model = results.get(step.require("var"))
         if model is None:
             raise ManifestError(f"step {step.name!r} references a VAR step that did not run")
-        fevd = variance_decomposition(model, int(step.get("horizon", "10")))
+        fevd = variance_decomposition(model, _number(step, "horizon", step.get("horizon", "10"),
+                                                     minimum=0))
         results[step.name] = fevd
         csv_rows = [["response", "step", "shock", "share"]]
         text_rows = [f"Forecast-error variance decomposition (ordering: {' -> '.join(fevd.ordering)})", ""]
@@ -256,13 +276,14 @@ def _run_step(step: Step, dataset: Dataset, results: dict, bundle: ReportBundle)
         label = step.get("capital_label", "d_Ln(K)")
         if op == "simulate_unemployment":
             res = simulate_unemployment(
-                fit, scenario, window, float(step.require("eap")),
+                fit, scenario, window, _number(step, "eap", step.require("eap"), float),
                 dataset.get(step.require("unemployment")), growth,
                 capital_label=label, as_log_growth=log_growth,
             )
         else:
             res = simulate_exports(
-                fit, scenario, window, float(step.require("terminal_actual_usd")),
+                fit, scenario, window,
+                _number(step, "terminal_actual_usd", step.require("terminal_actual_usd"), float),
                 dataset.get(step.require("exports")), growth,
                 capital_label=label, as_log_growth=log_growth,
             )
@@ -312,7 +333,7 @@ def _run_adf_battery(step: Step, dataset: Dataset, bundle: ReportBundle) -> None
             csv_rows.append([term.rendered_label(), "", "", det, lag_text, "skipped"])
             continue
         series = windowed_series(dataset, term, window)
-        res = adf_test(series, AdfSpec(det, int(lag_text)))
+        res = adf_test(series, AdfSpec(det, _number(step, "row", lag_text, minimum=0)))
         rows_text.append([
             term.rendered_label(), f"{res.t_stat:.6g}", f"{res.p_value:.4f}", det, lag_text,
             "reject" if res.reject_5pct else "fail to reject",

@@ -8,10 +8,10 @@ when the model has no constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from ._tails import f_sf, norm_cdf, t_two_sided
 from .dataset import AnnualSeries, Dataset, Term, align
 
@@ -36,7 +36,7 @@ class EstimationError(Exception):
     """Raised for rank deficiency, insufficient observations, or bad specs."""
 
 
-@dataclass(frozen=True)
+@record
 class Dummy:
     """An indicator regressor equal to 1 in the listed years."""
 
@@ -44,7 +44,7 @@ class Dummy:
     years: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class ModelSpec:
     """Declarative regression description evaluated against a dataset."""
 
@@ -55,7 +55,7 @@ class ModelSpec:
     dummies: tuple[Dummy, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class Coefficient:
     label: str
     estimate: float
@@ -64,7 +64,7 @@ class Coefficient:
     p_value: float
 
 
-@dataclass(frozen=True)
+@record
 class FitResult:
     """Estimates plus the printed diagnostic block of the study tables."""
 

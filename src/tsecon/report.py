@@ -8,7 +8,6 @@ carries full precision.  Plots are self-contained SVG 1.1 documents limited to
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cointegration import CointegrationResult
@@ -35,8 +34,6 @@ def _g6(x: float) -> str:
 
 
 def _csv_field(x) -> str:
-    if isinstance(x, float):
-        return repr(float(x))  # never holds a comma, quote or newline
     s = str(x)
     if "," in s or '"' in s or "\n" in s:
         s = '"' + s.replace('"', '""') + '"'
@@ -44,7 +41,17 @@ def _csv_field(x) -> str:
 
 
 def _csv(rows: list[list]) -> str:
-    return "\n".join(",".join(_csv_field(c) for c in row) for row in rows) + "\n"
+    # str of a float, numpy's float64 included, is its shortest round-trip
+    # repr and never holds a comma, quote or newline; a row needs per-cell
+    # quoting only when it joins to more commas than separators, or a quote
+    # or newline
+    lines = []
+    for row in rows:
+        line = ",".join(map(str, row))
+        if line.count(",") >= len(row) or '"' in line or "\n" in line:
+            line = ",".join(map(_csv_field, row))
+        lines.append(line)
+    return "\n".join(lines) + "\n"
 
 
 def _align(rows: list[list[str]]) -> str:
@@ -221,14 +228,16 @@ def render_irf_plot(irf: IrfResult, shock: str, response: str, title: str = "") 
     return "\n".join(parts) + "\n"
 
 
-@dataclass
 class ReportBundle:
     """Named tables and plots plus the configuration that produced them."""
 
-    tables: dict[str, tuple[str, str]] = field(default_factory=dict)
-    plots: dict[str, str] = field(default_factory=dict)
-    manifest_echo: str = ""
-    dataset_checksum: str = ""
+    def __init__(self, tables: dict[str, tuple[str, str]] | None = None,
+                 plots: dict[str, str] | None = None, manifest_echo: str = "",
+                 dataset_checksum: str = ""):
+        self.tables = {} if tables is None else tables
+        self.plots = {} if plots is None else plots
+        self.manifest_echo = manifest_echo
+        self.dataset_checksum = dataset_checksum
 
     def add_table(self, name: str, rendered: tuple[str, str]) -> None:
         self.tables[name] = rendered

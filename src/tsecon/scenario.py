@@ -11,16 +11,16 @@ dynamics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Mapping
 
+from ._record import field, record
 from .dataset import AnnualSeries
 from .regress import EstimationError, FitResult
 
 __all__ = ["CapitalScenario", "ScenarioResult", "simulate_exports", "simulate_unemployment"]
 
 
-@dataclass(frozen=True)
+@record
 class CapitalScenario:
     """Named schedule of capital growth overrides.
 
@@ -41,7 +41,7 @@ class CapitalScenario:
         return min(self.overrides) if self.overrides else None
 
 
-@dataclass(frozen=True)
+@record
 class ScenarioResult:
     baseline_path: AnnualSeries
     counterfactual_path: AnnualSeries

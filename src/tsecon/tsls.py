@@ -8,17 +8,16 @@ conventions of the tool that produced the study tables.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import record
 from .dataset import Dataset, DatasetError, Term, apply_term
 from .regress import EstimationError, FitResult, ModelSpec, build_design, diagnostics, solve_ls
 
 __all__ = ["TslsSpec", "tsls_fit"]
 
 
-@dataclass(frozen=True)
+@record
 class TslsSpec:
     """A regression model plus which regressors are instrumented and by what."""
 

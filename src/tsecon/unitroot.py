@@ -9,10 +9,10 @@ number of variables in a cointegrating relation for residual-based tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from ._tails import norm_cdf
 from .dataset import AnnualSeries
 from .regress import EstimationError
@@ -96,7 +96,7 @@ def mackinnon_pvalue(tau: float, deterministic: str, n_vars: int = 1) -> float:
     return norm_cdf(float(poly))
 
 
-@dataclass(frozen=True)
+@record
 class AdfSpec:
     deterministic: str = "constant"
     lag_order: int = 1
@@ -108,7 +108,7 @@ class AdfSpec:
             raise ValueError("lag_order must be >= 0")
 
 
-@dataclass(frozen=True)
+@record
 class AdfResult:
     t_stat: float
     alpha_minus_one: float

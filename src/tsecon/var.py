@@ -9,18 +9,18 @@ the residual covariance; the variable ordering is the Cholesky ordering.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._record import record
 from .dataset import Dataset, Term, align
 from .regress import EstimationError
 
 __all__ = ["FevdResult", "IrfResult", "VarModel", "impulse_response", "var_fit", "variance_decomposition"]
 
 
-@dataclass(frozen=True)
+@record
 class VarModel:
     labels: tuple[str, ...]
     p: int
@@ -35,7 +35,7 @@ class VarModel:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
+@record
 class IrfResult:
     """Orthogonalized responses to one-standard-deviation shocks.
 
@@ -54,7 +54,7 @@ class IrfResult:
         return self.responses[i, j, :]
 
 
-@dataclass(frozen=True)
+@record
 class FevdResult:
     """``shares[respond, step, shock]``, summing to one over shocks."""
 

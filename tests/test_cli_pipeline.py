@@ -235,3 +235,29 @@ class TestCli:
         r = CliRunner().invoke(main, ["report", "--manifest", str(echoed), "--output", str(out2)])
         assert r.exit_code == 0
         assert tree_digest(out1) == tree_digest(out2)
+
+    @pytest.mark.parametrize("step, key, value", [
+        ("[step a]\nop = adf\nseries = ln(GDP)\nlag_order = x\n", "lag_order", "'x'"),
+        ("[step c]\nop = chow\ndependent = ln(Industrial Investment)\n"
+         "regressors = ln(Public investment), ln(GDP model base), ln(Credit)\n"
+         "constant = false\nsample = 1970:2010\nbreak_years = 1974 199x\n", "break_years", "'199x'"),
+        ("[step g]\nop = granger\nx = dln(GDP)\ny = dln(Industrial Investment)\nlags = 0\n"
+         "sample = 1976:2010\n", "lags", "'0'"),
+    ])
+    def test_bad_step_value_is_manifest_error_naming_the_key(self, tmp_path, step, key, value):
+        manifest = tmp_path / "m.ini"
+        manifest.write_text(step)
+        r = CliRunner().invoke(main, ["report", "--manifest", str(manifest),
+                                      "--output", str(tmp_path / "out")])
+        assert r.exit_code == 2, r.output
+        name = step.split("]")[0].split()[1]
+        assert f"manifest error: step {name!r}: bad {key} {value}" in r.output
+        assert not (tmp_path / "out").exists()
+
+    def test_unwritable_output_exits_2_naming_the_path(self, tmp_path):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        target = blocker / "sub"
+        r = CliRunner().invoke(main, ["report", "--output", str(target)])
+        assert r.exit_code == 2
+        assert f"output error: cannot write bundle to {str(target)!r}" in r.output

@@ -12,6 +12,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ from tsecon.manifest import default_manifest_text, parse_manifest
 from tsecon.pipeline import run_pipeline
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "default_bundle"
+SRC = Path(__file__).resolve().parents[1] / "src"
 RTOL = 1e-10
 GOLDEN_FILES = sorted(p.relative_to(GOLDEN).as_posix() for p in GOLDEN.rglob("*") if p.is_file())
 
@@ -59,6 +63,30 @@ def test_bytes_match(bundle, name):
 
 @pytest.mark.parametrize("name", [n for n in GOLDEN_FILES if n.endswith(".csv")])
 def test_csv_numbers_match(bundle, name):
+    assert_csv_matches(bundle, name)
+
+
+def test_fresh_cli_process_writes_the_golden_bundle(tmp_path):
+    # ``python -m tsecon.cli`` exits through the entry that freezes the heap:
+    # stdout must still be flushed and every file whole
+    out = tmp_path / "bundle"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("TSECON_DATASET", None)
+    proc = subprocess.run([sys.executable, "-m", "tsecon.cli", "report", "--output", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"wrote bundle to {out} (dataset checksum ")
+    written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert written == GOLDEN_FILES
+    for name in GOLDEN_FILES:
+        if name.endswith(".csv"):
+            assert_csv_matches(out, name)
+        else:
+            assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def assert_csv_matches(bundle: Path, name: str) -> None:
     got = list(csv.reader(io.StringIO((bundle / name).read_text("utf-8"))))
     want = list(csv.reader(io.StringIO((GOLDEN / name).read_text("utf-8"))))
     assert [len(r) for r in got] == [len(r) for r in want]

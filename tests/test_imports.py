@@ -3,6 +3,7 @@
 Start-up time is dominated by imports, so these checks run each entry point
 in a new interpreter and inspect ``sys.modules`` afterwards.
 """
+import gc
 import json
 import os
 import subprocess
@@ -30,16 +31,16 @@ PUBLIC_NAMES = [
 
 REPORT_MODULES = """
 import json, sys
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in {roots!r})))
 """
 
 
-def loaded_after(code: str) -> list[str]:
-    """numpy/scipy modules loaded by ``code`` in a fresh interpreter."""
+def loaded_after(code: str, roots: tuple[str, ...] = ("numpy", "scipy")) -> list[str]:
+    """Modules under ``roots`` (numpy/scipy) loaded by ``code`` in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code + REPORT_MODULES], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
+    proc = subprocess.run([sys.executable, "-c", code + REPORT_MODULES.format(roots=roots)],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -87,6 +88,31 @@ except SystemExit as exc:
     assert "numpy.linalg" in loaded
     assert not [m for m in loaded if m.split(".")[0] == "scipy"
                 or m.startswith(("numpy.f2py", "numpy.testing"))]
+
+
+def test_report_loads_no_dataclasses(tmp_path):
+    # the result types are records built without generated source
+    code = f"""
+import runpy, sys
+sys.argv = ["tsecon", "report", "--output", {str(tmp_path / "out")!r}]
+try:
+    runpy.run_module("tsecon.cli", run_name="__main__")
+except SystemExit as exc:
+    assert not exc.code, exc.code
+"""
+    loaded = loaded_after(code, ("dataclasses", "tsecon"))
+    assert "tsecon.pipeline" in loaded and "dataclasses" not in loaded
+
+
+def test_only_the_process_entry_freezes_the_heap(tmp_path):
+    from click.testing import CliRunner
+
+    import tsecon.cli
+
+    before = gc.get_freeze_count()
+    r = CliRunner().invoke(tsecon.cli.main, ["report", "--output", str(tmp_path / "out")])
+    assert r.exit_code == 0
+    assert gc.get_freeze_count() == before == 0
 
 
 def test_public_names_unchanged():

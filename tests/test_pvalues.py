@@ -17,7 +17,7 @@ import pytest
 from scipy import special, stats
 
 import tsecon.unitroot as unitroot
-from tsecon._tails import f_sf, norm_cdf, t_two_sided
+from tsecon._tails import _betai, f_sf, norm_cdf, t_two_sided
 from tsecon.dataset import parse_term
 from tsecon.dynamics import chow_test, granger_causality
 from tsecon.regress import ModelSpec, f_pvalue, ols_fit
@@ -115,6 +115,24 @@ class TestOwnTails:
     def test_f_edges_are_exact(self, f, dfn, dfd):
         assert bits(f_sf(f, dfn, dfd)) == bits(special.fdtrc(dfn, dfd, f))
         assert bits(f_pvalue(f, dfn, dfd)) == bits(stats.f.sf(f, dfn, dfd))
+
+
+    @pytest.mark.parametrize("a, b, rtol", [
+        (5e3, 5e3, 1e-12), (1e5, 1e5, 1e-12), (1e6, 1e6, 1e-12), (1e6, 6e5, 1e-12),
+        (3e4, 1e3, 1e-12), (5e3, 20.0, 1e-12),
+        # near the mean, the continued fraction itself rounds to a few 1e-12
+        # here: its ~3,500 coefficients rounded to float64 alone move it 6e-13
+        (5e6, 5e6, 5e-12), (5e7, 5e7, 5e-12),
+    ])
+    def test_incomplete_beta_with_two_large_shapes(self, a, b, rtol):
+        # x from the mean a / (a + b) >= 0.5 out to 5 standard deviations, so
+        # that y = 1 - x is exact; I_y(b, a) = 1 - I_x(a, b) covers the other side
+        mean, sd = a / (a + b), math.sqrt(a * b / (a + b) ** 2 / (a + b + 1))
+        xs = np.array([0.5, mean] + [mean + k * sd for k in (0.3, 1, 2, 3, 5)])
+        xs = xs[(xs >= 0.5) & (xs < 1.0)]
+        assert_close([_betai(a, b, x, 1.0 - x) for x in xs.tolist()], special.betainc(a, b, xs), rtol)
+        assert_close([_betai(b, a, 1.0 - x, x) for x in xs.tolist()],
+                     special.betainc(b, a, 1.0 - xs), rtol)
 
 
 class TestPublicFits:

@@ -6,7 +6,7 @@ import pytest
 from tsecon.dataset import Term
 from tsecon.dynamics import chow_test, granger_causality
 from tsecon.regress import ModelSpec, ols_fit
-from tsecon.report import render_irf_plot, render_table, significance_stars
+from tsecon.report import _csv, render_irf_plot, render_table, significance_stars
 from tsecon.unitroot import AdfSpec, adf_test
 from tsecon.var import VarModel, impulse_response
 
@@ -77,6 +77,28 @@ class TestTableRoundTrip:
     def test_unknown_type_raises(self):
         with pytest.raises(TypeError):
             render_table(object())
+
+
+def csv_reference(rows):
+    """Cell by cell: floats as repr, other cells quoted if they hold , " or newline."""
+    def cell(x):
+        if isinstance(x, float):
+            return repr(float(x))
+        s = str(x)
+        return '"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\n') else s
+    return "\n".join(",".join(cell(c) for c in row) for row in rows) + "\n"
+
+
+def test_csv_rows_match_the_cell_by_cell_reference():
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal(200) * 10.0 ** rng.integers(-320, 300, 200)
+    rows = [
+        [], ["only"], [1.0, -0.0, 1e16, 1e-5, 5e-324, float("nan"), float("-inf")],
+        [np.float64(v) for v in values], values.tolist(), [np.float64(0.1), 3, True, "x"],
+        ["GDP, log", 1.5], ['say "hi"', 2.0], ["two\nlines", "ok"], [", ,", ",", ""],
+        ['"', np.float64(-2.5e-300), "a,b", 7],
+    ]
+    assert _csv(rows) == csv_reference(rows)
 
 
 def flat_irf():
