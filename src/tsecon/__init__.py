@@ -14,7 +14,7 @@ _EXPORTS = {
         "cointegration": ("CointegrationResult", "engle_granger"),
         "dataset": (
             "AnnualSeries", "Dataset", "DatasetError", "Term", "TermError", "apply_term",
-            "estimate_tax_benefit", "load_dataset", "parse_term", "real_interest_rate",
+            "load_dataset", "parse_term",
         ),
         "dynamics": (
             "ArFitResult", "ArSpec", "ChowResult", "GrangerResult", "chow_test",
@@ -22,7 +22,7 @@ _EXPORTS = {
         ),
         "manifest": ("PipelineManifest", "default_manifest_text", "parse_manifest"),
         "pipeline": ("run_pipeline",),
-        "regress": ("EstimationError", "FitResult", "ModelSpec", "ols_fit", "vif"),
+        "regress": ("EstimationError", "FitResult", "ModelSpec", "ols_fit"),
         "report": ("ReportBundle", "render_irf_plot", "render_table"),
         "scenario": ("CapitalScenario", "ScenarioResult", "simulate_exports", "simulate_unemployment"),
         "tsls": ("TslsSpec", "tsls_fit"),

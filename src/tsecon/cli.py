@@ -115,7 +115,7 @@ def ingest(dataset):
 @click.option("--det", default="constant",
               type=click.Choice(["none", "constant", "trend"]),
               help="'trend' means constant and trend.")
-@click.option("--lags", default=1, type=int)
+@click.option("--lags", default=1, type=click.IntRange(min=0))
 @click.option("--window", default=None, callback=_window,
               help="YYYY:YYYY window applied before testing.")
 def adf(dataset, series, det, lags, window):
@@ -207,7 +207,7 @@ def fit_ar(dataset, dependent, regressors, ar_lags, constant, sample):
 @click.option("--regressors", required=True)
 @click.option("--constant/--no-constant", default=False)
 @click.option("--sample", default=None, callback=_window)
-@click.option("--residual-lag", default=1, type=int)
+@click.option("--residual-lag", default=1, type=click.IntRange(min=0))
 def coint(dataset, dependent, regressors, constant, sample, residual_lag):
     """Engle-Granger two-step cointegration (inputs asserted I(1))."""
     from .cointegration import engle_granger
@@ -228,7 +228,7 @@ def coint(dataset, dependent, regressors, constant, sample, residual_lag):
 @click.option("--dataset", default=None)
 @click.option("--x", "x_term", required=True, help="Candidate cause (term expression).")
 @click.option("--y", "y_term", required=True, help="Candidate effect (term expression).")
-@click.option("--lags", default=4, type=int)
+@click.option("--lags", default=4, type=click.IntRange(min=1))
 @click.option("--sample", default=None, callback=_window)
 def granger(dataset, x_term, y_term, lags, sample):
     """Granger causality F tests, both directions."""
@@ -263,7 +263,7 @@ def chow(dataset, break_year, dependent, regressors, constant, sample):
 @main.command()
 @click.option("--dataset", default=None)
 @click.option("--variables", required=True, help="Ordered comma-separated terms (Cholesky order).")
-@click.option("--lags", default=4, type=int)
+@click.option("--lags", default=4, type=click.IntRange(min=1))
 @click.option("--sample", default=None, callback=_window)
 def var(dataset, variables, lags, sample):
     """Estimate a VAR(p) and print per-equation coefficients."""
@@ -288,9 +288,9 @@ def var(dataset, variables, lags, sample):
 @main.command()
 @click.option("--dataset", default=None)
 @click.option("--variables", required=True)
-@click.option("--lags", default=4, type=int)
+@click.option("--lags", default=4, type=click.IntRange(min=1))
 @click.option("--sample", default=None, callback=_window)
-@click.option("--horizon", default=10, type=int)
+@click.option("--horizon", default=10, type=click.IntRange(min=0))
 @click.option("--shock", required=True, help="Shock variable label.")
 @click.option("--response", required=True, help="Responding variable label.")
 @click.option("--svg", "svg_path", default=None, help="Write the plot to this SVG file.")

@@ -28,10 +28,8 @@ __all__ = [
     "align",
     "apply_term",
     "bundled_dataset_path",
-    "estimate_tax_benefit",
     "load_dataset",
     "parse_term",
-    "real_interest_rate",
     "serialize_dataset",
 ]
 
@@ -255,23 +253,6 @@ def align(
         lo, hi = max(lo, sample[0]), min(hi, sample[1])
     years = range(lo, hi + 1)
     return evaluated, years, [s.slice(lo, hi) for s in evaluated] if years else []
-
-
-def real_interest_rate(nominal: AnnualSeries, inflation: AnnualSeries) -> AnnualSeries:
-    """Element-wise nominal rate minus inflation over the overlapping years."""
-    lo = max(nominal.start_year, inflation.start_year)
-    hi = min(nominal.end_year, inflation.end_year)
-    if lo > hi:
-        raise DatasetError("real_interest_rate: series have no overlapping years")
-    vals = tuple(nominal.value_in(y) - inflation.value_in(y) for y in range(lo, hi + 1))
-    return AnnualSeries("Real interest rate", lo, vals, "percent")
-
-
-def estimate_tax_benefit(own_funds: float, fixed_asset_investment: float) -> float:
-    """Benefit granted: the lower of 100% own funds and 100% fixed-asset investment."""
-    if own_funds < 0 or fixed_asset_investment < 0:
-        raise ValueError("tax benefit inputs must be non-negative")
-    return min(own_funds, fixed_asset_investment)
 
 
 # ---------------------------------------------------------------------------

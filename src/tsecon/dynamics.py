@@ -14,7 +14,7 @@ from .regress import (
     build_design,
     diagnostics,
     f_pvalue,
-    solve_ls,
+    least_squares,
 )
 
 __all__ = [
@@ -116,7 +116,7 @@ def cochrane_orcutt_fit(dataset: Dataset, spec: ArSpec) -> ArFitResult:
     y, X, labels, years = build_design(dataset, spec.model)
     lags = spec.ar_lags
     if not lags:
-        beta = solve_ls(X, y)
+        beta, _ = least_squares(X, y)
         fit = diagnostics(
             y, X, beta, labels, years, spec.model.dependent.rendered_label(),
             spec.model.include_constant, method="ar",
@@ -127,8 +127,7 @@ def cochrane_orcutt_fit(dataset: Dataset, spec: ArSpec) -> ArFitResult:
     if n - m <= X.shape[1]:
         raise EstimationError("insufficient observations after AR-lag trimming")
 
-    rho = np.zeros(len(lags))
-    beta = solve_ls(X, y)
+    beta, _ = least_squares(X, y)
     last_ssr = None
     converged = False
     iterations = 0
@@ -137,11 +136,12 @@ def cochrane_orcutt_fit(dataset: Dataset, spec: ArSpec) -> ArFitResult:
         # re-estimate the disturbance coefficients from current residuals
         e = y - X @ beta
         E = np.column_stack([e[m - k : n - k] for k in lags])
-        rho, *_ = np.linalg.lstsq(E, e[m:], rcond=None)
+        rho, _ = least_squares(
+            E, e[m:], "lagged residuals in the AR disturbance regression are collinear")
         # quasi-difference and re-estimate the regression
         y_star = y[m:] - sum(r * y[m - k : n - k] for r, k in zip(rho, lags))
         X_star = X[m:] - sum(r * X[m - k : n - k] for r, k in zip(rho, lags))
-        beta = solve_ls(X_star, y_star)
+        beta, _ = least_squares(X_star, y_star)
         final = diagnostics(
             y_star, X_star, beta, labels, years[m:],
             spec.model.dependent.rendered_label(), spec.model.include_constant,
@@ -194,12 +194,10 @@ def _granger_one_direction(x: np.ndarray, y: np.ndarray, lags: int) -> tuple[flo
     own = [np.ones(rows)] + [y[lags - i : n - i] for i in range(1, lags + 1)]
     Xr = np.column_stack(own)
     Xu = np.column_stack(own + [x[lags - i : n - i] for i in range(1, lags + 1)])
-    if np.linalg.matrix_rank(Xu) < Xu.shape[1]:
-        raise EstimationError("collinear lag block in the Granger regression")
-    br, *_ = np.linalg.lstsq(Xr, Y, rcond=None)
-    bu, *_ = np.linalg.lstsq(Xu, Y, rcond=None)
-    ssr_r = float((Y - Xr @ br) @ (Y - Xr @ br))
-    ssr_u = float((Y - Xu @ bu) @ (Y - Xu @ bu))
+    what = "collinear lag block in the Granger regression"
+    _, er = least_squares(Xr, Y, what)
+    _, eu = least_squares(Xu, Y, what)
+    ssr_r, ssr_u = float(er @ er), float(eu @ eu)
     f = ((ssr_r - ssr_u) / lags) / (ssr_u / (rows - k_u))
     return float(f), f_pvalue(f, lags, rows - k_u), rows
 
@@ -217,6 +215,8 @@ def granger_causality(
     pipeline feeds first differences of I(1) variables).  ``sample`` clips the
     common window of the two evaluated series.
     """
+    if lags < 1:
+        raise EstimationError("Granger lag order must be >= 1")
     (sx, sy), window, columns = align(dataset, (x, y), sample)
     if not window:
         raise EstimationError("Granger series do not overlap")
@@ -244,8 +244,7 @@ def chow_test(dataset: Dataset, spec: ModelSpec, break_year: int) -> ChowResult:
         )
 
     def ssr(yy, XX):
-        b = solve_ls(XX, yy)
-        r = yy - XX @ b
+        _, r = least_squares(XX, yy)
         return float(r @ r)
 
     ssr_p = ssr(y, X)

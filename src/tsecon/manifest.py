@@ -2,9 +2,10 @@
 
 A manifest is a sequence of ``[step <name>]`` sections with ``key = value``
 entries, preceded by an optional ``[pipeline]`` section holding the dataset
-path, output directory, random seed, and the list of optional series.  The
-bundled default manifest encodes the complete reproduction pipeline and
-doubles as executable documentation of it.
+path, output directory and the list of optional series (other keys there,
+such as ``seed``, are accepted and ignored).  The bundled default manifest
+encodes the complete reproduction pipeline and doubles as executable
+documentation of it.
 """
 from __future__ import annotations
 
@@ -44,7 +45,6 @@ class Step:
 class PipelineManifest:
     dataset_path: str
     output_dir: str
-    seed: int
     optional_series: tuple[str, ...]
     steps: tuple[Step, ...]
     source_text: str = ""
@@ -101,17 +101,12 @@ def parse_manifest(text: str) -> PipelineManifest:
         vals = pipeline_opts.get(key)
         return vals[0] if vals else default
 
-    try:
-        seed = int(first("seed", "20181001"))
-    except ValueError:
-        raise ManifestError("pipeline seed must be an integer") from None
     optional = tuple(
         s.strip() for s in first("optional", "Tax benefits").split(",") if s.strip()
     )
     return PipelineManifest(
         dataset_path=first("dataset", "bundled"),
         output_dir=first("output", "reproduction"),
-        seed=seed,
         optional_series=optional,
         steps=tuple(steps),
         source_text=text,

@@ -1,10 +1,10 @@
 """Execute a pipeline manifest into a report bundle.
 
 Each step dispatches to one engine operation; results are rendered into the
-bundle and kept by name so later steps (model comparisons, impulse responses,
-scenario simulations) can reference earlier fits.  Steps whose optional data
-is absent are recorded as skipped, never silently dropped, and do not fail
-the run.
+bundle and kept by name, with the op that made them, so later steps (model
+comparisons, impulse responses, scenario simulations) can reference earlier
+fits of the right kind.  Steps whose optional data is absent are recorded as
+skipped, never silently dropped, and do not fail the run.
 """
 from __future__ import annotations
 
@@ -103,6 +103,18 @@ def _scenario_from(step: Step) -> CapitalScenario:
     return CapitalScenario(step.name, overrides)
 
 
+def _referenced(step: Step, key: str, results: dict, *ops: str):
+    """The result of the earlier step that ``key`` names, which must be one of ``ops``."""
+    name = step.require(key)
+    if name not in results:
+        raise ManifestError(f"step {step.name!r}: {key} = {name} names a step that did not run")
+    op, result = results[name]
+    if op not in ops:
+        raise ManifestError(f"step {step.name!r}: {key} = {name} names a step of op {op!r}; "
+                            f"expected op {' or '.join(map(repr, ops))}")
+    return result
+
+
 def run_pipeline(manifest: PipelineManifest, dataset: Dataset | None = None) -> ReportBundle:
     """Execute every step in order and return the rendered bundle."""
     if dataset is None:
@@ -110,7 +122,7 @@ def run_pipeline(manifest: PipelineManifest, dataset: Dataset | None = None) -> 
         dataset = load_dataset(path)
 
     bundle = ReportBundle(manifest_echo=manifest.source_text, dataset_checksum=dataset.checksum)
-    results: dict[str, object] = {}
+    results: dict[str, tuple[str, object]] = {}
     summary_rows: list[list[str]] = [["step", "op", "status"]]
 
     for step in manifest.steps:
@@ -142,11 +154,11 @@ def _run_step(step: Step, dataset: Dataset, results: dict, bundle: ReportBundle)
                        _number(step, "lag_order", step.get("lag_order", "1"), minimum=0))
         series = windowed_series(dataset, step.require("series"), step.get("window"))
         res = adf_test(series, spec)
-        results[step.name] = res
+        results[step.name] = (op, res)
         bundle.add_table(step.name, render_table(res, f"Unit-root test: {step.name}"))
     elif op == "ols":
         fit = ols_fit(dataset, _model_spec(step))
-        results[step.name] = fit
+        results[step.name] = (op, fit)
         bundle.add_table(step.name, render_table(fit, f"OLS estimates: {step.name}"))
     elif op == "tsls":
         spec = TslsSpec(
@@ -155,7 +167,7 @@ def _run_step(step: Step, dataset: Dataset, results: dict, bundle: ReportBundle)
             instruments=_parse_terms(step.require("instruments")),
         )
         fit = tsls_fit(dataset, spec)
-        results[step.name] = fit
+        results[step.name] = (op, fit)
         bundle.add_table(step.name, render_table(fit, f"Two-stage least squares: {step.name}"))
     elif op == "ar":
         spec = ArSpec(
@@ -166,14 +178,12 @@ def _run_step(step: Step, dataset: Dataset, results: dict, bundle: ReportBundle)
             convergence_rel_tol=_number(step, "tolerance", step.get("tolerance", "5e-5"), float),
         )
         res = cochrane_orcutt_fit(dataset, spec)
-        results[step.name] = res
+        results[step.name] = (op, res)
         bundle.add_table(step.name, render_table(res, f"Iterative AR estimates: {step.name}"))
     elif op == "compare":
-        a, b = results.get(step.require("a")), results.get(step.require("b"))
-        if a is None or b is None:
-            raise ManifestError(f"step {step.name!r} references a step that did not run")
-        cmp_res = compare_models(a, b)
-        results[step.name] = cmp_res
+        cmp_res = compare_models(_referenced(step, "a", results, "ar"),
+                                 _referenced(step, "b", results, "ar"))
+        results[step.name] = (op, cmp_res)
         bundle.add_table(step.name, render_table(cmp_res, f"Model comparison: {step.name}"))
     elif op == "coint":
         spec = _model_spec(step)
@@ -183,7 +193,7 @@ def _run_step(step: Step, dataset: Dataset, results: dict, bundle: ReportBundle)
             orders = {lbl: 1 for lbl in labels}
         residual_lag = _number(step, "residual_lag", step.get("residual_lag", "1"), minimum=0)
         res = engle_granger(dataset, spec, residual_lag, orders)
-        results[step.name] = res
+        results[step.name] = (op, res)
         bundle.add_table(step.name, render_table(res, f"Engle-Granger: {step.name}"))
     elif op == "granger":
         lags = _number(step, "lags", step.get("lags", "4"), minimum=1)
@@ -194,7 +204,7 @@ def _run_step(step: Step, dataset: Dataset, results: dict, bundle: ReportBundle)
             lags,
             sample=_parse_window(step.get("sample")),
         )
-        results[step.name] = res
+        results[step.name] = (op, res)
         bundle.add_table(step.name, render_table(res, f"Granger causality: {step.name}"))
     elif op == "chow":
         spec = _model_spec(step)
@@ -203,7 +213,7 @@ def _run_step(step: Step, dataset: Dataset, results: dict, bundle: ReportBundle)
         for year_text, year in zip(year_texts, years):
             res = chow_test(dataset, spec, year)
             name = f"{step.name}_{year_text}"
-            results[name] = res
+            results[name] = (op, res)
             bundle.add_table(name, render_table(res, f"Chow test at {year_text}"))
     elif op == "var":
         model = var_fit(
@@ -212,7 +222,7 @@ def _run_step(step: Step, dataset: Dataset, results: dict, bundle: ReportBundle)
             _number(step, "lags", step.get("lags", "4"), minimum=1),
             _parse_window(step.get("sample")),
         )
-        results[step.name] = model
+        results[step.name] = (op, model)
         rows = [f"VAR({model.p}) on {', '.join(model.labels)}",
                 f"Cholesky ordering: {' -> '.join(model.labels)}",
                 f"Sample: {model.sample[0]}-{model.sample[1]}   "
@@ -227,11 +237,9 @@ def _run_step(step: Step, dataset: Dataset, results: dict, bundle: ReportBundle)
                     csv_rows.append([lbl, f"{src}(-{lag})", float(A[i, j])])
         bundle.add_table(step.name, ("\n".join(rows) + "\n", _csv(csv_rows)))
     elif op == "irf":
-        model = results.get(step.require("var"))
-        if model is None:
-            raise ManifestError(f"step {step.name!r} references a VAR step that did not run")
+        model = _referenced(step, "var", results, "var")
         irf = impulse_response(model, _number(step, "horizon", step.get("horizon", "10"), minimum=0))
-        results[step.name] = irf
+        results[step.name] = (op, irf)
         csv_rows = [["shock", "response", "step", "value"]]
         text_rows = [f"Orthogonalized impulse responses (ordering: {' -> '.join(irf.ordering)})", ""]
         for shock in irf.ordering:
@@ -247,12 +255,10 @@ def _run_step(step: Step, dataset: Dataset, results: dict, bundle: ReportBundle)
             svg = render_irf_plot(irf, shock_lbl, resp_lbl)
             bundle.add_plot(f"{step.name}_{_slug(shock_lbl)}_to_{_slug(resp_lbl)}", svg)
     elif op == "fevd":
-        model = results.get(step.require("var"))
-        if model is None:
-            raise ManifestError(f"step {step.name!r} references a VAR step that did not run")
+        model = _referenced(step, "var", results, "var")
         fevd = variance_decomposition(model, _number(step, "horizon", step.get("horizon", "10"),
                                                      minimum=0))
-        results[step.name] = fevd
+        results[step.name] = (op, fevd)
         csv_rows = [["response", "step", "shock", "share"]]
         text_rows = [f"Forecast-error variance decomposition (ordering: {' -> '.join(fevd.ordering)})", ""]
         for j, resp in enumerate(fevd.ordering):
@@ -266,9 +272,7 @@ def _run_step(step: Step, dataset: Dataset, results: dict, bundle: ReportBundle)
                     csv_rows.append([resp, h, s, float(shares[i])])
         bundle.add_table(step.name, ("\n".join(text_rows) + "\n", _csv(csv_rows)))
     elif op in ("simulate_unemployment", "simulate_exports"):
-        fit = results.get(step.require("fit"))
-        if fit is None:
-            raise ManifestError(f"step {step.name!r} references a fit step that did not run")
+        fit = _referenced(step, "fit", results, "ols", "tsls")
         scenario = _scenario_from(step)
         window = _parse_window(step.require("window"))
         growth = _evaluated(dataset, step.require("capital"))
@@ -287,7 +291,7 @@ def _run_step(step: Step, dataset: Dataset, results: dict, bundle: ReportBundle)
                 dataset.get(step.require("exports")), growth,
                 capital_label=label, as_log_growth=log_growth,
             )
-        results[step.name] = res
+        results[step.name] = (op, res)
         bundle.add_table(step.name, _scenario_table(res, step.name))
     else:
         raise ManifestError(f"step {step.name!r}: unknown op {op!r}")

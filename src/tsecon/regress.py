@@ -1,4 +1,5 @@
-"""Ordinary least squares with the full diagnostic block, plus VIF screening.
+"""Ordinary least squares with the full diagnostic block, and the least-squares
+kernel that every estimator in the package solves through.
 
 Conventions follow the desktop econometrics tooling the study tables came
 from: Gaussian concentrated log-likelihood, AIC = -2l + 2p, BIC = -2l + p ln n,
@@ -25,11 +26,10 @@ __all__ = [
     "diagnostics",
     "f_pvalue",
     "ols_fit",
-    "solve_ls",
-    "vif",
 ]
 
-RANK_RTOL = 1e-10  # relative tolerance on the R diagonal for rank decisions
+# a design whose unit-norm columns have sigma_min <= RANK_RTOL * sigma_max is rank deficient
+RANK_RTOL = 1e-10
 
 
 class EstimationError(Exception):
@@ -137,13 +137,41 @@ def build_design(dataset: Dataset, spec: ModelSpec):
     return y, X, labels, years
 
 
-def solve_ls(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients via QR; raises on rank deficiency."""
-    Q, R = np.linalg.qr(X)
-    diag = np.abs(np.diag(R))
-    if diag.min() <= RANK_RTOL * max(diag.max(), 1e-300):
-        raise EstimationError("design matrix is rank deficient")
-    return np.linalg.solve(R, Q.T @ y)
+def _column_norms(X: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->j", X, X))
+
+
+def least_squares(
+    X: np.ndarray, Y: np.ndarray, what: str = "design matrix is rank deficient"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients and residuals of the least-squares fit of ``Y`` on ``X``.
+
+    ``Y`` is one right-hand side (1-D) or several (2-D, one per column).  The
+    rank rule is scale-free: each column of ``X`` is divided by its norm, and
+    the design is rank deficient when the smallest singular value of that
+    unit-norm design is at most ``RANK_RTOL`` times the largest (an all-zero
+    column included).  Then ``EstimationError(what)`` is raised.
+    """
+    norms = _column_norms(X)
+    if not 0.0 < norms.min() <= norms.max() < math.inf:
+        raise EstimationError(what)
+    B, _, _, sv = np.linalg.lstsq(X / norms, Y, rcond=None)
+    if len(sv) < X.shape[1] or not sv[-1] > RANK_RTOL * sv[0]:
+        raise EstimationError(what)
+    beta = B / (norms if B.ndim == 1 else norms[:, None])
+    return beta, Y - X @ beta
+
+
+def unscaled_covariance(X: np.ndarray) -> np.ndarray:
+    """(X'X)^-1 of a design that ``least_squares`` accepted.
+
+    Formed as D^-1 R^-1 R^-T D^-1 from the R of the unit-norm design X D^-1
+    (Golub & Van Loan, *Matrix Computations*, section 5.3), never from X'X,
+    whose condition number is the square of the design's.
+    """
+    norms = _column_norms(X)
+    R_inv = np.linalg.inv(np.linalg.qr(X / norms, mode="r"))
+    return (R_inv @ R_inv.T) / np.outer(norms, norms)
 
 
 def f_pvalue(f: float, dfn: float, dfd: float) -> float:
@@ -180,9 +208,7 @@ def diagnostics(
     ssr = float(e @ e)
     df = n - p
     s2 = ssr / df
-    M = X if se_from is None else se_from
-    XtX_inv = np.linalg.inv(M.T @ M)
-    se = np.sqrt(s2 * np.diag(XtX_inv))
+    se = np.sqrt(s2 * np.diag(unscaled_covariance(X if se_from is None else se_from)))
     with np.errstate(divide="ignore", invalid="ignore"):
         tvals = np.where(se > 0, beta / np.where(se > 0, se, 1.0), np.inf * np.sign(beta))
     if p_dist == "t":
@@ -239,33 +265,8 @@ def diagnostics(
 def ols_fit(dataset: Dataset, spec: ModelSpec) -> FitResult:
     """Ordinary least squares over the spec's realized sample."""
     y, X, labels, years = build_design(dataset, spec)
-    beta = solve_ls(X, y)
+    beta, _ = least_squares(X, y)
     return diagnostics(
         y, X, beta, labels, years, spec.dependent.rendered_label(), spec.include_constant
     )
 
-
-def vif(dataset: Dataset, spec: ModelSpec) -> dict[str, float]:
-    """Variance inflation factors, 1/(1-R2) of each auxiliary regression.
-
-    Perfect collinearity is reported as ``inf`` rather than raised.
-    """
-    _, X, labels, _ = build_design(dataset, spec)
-    has_const = spec.include_constant
-    start = 1 if has_const else 0
-    out: dict[str, float] = {}
-    n = X.shape[0]
-    for j in range(start, X.shape[1]):
-        xj = X[:, j]
-        others = np.delete(X, j, axis=1)
-        if not has_const:
-            others = np.column_stack([np.ones(n), others])
-        beta, *_ = np.linalg.lstsq(others, xj, rcond=None)
-        resid = xj - others @ beta
-        tss = float(((xj - xj.mean()) ** 2).sum())
-        if tss <= 0:
-            out[labels[j]] = float("inf")
-            continue
-        r2 = 1.0 - float(resid @ resid) / tss
-        out[labels[j]] = float("inf") if r2 >= 1.0 - 1e-12 else 1.0 / (1.0 - r2)
-    return out

@@ -1,10 +1,11 @@
 """Two-stage least squares with an explicit excluded-instrument list.
 
-Stage one projects each endogenous regressor on the exogenous regressors plus
-the instruments; stage two runs OLS on the projected design.  Standard errors
-combine the structural residuals (original regressors) with the projected
-moment matrix, and coefficient p-values are standard-normal, matching the
-conventions of the tool that produced the study tables.
+Stage one projects the endogenous regressors, all in one fit, on the
+exogenous regressors plus the instruments; stage two runs OLS on the projected
+design.  Standard errors combine the structural residuals (original
+regressors) with the projected moment matrix, and coefficient p-values are
+standard-normal, matching the conventions of the tool that produced the study
+tables.
 """
 from __future__ import annotations
 
@@ -12,7 +13,9 @@ import numpy as np
 
 from ._record import record
 from .dataset import Dataset, DatasetError, Term, apply_term
-from .regress import EstimationError, FitResult, ModelSpec, build_design, diagnostics, solve_ls
+from .regress import (
+    EstimationError, FitResult, ModelSpec, build_design, diagnostics, least_squares,
+)
 
 __all__ = ["TslsSpec", "tsls_fit"]
 
@@ -57,16 +60,12 @@ def tsls_fit(dataset: Dataset, spec: TslsSpec) -> FitResult:
                 f"{years[0]}-{years[-1]}"
             ) from exc
     Z = np.column_stack([X[:, exo_idx]] + inst_cols) if exo_idx else np.column_stack(inst_cols)
-    if np.linalg.matrix_rank(Z) < Z.shape[1]:
-        raise EstimationError("first-stage instrument matrix is rank deficient")
-
-    # stage 1: fitted values for each endogenous column
+    # stage 1: fitted values of every endogenous column from one fit
+    gamma, _ = least_squares(Z, X[:, endo_idx], "first-stage instrument matrix is rank deficient")
     X_hat = X.copy()
-    for j in endo_idx:
-        gamma = solve_ls(Z, X[:, j])
-        X_hat[:, j] = Z @ gamma
+    X_hat[:, endo_idx] = Z @ gamma
     # stage 2: OLS on the projected design; residuals from the original design
-    beta = solve_ls(X_hat, y)
+    beta, _ = least_squares(X_hat, y)
     return diagnostics(
         y,
         X,

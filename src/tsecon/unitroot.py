@@ -15,7 +15,7 @@ import numpy as np
 from ._record import record
 from ._tails import norm_cdf
 from .dataset import AnnualSeries
-from .regress import EstimationError
+from .regress import EstimationError, least_squares, unscaled_covariance
 
 __all__ = ["AdfResult", "AdfSpec", "adf_test", "df_residual_test", "mackinnon_pvalue"]
 
@@ -145,18 +145,13 @@ def _adf_regression(values: np.ndarray, spec: AdfSpec) -> tuple[float, float, in
     for i in range(1, k + 1):
         cols.append(dy[k - i : len(dy) - i])
     X = np.column_stack(cols)
-    beta, *_ = np.linalg.lstsq(X, Y, rcond=None)
-    e = Y - X @ beta
-    df = rows - X.shape[1]
-    s2 = float(e @ e) / df
-    try:
-        XtX_inv = np.linalg.inv(X.T @ X)
-    except np.linalg.LinAlgError:
-        raise EstimationError(
-            f"singular ADF design ({spec.deterministic}, {k} lags): the deterministic "
-            "terms, lagged level and lagged differences are collinear"
-        ) from None
-    se = math.sqrt(s2 * XtX_inv[level_idx, level_idx])
+    beta, e = least_squares(
+        X, Y,
+        f"singular ADF design ({spec.deterministic}, {k} lags): the deterministic "
+        "terms, lagged level and lagged differences are collinear",
+    )
+    s2 = float(e @ e) / (rows - X.shape[1])
+    se = math.sqrt(s2 * unscaled_covariance(X)[level_idx, level_idx])
     return float(beta[level_idx] / se), float(beta[level_idx]), rows
 
 

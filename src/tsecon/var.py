@@ -15,7 +15,7 @@ import numpy as np
 
 from ._record import record
 from .dataset import Dataset, Term, align
-from .regress import EstimationError
+from .regress import EstimationError, least_squares
 
 __all__ = ["FevdResult", "IrfResult", "VarModel", "impulse_response", "var_fit", "variance_decomposition"]
 
@@ -85,10 +85,7 @@ def var_fit(
             "coefficients per equation"
         )
     X = np.column_stack([np.ones(rows)] + [Y[p - i : T - i] for i in range(1, p + 1)])
-    if np.linalg.matrix_rank(X) < X.shape[1]:
-        raise EstimationError("rank-deficient VAR design")
-    B, *_ = np.linalg.lstsq(X, Y[p:], rcond=None)
-    E = Y[p:] - X @ B
+    B, E = least_squares(X, Y[p:], "rank-deficient VAR design")
     sigma = E.T @ E / (rows - ncoef)
     A = tuple(B[1 + i * k : 1 + (i + 1) * k].T for i in range(p))
     return VarModel(

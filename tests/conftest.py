@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tsecon.dataset import AnnualSeries, Dataset, load_dataset
+
+# on CI every property test replays the same examples, with no time limit,
+# so a slow runner or an unlucky draw cannot make a run flake
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

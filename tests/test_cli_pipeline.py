@@ -40,6 +40,11 @@ class TestManifestParsing:
         with pytest.raises(ManifestError, match="duplicate step name"):
             parse_manifest("[step x]\nop = ols\n[step x]\nop = ols\n")
 
+    def test_pipeline_seed_is_accepted_and_ignored(self):
+        m = parse_manifest("[pipeline]\nseed = not a number\noutput = out\n")
+        assert m.output_dir == "out"
+        assert not hasattr(m, "seed")
+
     def test_empty_manifest_runs_to_empty_bundle(self):
         m = parse_manifest("[pipeline]\noutput = out\n")
         bundle = run_pipeline(m)
@@ -195,6 +200,23 @@ class TestCli:
         assert r.exit_code == 0, r.output
         assert "terminal delta:" in r.output
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["granger", "--x", "dln(GDP)", "--y", "dln(Exports)", "--lags", "0"], "--lags"),
+        (["var", "--variables", "dln(GDP), dln(Exports)", "--lags", "0"], "--lags"),
+        (["irf", "--variables", "dln(GDP), dln(Exports)", "--shock", "d_Ln(GDP)",
+          "--response", "d_Ln(Exports)", "--lags", "0"], "--lags"),
+        (["irf", "--variables", "dln(GDP), dln(Exports)", "--shock", "d_Ln(GDP)",
+          "--response", "d_Ln(Exports)", "--horizon", "-1"], "--horizon"),
+        (["adf", "--series", "ln(GDP)", "--lags", "-1"], "--lags"),
+        (["coint", "--dependent", "ln(GDP)", "--regressors", "ln(Exports)",
+          "--residual-lag", "-1"], "--residual-lag"),
+    ])
+    def test_out_of_range_count_is_usage_error_naming_the_flag(self, argv, flag):
+        r = CliRunner().invoke(main, argv)
+        assert r.exit_code == 2, r.output
+        assert f"Invalid value for '{flag}'" in r.output
+        assert "division by zero" not in r.output
+
     def test_dataset_error_exits_3(self):
         r = CliRunner().invoke(main, ["ingest", "--dataset", "/no/such/path"])
         assert r.exit_code == 3
@@ -253,6 +275,26 @@ class TestCli:
         name = step.split("]")[0].split()[1]
         assert f"manifest error: step {name!r}: bad {key} {value}" in r.output
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("step, key, message", [
+        ("[step c]\nop = compare\na = o\nb = o\n", "a", "= o names a step of op 'ols'; expected op 'ar'"),
+        ("[step i]\nop = irf\nvar = o\n", "var", "= o names a step of op 'ols'; expected op 'var'"),
+        ("[step f]\nop = fevd\nvar = nope\n", "var", "= nope names a step that did not run"),
+        ("[step s]\nop = simulate_exports\nfit = v\noverrides = 2005:0.15\n"
+         "window = 2000:2010\ncapital = dln(Total investment)\nexports = Exports\n"
+         "terminal_actual_usd = 6762000000\n", "fit", "= v names a step of op 'var'; expected op 'ols' or 'tsls'"),
+    ])
+    def test_reference_to_a_step_of_the_wrong_kind_is_manifest_error(
+            self, tmp_path, step, key, message):
+        manifest = tmp_path / "m.ini"
+        manifest.write_text(
+            "[step o]\nop = ols\ndependent = ln(GDP)\nregressors = ln(Exports)\n"
+            "[step v]\nop = var\nvariables = dln(GDP), dln(Exports)\nlags = 1\n" + step)
+        r = CliRunner().invoke(main, ["report", "--manifest", str(manifest),
+                                      "--output", str(tmp_path / "out")])
+        assert r.exit_code == 2, r.output
+        name = step.split("]")[0].split()[1]
+        assert f"manifest error: step {name!r}: {key} {message}" in r.output
 
     def test_unwritable_output_exits_2_naming_the_path(self, tmp_path):
         blocker = tmp_path / "a_file"

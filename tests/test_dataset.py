@@ -11,10 +11,8 @@ from tsecon.dataset import (
     Term,
     TermError,
     apply_term,
-    estimate_tax_benefit,
     load_dataset,
     parse_term,
-    real_interest_rate,
     serialize_dataset,
 )
 
@@ -162,47 +160,6 @@ class TestParseTerm:
     def test_rendered_labels(self):
         assert Term("X", "diff_ln").rendered_label() == "d_Ln(X)"
         assert Term("X", "ln", lag=1).rendered_label() == "Ln(X)(-1)"
-
-
-class TestRealRate:
-    def test_subtraction(self):
-        i = AnnualSeries("i", 2000, (10.0,))
-        pi = AnnualSeries("pi", 2000, (4.0,))
-        assert real_interest_rate(i, pi).values == (6.0,)
-
-    def test_identity_case(self):
-        i = AnnualSeries("i", 2000, (3.0, 4.0, 5.0))
-        assert real_interest_rate(i, i).values == (0.0, 0.0, 0.0)
-
-    def test_hand_oracle_three_years(self):
-        # element-wise oracle computed by hand over the 2001-2003 overlap
-        i = AnnualSeries("i", 2000, (7.0, 9.5, 12.25, 3.0))
-        pi = AnnualSeries("pi", 2001, (2.5, 14.0, 1.0))
-        out = real_interest_rate(i, pi)
-        assert out.start_year == 2001
-        assert out.values == pytest.approx((7.0, -1.75, 2.0))
-        assert out.unit == "percent"
-
-    def test_empty_overlap_error(self):
-        i = AnnualSeries("i", 2000, (1.0,))
-        pi = AnnualSeries("pi", 2005, (1.0,))
-        with pytest.raises(DatasetError, match="overlap"):
-            real_interest_rate(i, pi)
-
-
-class TestTaxBenefit:
-    @pytest.mark.parametrize("a,b,expected", [(100, 80, 80), (50, 50, 50), (0, 120, 0)])
-    def test_min_rule(self, a, b, expected):
-        assert estimate_tax_benefit(a, b) == expected
-
-    @given(a=st.floats(0, 1e9), b=st.floats(0, 1e9))
-    @settings(max_examples=80, deadline=None)
-    def test_symmetry(self, a, b):
-        assert estimate_tax_benefit(a, b) == estimate_tax_benefit(b, a)
-
-    def test_negative_error(self):
-        with pytest.raises(ValueError):
-            estimate_tax_benefit(-1.0, 5.0)
 
 
 class TestWindow:

@@ -216,6 +216,11 @@ class TestGranger:
         with pytest.raises(EstimationError, match="insufficient"):
             granger_causality(ds, Term("x"), Term("y"), 3)
 
+    def test_zero_lags_is_estimation_error(self):
+        ds = make_dataset(x=(1900, np.sin(np.arange(30.0))), y=(1900, np.cos(np.arange(30.0))))
+        with pytest.raises(EstimationError, match="lag order must be >= 1"):
+            granger_causality(ds, Term("x"), Term("y"), 0)
+
 
 def three_fit_chow_oracle(y, X, mask, p):
     def ssr(yy, XX):

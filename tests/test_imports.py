@@ -22,11 +22,10 @@ PUBLIC_NAMES = [
     "FitResult", "GrangerResult", "ModelSpec", "PipelineManifest", "ReportBundle",
     "ScenarioResult", "Term", "TermError", "TslsSpec", "VarModel", "adf_test", "apply_term",
     "chow_test", "cochrane_orcutt_fit", "compare_models", "default_manifest_text",
-    "df_residual_test", "engle_granger", "estimate_tax_benefit", "granger_causality",
-    "impulse_response", "load_dataset", "ols_fit", "parse_manifest", "parse_term",
-    "real_interest_rate", "render_irf_plot", "render_table", "run_pipeline",
-    "simulate_exports", "simulate_unemployment", "tsls_fit", "var_fit",
-    "variance_decomposition", "vif",
+    "df_residual_test", "engle_granger", "granger_causality", "impulse_response",
+    "load_dataset", "ols_fit", "parse_manifest", "parse_term", "render_irf_plot",
+    "render_table", "run_pipeline", "simulate_exports", "simulate_unemployment", "tsls_fit",
+    "var_fit", "variance_decomposition",
 ]
 
 REPORT_MODULES = """

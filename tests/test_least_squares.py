@@ -1,0 +1,191 @@
+"""The shared least-squares kernel: accuracy on badly scaled designs, its one
+scale-free rank rule, and what every estimator does with a degenerate design.
+"""
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tsecon.dataset import AnnualSeries, Term
+from tsecon.dynamics import ArSpec, chow_test, cochrane_orcutt_fit, granger_causality
+from tsecon.pipeline import windowed_series
+from tsecon.regress import EstimationError, ModelSpec, least_squares, ols_fit
+from tsecon.tsls import TslsSpec, tsls_fit
+from tsecon.unitroot import AdfSpec, adf_test
+from tsecon.var import var_fit
+
+from conftest import make_dataset
+
+
+def exact_adf_tau(values, lags):
+    """The constant-and-trend ADF tau of ``values`` in exact rational arithmetic.
+
+    Every float is a rational, so the normal equations solved by Gauss-Jordan
+    over ``Fraction`` give the exact coefficients and (X'X)^-1 of the rounded
+    data; only the final square root is taken in floating point.
+    """
+    v = [Fraction(x) for x in values]
+    dy = [b - a for a, b in zip(v, v[1:])]
+    rows = len(v) - 1 - lags
+    Y = dy[lags:]
+    X = [[Fraction(1), Fraction(t + 1), v[lags + t]] + [dy[lags + t - i] for i in range(1, lags + 1)]
+         for t in range(rows)]
+    p = len(X[0])
+    A = [[sum(r[i] * r[j] for r in X) for j in range(p)] + [Fraction(int(i == j)) for j in range(p)]
+         for i in range(p)]
+    for col in range(p):
+        pivot = next(r for r in range(col, p) if A[r][col] != 0)
+        A[col], A[pivot] = A[pivot], A[col]
+        A[col] = [x / A[col][col] for x in A[col]]
+        for r in range(p):
+            if r != col and A[r][col] != 0:
+                A[r] = [x - A[r][col] * y for x, y in zip(A[r], A[col])]
+    inv = [row[p:] for row in A]
+    xty = [sum(r[i] * y for r, y in zip(X, Y)) for i in range(p)]
+    beta = [sum(inv[i][j] * xty[j] for j in range(p)) for i in range(p)]
+    e = [y - sum(b * x for b, x in zip(beta, r)) for r, y in zip(X, Y)]
+    s2 = sum(x * x for x in e) / (rows - p)
+    return math.copysign(math.sqrt(float(beta[2] ** 2 / (s2 * inv[2][2]))), beta[2])
+
+
+def test_adf_tau_of_gdp_levels_matches_exact_arithmetic(dataset):
+    # ln(GDP) sits near 26: the lagged-level column dwarfs the constant
+    series = windowed_series(dataset, "ln(GDP)", "1975:2010")
+    want = exact_adf_tau(series.values, 1)
+    got = adf_test(series, AdfSpec("constant_and_trend", 1)).t_stat
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_badly_scaled_regressor_matches_a_centred_reference():
+    rng = np.random.default_rng(1)
+    n = 40
+    x = 1e9 + rng.normal(size=n)
+    y = rng.normal(size=n)
+    # two-pass centring: the mean, then the mean of what is left
+    xm = x.mean()
+    xm += (x - xm).mean()
+    xc, yc = x - xm, y - y.mean()
+    slope = (xc @ yc) / (xc @ xc)
+    r = yc - slope * xc
+    want = math.sqrt(float(r @ r) / (n - 2) / float(xc @ xc))
+    fit = ols_fit(make_dataset(y=(1970, y), x=(1970, x)), ModelSpec(Term("y"), (Term("x"),)))
+    assert fit.coefficient("x").std_error == pytest.approx(want, rel=1e-6)
+    assert fit.coefficient("x").estimate == pytest.approx(slope, rel=1e-6)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6, 1e12])
+def test_t_statistics_do_not_depend_on_column_scale(toy_dataset, scale):
+    spec = ModelSpec(Term("y"), (Term("x1"), Term("x2")))
+    base = ols_fit(toy_dataset, spec)
+    x1 = toy_dataset.get("x1")
+    scaled = make_dataset(
+        y=(1970, toy_dataset.get("y").values),
+        x1=(1970, [scale * v for v in x1.values]),
+        x2=(1970, toy_dataset.get("x2").values),
+    )
+    fit = ols_fit(scaled, spec)
+    for label in ("const", "x1", "x2"):
+        assert fit.coefficient(label).t_stat == pytest.approx(base.coefficient(label).t_stat, rel=1e-9)
+
+
+def test_near_trend_adf_is_estimation_error():
+    t = np.arange(40.0)
+    values = 2.0 + 0.5 * t + 1e-9 * np.random.default_rng(2).normal(size=40)
+    with pytest.raises(EstimationError, match="singular ADF design"):
+        adf_test(AnnualSeries("s", 1970, tuple(values)), AdfSpec("constant_and_trend", 1))
+
+
+class TestKernel:
+    def test_matrix_right_hand_side_solves_each_column(self):
+        rng = np.random.default_rng(4)
+        X = np.column_stack([np.ones(30), rng.normal(size=(30, 2))])
+        Y = rng.normal(size=(30, 3))
+        B, E = least_squares(X, Y)
+        for j in range(3):
+            b, e = least_squares(X, Y[:, j])
+            np.testing.assert_allclose(B[:, j], b, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(E[:, j], e, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("column", [
+        np.zeros(20),  # all zero
+        np.full(20, 3.0),  # a second constant
+        np.arange(20.0) * 1e-9,  # exactly the scaled third column
+    ])
+    def test_rank_rule_names_the_caller(self, column):
+        X = np.column_stack([np.ones(20), column, np.arange(20.0)])
+        with pytest.raises(EstimationError, match="^my design$"):
+            least_squares(X, np.arange(20.0) ** 2, "my design")
+
+    def test_more_columns_than_rows_is_rank_deficient(self):
+        with pytest.raises(EstimationError, match="rank deficient"):
+            least_squares(np.eye(3, 4) + 1.0, np.ones(3))
+
+
+DEGENERATE = ("collinear", "near_collinear", "zero", "duplicate_constant")
+
+
+def degenerate_dataset(kind, exponent, seed, n=32):
+    """y, a regular x1, a degenerate x2 and an instrument z over ``n`` years."""
+    rng = np.random.default_rng(seed)
+    x1 = np.cumsum(rng.normal(size=n)) + rng.normal(size=n)
+    scale = 10.0 ** exponent
+    x2 = {
+        "collinear": scale * x1,
+        "near_collinear": x1 + 1e-13 * rng.normal(size=n),
+        "zero": np.zeros(n),
+        "duplicate_constant": np.full(n, scale),
+    }[kind]
+    y = 1.0 + 0.5 * x1 + rng.normal(size=n)
+    z = x1 + rng.normal(size=n)
+    return make_dataset(y=(1970, y), x1=(1970, x1), x2=(1970, x2), z=(1970, z))
+
+
+def fit_numbers(fit):
+    yield fit.ssr
+    for c in fit.coefficients:
+        yield c.estimate, c.std_error, c.t_stat, c.p_value
+
+
+def reported_numbers(estimator, ds, spec):
+    """Every number ``estimator`` reports for the model ``spec`` on ``ds``."""
+    if estimator == "ols":
+        yield from fit_numbers(ols_fit(ds, spec))
+    elif estimator == "tsls":
+        yield from fit_numbers(tsls_fit(ds, TslsSpec(spec, ("x2",), (Term("z"), Term("z", lag=1)))))
+    elif estimator == "ar":
+        res = cochrane_orcutt_fit(ds, ArSpec(spec, (1,)))
+        yield res.rho
+        yield from fit_numbers(res.structural)
+    elif estimator == "chow":
+        res = chow_test(ds, spec, 1986)
+        yield res.f_stat, res.p_value
+    elif estimator == "granger":
+        for e in granger_causality(ds, Term("x2"), Term("x1"), 2).pairs:
+            yield e.f_stat, e.p_value
+    elif estimator == "var":
+        model = var_fit(ds, (Term("x1"), Term("x2")), 1)
+        yield from (model.intercepts, *model.coefficient_matrices, model.residual_cov)
+    else:
+        res = adf_test(ds.get("x2"), AdfSpec("constant", 1))
+        yield res.t_stat, res.p_value
+
+
+ESTIMATORS = ("adf", "ar", "chow", "granger", "ols", "tsls", "var")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+@given(kind=st.sampled_from(DEGENERATE), exponent=st.integers(-8, 8),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_degenerate_design_is_finite_or_estimation_error(estimator, kind, exponent, seed):
+    ds = degenerate_dataset(kind, exponent, seed)
+    spec = ModelSpec(Term("y"), (Term("x1"), Term("x2")), sample=(1971, 2001))
+    try:
+        numbers = [np.ravel(np.asarray(v, float)) for v in reported_numbers(estimator, ds, spec)]
+    except EstimationError:
+        return
+    assert np.all(np.isfinite(np.concatenate(numbers)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tsecon.dataset import Term
-from tsecon.regress import EstimationError, ModelSpec, build_design, ols_fit, vif
+from tsecon.regress import EstimationError, ModelSpec, build_design, ols_fit
 
 from conftest import make_dataset
 
@@ -163,41 +163,3 @@ class TestDummies:
         with pytest.raises(EstimationError, match="rank deficient"):
             ols_fit(ds, spec)  # all-zero indicator cannot be identified
 
-
-class TestVif:
-    def test_orthogonal_regressors(self):
-        n = 8
-        x1 = np.array([1.0, -1.0] * (n // 2))
-        x2 = np.array([1.0, 1.0, -1.0, -1.0] * (n // 4))
-        y = np.arange(float(n))
-        ds = make_dataset(y=(2000, y), x1=(2000, x1), x2=(2000, x2))
-        out = vif(ds, spec_for(["x1", "x2"]))
-        assert out["x1"] == pytest.approx(1.0, abs=1e-10)
-        assert out["x2"] == pytest.approx(1.0, abs=1e-10)
-
-    def test_perfect_collinearity_flags_infinite(self):
-        x = np.arange(1.0, 11.0)
-        ds = make_dataset(y=(2000, x + 3), x1=(2000, x), x2=(2000, 2.0 * x))
-        out = vif(ds, spec_for(["x1", "x2"]))
-        assert math.isinf(out["x1"])
-        assert math.isinf(out["x2"])
-
-    def test_against_auxiliary_regression_oracle(self):
-        rng = np.random.default_rng(5)
-        base = rng.normal(size=10)
-        x1 = base + rng.normal(0, 0.5, 10)
-        x2 = base + rng.normal(0, 0.5, 10)
-        x3 = rng.normal(size=10)
-        y = rng.normal(size=10)
-        ds = make_dataset(y=(2000, y), x1=(2000, x1), x2=(2000, x2), x3=(2000, x3))
-        out = vif(ds, spec_for(["x1", "x2", "x3"]))
-        cols = {"x1": x1, "x2": x2, "x3": x3}
-        for name in cols:
-            target = cols[name]
-            others = np.column_stack(
-                [np.ones(10)] + [cols[o] for o in cols if o != name]
-            )
-            bhat = np.linalg.inv(others.T @ others) @ (others.T @ target)
-            resid = target - others @ bhat
-            r2 = 1 - float(resid @ resid) / float(((target - target.mean()) ** 2).sum())
-            assert out[name] == pytest.approx(1.0 / (1.0 - r2), rel=1e-9)

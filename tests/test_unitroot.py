@@ -90,7 +90,7 @@ class TestAdf:
 
     def test_singular_design_is_estimation_error(self):
         # a deterministic trend makes the lagged level a combination of the
-        # constant and trend columns, so X'X cannot be inverted
+        # constant and trend columns, so the design is singular
         s = AnnualSeries("trend", 1970, tuple(float(v) for v in range(40)))
         with pytest.raises(EstimationError, match="singular ADF design"):
             adf_test(s, AdfSpec("constant_and_trend", 1))
