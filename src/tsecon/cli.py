@@ -1,7 +1,10 @@
 """Command-line interface.
 
-``tsecon report`` replays the full bundled reproduction pipeline; the other
-subcommands are thin wrappers over single engine operations.  Exit codes:
+``tsecon report`` runs a pipeline manifest into a report bundle.  Every other
+estimating subcommand builds a one-step manifest from its flags (two steps for
+``irf`` and ``simulate``), runs it through the same op registry and prints the
+table its last step adds to a bundle; a bad flag value is a usage error naming
+the flag.  ``ingest`` runs no estimation and never loads numpy.  Exit codes:
 0 success (skipped optional steps are not errors), 2 manifest, usage or
 output error, 3 dataset error, 4 estimation/step error.
 """
@@ -14,8 +17,8 @@ from pathlib import Path
 
 import click
 
-from .dataset import DatasetError, load_dataset, parse_term
-from .manifest import ManifestError, default_manifest_text, parse_manifest
+from .dataset import DatasetError, load_dataset
+from .manifest import ManifestError, Step, StepError, default_manifest_text, parse_manifest
 
 # Each command imports the engine modules it uses in its own body, so a
 # command that needs no estimation (``ingest``) never loads numpy.
@@ -25,71 +28,68 @@ EXIT_DATASET = 3
 EXIT_STEP = 4
 
 
-def _load(dataset_path: str | None):
-    path = dataset_path or os.environ.get("TSECON_DATASET") or None
-    try:
-        return load_dataset(path)
-    except DatasetError as exc:
-        click.echo(f"dataset error: {exc}", err=True)
-        sys.exit(EXIT_DATASET)
+def _fail(kind: str, message, code: int):
+    click.echo(f"{kind}: {message}", err=True)
+    sys.exit(code)
 
 
-def _run(fn):
+def _checked(fn):
+    """``fn()``, with each documented error mapped to its message and exit code.
+
+    A command's parameters are named after the step keys they set, so a bad
+    value of such a key is a usage error naming the flag.
+    """
     try:
         return fn()
-    except click.ClickException:
-        raise
     except ManifestError as exc:
-        click.echo(f"manifest error: {exc}", err=True)
-        sys.exit(EXIT_MANIFEST)
+        ctx = click.get_current_context()
+        key = exc.key
+        if key == "plot" and "shock" in ctx.params:  # irf: --shock and --response make the plot
+            key = "shock" if exc.value == ctx.params["shock"] else "response"
+        for param in ctx.command.params:
+            if param.name == key:
+                raise click.BadParameter(exc.reason, ctx, param) from None
+        _fail("manifest error", exc, EXIT_MANIFEST)
     except DatasetError as exc:
-        click.echo(f"dataset error: {exc}", err=True)
-        sys.exit(EXIT_DATASET)
-    except Exception as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_STEP)
+        _fail("dataset error", exc, EXIT_DATASET)
+    except StepError as exc:
+        _fail("step error", exc, EXIT_STEP)
 
 
-def _spec_from_flags(dependent, regressors, constant, sample):
-    from .regress import ModelSpec
-
-    return ModelSpec(
-        dependent=parse_term(dependent),
-        regressors=tuple(parse_term(t) for t in regressors.split(",") if t.strip()),
-        include_constant=constant,
-        sample=sample,
-    )
-
-
-def _window(ctx, param, text):
-    """Option callback: parse ``YYYY:YYYY`` into a ``(first, last)`` year pair."""
-    if not text:
-        return None
+def _write(what: str, path: str, write) -> None:
     try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
-    except ValueError:
-        raise click.BadParameter(f"{text!r} is not a YYYY:YYYY year window") from None
+        write(path)
+    except OSError as exc:
+        _fail("output error", f"cannot write {what} to {path!r}: {exc}", EXIT_MANIFEST)
 
 
-def _lags(ctx, param, text):
-    """Option callback: parse a space- or comma-separated lag list such as ``1 2``."""
-    try:
-        return tuple(int(v) for v in text.replace(",", " ").split())
-    except ValueError:
-        raise click.BadParameter(f"{text!r} is not a list of integer lags") from None
+def _load(dataset_path: str | None):
+    return load_dataset(dataset_path or os.environ.get("TSECON_DATASET") or None)
 
 
-def _overrides(ctx, param, text):
-    """Option callback: parse ``YYYY:rate`` pairs into a ``{year: rate}`` dict."""
-    overrides = {}
-    for chunk in text.split():
-        year, _, rate = chunk.partition(":")
-        try:
-            overrides[int(year)] = float(rate)
-        except ValueError:
-            raise click.BadParameter(f"{chunk!r} is not a YYYY:rate override") from None
-    return overrides
+def _step(name: str, op: str, base: Step | None = None, **values) -> Step:
+    """A step of ``op`` from flag values; a ``None`` value keeps the key of ``base``."""
+    options = dict(base.options) if base else {}
+    options.update({key: [str(value)] for key, value in values.items() if value is not None})
+    return Step(name, op, options)
+
+
+def _default_step(name: str) -> Step:
+    return next(s for s in parse_manifest(default_manifest_text()).steps if s.name == name)
+
+
+def _print_run(dataset: str | None, *steps: Step):
+    """Run ``steps`` on the dataset and print the table of the last; return the bundle."""
+    from .pipeline import run_steps
+    from .report import ReportBundle
+
+    def go():
+        bundle = ReportBundle()
+        run_steps(steps, _load(dataset), bundle)
+        click.echo(list(bundle.tables.values())[-1][0])
+        return bundle
+
+    return _checked(go)
 
 
 @click.group()
@@ -101,7 +101,7 @@ def main():
 @click.option("--dataset", default=None, help="Bundle directory or wide CSV (default: bundled).")
 def ingest(dataset):
     """Validate a dataset bundle and print its checksum."""
-    ds = _load(dataset)
+    ds = _checked(lambda: _load(dataset))
     click.echo(f"series: {len(ds.series)}")
     for name in ds.names():
         s = ds.get(name)
@@ -112,27 +112,15 @@ def ingest(dataset):
 @main.command()
 @click.option("--dataset", default=None)
 @click.option("--series", required=True, help="Term expression, e.g. 'ln(Inflation)'.")
-@click.option("--det", default="constant",
+@click.option("--det", "deterministic", default="constant",
               type=click.Choice(["none", "constant", "trend"]),
               help="'trend' means constant and trend.")
-@click.option("--lags", default=1, type=click.IntRange(min=0))
-@click.option("--window", default=None, callback=_window,
-              help="YYYY:YYYY window applied before testing.")
-def adf(dataset, series, det, lags, window):
+@click.option("--lags", "lag_order", default=1, type=click.IntRange(min=0))
+@click.option("--window", default=None, help="YYYY:YYYY window applied before testing.")
+def adf(dataset, deterministic, **keys):
     """Augmented Dickey-Fuller unit-root test."""
-    from .pipeline import windowed_series
-    from .report import render_table
-    from .unitroot import AdfSpec, adf_test
-
-    ds = _load(dataset)
-    deterministic = "constant_and_trend" if det == "trend" else det
-
-    def go():
-        s = windowed_series(ds, series, window and f"{window[0]}:{window[1]}")
-        res = adf_test(s, AdfSpec(deterministic, lags))
-        click.echo(render_table(res)[0])
-
-    _run(go)
+    deterministic = "constant_and_trend" if deterministic == "trend" else deterministic
+    _print_run(dataset, _step("adf", "adf", deterministic=deterministic, **keys))
 
 
 @main.command("fit-ols")
@@ -140,14 +128,10 @@ def adf(dataset, series, det, lags, window):
 @click.option("--dependent", required=True)
 @click.option("--regressors", required=True, help="Comma-separated term expressions.")
 @click.option("--constant/--no-constant", default=True)
-@click.option("--sample", default=None, callback=_window)
-def fit_ols(dataset, dependent, regressors, constant, sample):
+@click.option("--sample", default=None)
+def fit_ols(dataset, **keys):
     """Ordinary least squares with the full diagnostic block."""
-    from .regress import ols_fit
-    from .report import render_table
-
-    ds = _load(dataset)
-    _run(lambda: click.echo(render_table(ols_fit(ds, _spec_from_flags(dependent, regressors, constant, sample)))[0]))
+    _print_run(dataset, _step("fit-ols", "ols", **keys))
 
 
 @main.command("fit-tsls")
@@ -157,48 +141,22 @@ def fit_ols(dataset, dependent, regressors, constant, sample):
 @click.option("--endogenous", required=True, help="Comma-separated regressor labels.")
 @click.option("--instruments", required=True, help="Comma-separated term expressions.")
 @click.option("--constant/--no-constant", default=True)
-@click.option("--sample", default=None, callback=_window)
-def fit_tsls(dataset, dependent, regressors, endogenous, instruments, constant, sample):
+@click.option("--sample", default=None)
+def fit_tsls(dataset, **keys):
     """Two-stage least squares with an explicit instrument list."""
-    from .report import render_table
-    from .tsls import TslsSpec, tsls_fit
-
-    ds = _load(dataset)
-
-    def go():
-        spec = TslsSpec(
-            model=_spec_from_flags(dependent, regressors, constant, sample),
-            endogenous=tuple(s.strip() for s in endogenous.split(",") if s.strip()),
-            instruments=tuple(parse_term(t) for t in instruments.split(",") if t.strip()),
-        )
-        click.echo(render_table(tsls_fit(ds, spec))[0])
-
-    _run(go)
+    _print_run(dataset, _step("fit-tsls", "tsls", **keys))
 
 
 @main.command("fit-ar")
 @click.option("--dataset", default=None)
 @click.option("--dependent", required=True)
 @click.option("--regressors", required=True)
-@click.option("--ar-lags", required=True, callback=_lags,
-              help="Space- or comma-separated lag list, e.g. '1 2'.")
+@click.option("--ar-lags", required=True, help="Space- or comma-separated lag list, e.g. '1 2'.")
 @click.option("--constant/--no-constant", default=True)
-@click.option("--sample", default=None, callback=_window)
-def fit_ar(dataset, dependent, regressors, ar_lags, constant, sample):
+@click.option("--sample", default=None)
+def fit_ar(dataset, **keys):
     """Iterative AR estimation (generalized quasi-differencing)."""
-    from .dynamics import ArSpec, cochrane_orcutt_fit
-    from .report import render_table
-
-    ds = _load(dataset)
-
-    def go():
-        spec = ArSpec(
-            model=_spec_from_flags(dependent, regressors, constant, sample),
-            ar_lags=ar_lags,
-        )
-        click.echo(render_table(cochrane_orcutt_fit(ds, spec))[0])
-
-    _run(go)
+    _print_run(dataset, _step("fit-ar", "ar", **keys))
 
 
 @main.command()
@@ -206,172 +164,78 @@ def fit_ar(dataset, dependent, regressors, ar_lags, constant, sample):
 @click.option("--dependent", required=True)
 @click.option("--regressors", required=True)
 @click.option("--constant/--no-constant", default=False)
-@click.option("--sample", default=None, callback=_window)
+@click.option("--sample", default=None)
 @click.option("--residual-lag", default=1, type=click.IntRange(min=0))
-def coint(dataset, dependent, regressors, constant, sample, residual_lag):
+def coint(dataset, **keys):
     """Engle-Granger two-step cointegration (inputs asserted I(1))."""
-    from .cointegration import engle_granger
-    from .report import render_table
-
-    ds = _load(dataset)
-
-    def go():
-        spec = _spec_from_flags(dependent, regressors, constant, sample)
-        labels = [spec.dependent.rendered_label()] + [t.rendered_label() for t in spec.regressors]
-        res = engle_granger(ds, spec, residual_lag, {lbl: 1 for lbl in labels})
-        click.echo(render_table(res)[0])
-
-    _run(go)
+    _print_run(dataset, _step("coint", "coint", assume_i1="all", **keys))
 
 
 @main.command()
 @click.option("--dataset", default=None)
-@click.option("--x", "x_term", required=True, help="Candidate cause (term expression).")
-@click.option("--y", "y_term", required=True, help="Candidate effect (term expression).")
+@click.option("--x", required=True, help="Candidate cause (term expression).")
+@click.option("--y", required=True, help="Candidate effect (term expression).")
 @click.option("--lags", default=4, type=click.IntRange(min=1))
-@click.option("--sample", default=None, callback=_window)
-def granger(dataset, x_term, y_term, lags, sample):
+@click.option("--sample", default=None)
+def granger(dataset, **keys):
     """Granger causality F tests, both directions."""
-    from .dynamics import granger_causality
-    from .report import render_table
-
-    ds = _load(dataset)
-    _run(lambda: click.echo(render_table(
-        granger_causality(ds, parse_term(x_term), parse_term(y_term), lags, sample=sample)
-    )[0]))
+    _print_run(dataset, _step("granger", "granger", **keys))
 
 
 @main.command()
 @click.option("--dataset", default=None)
-@click.option("--break", "break_year", required=True, type=int)
-@click.option("--dependent", default="ln(Industrial Investment)")
-@click.option("--regressors",
-              default="ln(Public investment), ln(GDP model base), ln(Credit)")
-@click.option("--constant/--no-constant", default=False)
-@click.option("--sample", default="1970:2010", callback=_window)
-def chow(dataset, break_year, dependent, regressors, constant, sample):
+@click.option("--break", "break_years", required=True, type=int)
+@click.option("--dependent", default=None, help="Default: the bundled chow_breaks model's.")
+@click.option("--regressors", default=None, help="Default: the bundled chow_breaks model's.")
+@click.option("--constant/--no-constant", default=None,
+              help="Default: the bundled chow_breaks model's (no constant).")
+@click.option("--sample", default=None, help="Default: the bundled chow_breaks model's.")
+def chow(dataset, **keys):
     """Chow structural-break test (defaults to the bundled 41-obs model)."""
-    from .dynamics import chow_test
-    from .report import render_table
-
-    ds = _load(dataset)
-    _run(lambda: click.echo(render_table(
-        chow_test(ds, _spec_from_flags(dependent, regressors, constant, sample), break_year)
-    )[0]))
+    _print_run(dataset, _step("chow", "chow", _default_step("chow_breaks"), **keys))
 
 
 @main.command()
 @click.option("--dataset", default=None)
 @click.option("--variables", required=True, help="Ordered comma-separated terms (Cholesky order).")
 @click.option("--lags", default=4, type=click.IntRange(min=1))
-@click.option("--sample", default=None, callback=_window)
-def var(dataset, variables, lags, sample):
+@click.option("--sample", default=None)
+def var(dataset, **keys):
     """Estimate a VAR(p) and print per-equation coefficients."""
-    from .var import var_fit
-
-    ds = _load(dataset)
-
-    def go():
-        model = var_fit(ds, tuple(parse_term(t) for t in variables.split(",") if t.strip()),
-                        lags, sample)
-        click.echo(f"VAR({model.p}) on {', '.join(model.labels)}; sample "
-                   f"{model.sample[0]}-{model.sample[1]}; n_eff {model.n_effective}")
-        for i, lbl in enumerate(model.labels):
-            click.echo(f"{lbl}: intercept {model.intercepts[i]:.6g}")
-            for lag, A in enumerate(model.coefficient_matrices, start=1):
-                for j, src in enumerate(model.labels):
-                    click.echo(f"    {src}(-{lag})  {A[i, j]:.6g}")
-
-    _run(go)
+    _print_run(dataset, _step("var", "var", **keys))
 
 
 @main.command()
 @click.option("--dataset", default=None)
 @click.option("--variables", required=True)
 @click.option("--lags", default=4, type=click.IntRange(min=1))
-@click.option("--sample", default=None, callback=_window)
+@click.option("--sample", default=None)
 @click.option("--horizon", default=10, type=click.IntRange(min=0))
 @click.option("--shock", required=True, help="Shock variable label.")
 @click.option("--response", required=True, help="Responding variable label.")
 @click.option("--svg", "svg_path", default=None, help="Write the plot to this SVG file.")
-def irf(dataset, variables, lags, sample, horizon, shock, response, svg_path):
+def irf(dataset, horizon, shock, response, svg_path, **keys):
     """Orthogonalized impulse responses from a fitted VAR."""
-    from .report import render_irf_plot
-    from .var import impulse_response, var_fit
-
-    ds = _load(dataset)
-
-    def go():
-        model = var_fit(ds, tuple(parse_term(t) for t in variables.split(",") if t.strip()),
-                        lags, sample)
-        for flag, label in (("--shock", shock), ("--response", response)):
-            if label not in model.labels:
-                raise click.BadParameter(
-                    f"{label!r} is not a VAR variable; choose from {', '.join(model.labels)}",
-                    param_hint=f"'{flag}'")
-        res = impulse_response(model, horizon)
-        vals = res.response(shock, response)
-        click.echo(f"{response} <- {shock}: " + " ".join(f"{v:.5g}" for v in vals))
-        if svg_path:
-            Path(svg_path).write_text(render_irf_plot(res, shock, response), "utf-8")
-            click.echo(f"wrote {svg_path}")
-
-    _run(go)
+    bundle = _print_run(dataset, _step("var", "var", **keys), _step(
+        "irf", "irf", var="var", horizon=horizon, plot=f"{shock} -> {response}"))
+    if svg_path:
+        svg = next(iter(bundle.plots.values()))
+        _write("plot", svg_path, lambda path: Path(path).write_text(svg, "utf-8"))
+        click.echo(f"wrote {svg_path}")
 
 
 @main.command()
 @click.option("--dataset", default=None)
 @click.option("--kind", type=click.Choice(["unemployment", "exports"]), required=True)
-@click.option("--overrides", required=True, callback=_overrides,
-              help="e.g. '2005:0.15 2006:0.10'.")
-@click.option("--window", default="2000:2010", callback=_window)
+@click.option("--overrides", required=True, help="e.g. '2005:0.15 2006:0.10'.")
+@click.option("--window", default="2000:2010")
 @click.option("--eap", default=1_665_000.0, type=float)
 @click.option("--terminal-actual-usd", default=6_762_000_000.0, type=float)
-def simulate(dataset, kind, overrides, window, eap, terminal_actual_usd):
+def simulate(dataset, kind, **keys):
     """Capital-growth scenario simulation using the bundled default models."""
-    from .dataset import apply_term
-    from .regress import ModelSpec
-    from .scenario import CapitalScenario, simulate_exports, simulate_unemployment
-    from .tsls import TslsSpec, tsls_fit
-
-    ds = _load(dataset)
-
-    def go():
-        scenario = CapitalScenario("cli scenario", overrides)
-        growth = parse_term("dln(Total investment) as d_Ln(K)")
-        g = apply_term(ds, growth)
-        if kind == "unemployment":
-            spec = TslsSpec(
-                model=ModelSpec(
-                    dependent=parse_term("Unemployment rate"),
-                    regressors=(growth, parse_term("Unemployment rate@1"),
-                                parse_term("Unemployment rate@2")),
-                    include_constant=True, sample=(1970, 2010),
-                ),
-                endogenous=("d_Ln(K)",),
-                instruments=(parse_term("dln(GDP)"), parse_term("dln(Total investment)@1")),
-            )
-            fit = tsls_fit(ds, spec)
-            res = simulate_unemployment(fit, scenario, window, eap,
-                                        ds.get("Unemployment rate"), g)
-        else:
-            spec = TslsSpec(
-                model=ModelSpec(
-                    dependent=parse_term("ln(Exports)"),
-                    regressors=(growth, parse_term("ln(Exports)@1"), parse_term("ln(Exports)@2")),
-                    include_constant=True, sample=(1972, 2010),
-                ),
-                endogenous=("d_Ln(K)",),
-                instruments=(parse_term("dln(GDP)"), parse_term("dln(Total investment)@1")),
-            )
-            fit = tsls_fit(ds, spec)
-            res = simulate_exports(fit, scenario, window, terminal_actual_usd,
-                                   ds.get("Exports"), g)
-        click.echo(f"terminal delta: {res.terminal_delta:.6g}")
-        for k in sorted(res.derived_quantities):
-            click.echo(f"{k}: {res.derived_quantities[k]:.6g}")
-
-    _run(go)
+    fit = _default_step("model1_unemployment" if kind == "unemployment" else "model2_exports")
+    scenario = _default_step(f"scenario1_{kind}")
+    _print_run(dataset, fit, _step("simulate", scenario.op, scenario, **keys))
 
 
 @main.command()
@@ -381,36 +245,20 @@ def simulate(dataset, kind, overrides, window, eap, terminal_actual_usd):
 @click.option("--output", default=None, help="Override the manifest's output directory.")
 def report(manifest_path, dataset, output):
     """Run a full pipeline manifest and write the report bundle."""
-    from .pipeline import StepError, run_pipeline
+    from .pipeline import run_pipeline
 
-    try:
-        text = (default_manifest_text() if manifest_path == "default"
-                else Path(manifest_path).read_text("utf-8"))
+    def go():
+        try:
+            text = (default_manifest_text() if manifest_path == "default"
+                    else Path(manifest_path).read_text("utf-8"))
+        except OSError as exc:
+            raise ManifestError(str(exc)) from None
         manifest = parse_manifest(text)
-    except OSError as exc:
-        click.echo(f"manifest error: {exc}", err=True)
-        sys.exit(EXIT_MANIFEST)
-    except ManifestError as exc:
-        click.echo(f"manifest error: {exc}", err=True)
-        sys.exit(EXIT_MANIFEST)
-    ds = _load(dataset if dataset else (None if manifest.dataset_path in ("bundled", "") else manifest.dataset_path))
-    try:
-        bundle = run_pipeline(manifest, ds)
-    except ManifestError as exc:
-        click.echo(f"manifest error: {exc}", err=True)
-        sys.exit(EXIT_MANIFEST)
-    except DatasetError as exc:
-        click.echo(f"dataset error: {exc}", err=True)
-        sys.exit(EXIT_DATASET)
-    except StepError as exc:
-        click.echo(f"step error: {exc}", err=True)
-        sys.exit(EXIT_STEP)
+        return manifest, run_pipeline(manifest, _load(dataset or manifest.dataset_location))
+
+    manifest, bundle = _checked(go)
     outdir = output or manifest.output_dir
-    try:
-        bundle.write(outdir)
-    except OSError as exc:
-        click.echo(f"output error: cannot write bundle to {outdir!r}: {exc}", err=True)
-        sys.exit(EXIT_MANIFEST)
+    _write("bundle", outdir, bundle.write)
     click.echo(f"wrote bundle to {outdir} (dataset checksum {bundle.dataset_checksum[:12]}...)")
 
 

@@ -1,10 +1,16 @@
 """Execute a pipeline manifest into a report bundle.
 
-Each step dispatches to one engine operation; results are rendered into the
-bundle and kept by name, with the op that made them, so later steps (model
-comparisons, impulse responses, scenario simulations) can reference earlier
-fits of the right kind.  Steps whose optional data is absent are recorded as
-skipped, never silently dropped, and do not fail the run.
+``OPS`` maps each op to its parse function and its table title.  A parse
+function reads every value of a step by its kind and returns the step's run
+function, which calls the engine on the parsed values.  ``run_steps`` parses
+every step before it runs any, so a bad value anywhere in a manifest is a
+``ManifestError`` naming the step, the key and the value.  Each result is kept
+by step name for later steps (model comparisons, impulse responses, scenario
+simulations) and rendered into the bundle.  Steps whose optional data is
+absent are recorded as skipped, never silently dropped, and do not fail the run.
+
+The run functions look the engine up through this module's global names when
+they run, so a tracer that patches those names sees every engine call.
 """
 from __future__ import annotations
 
@@ -13,68 +19,219 @@ import re
 from .cointegration import engle_granger
 from .dataset import Dataset, DatasetError, Term, apply_term, load_dataset, parse_term
 from .dynamics import ArSpec, chow_test, cochrane_orcutt_fit, compare_models, granger_causality
-from .manifest import ManifestError, PipelineManifest, Step
+from .manifest import ManifestError, PipelineManifest, Step, StepError, parse_window
 from .regress import ModelSpec, ols_fit
 from .report import ReportBundle, _csv, render_irf_plot, render_table
 from .scenario import CapitalScenario, simulate_exports, simulate_unemployment
 from .tsls import TslsSpec, tsls_fit
-from .unitroot import AdfSpec, adf_test
+from .unitroot import DETERMINISTICS, AdfBattery, AdfSpec, adf_test
 from .var import impulse_response, var_fit, variance_decomposition
 
-__all__ = ["StepError", "run_pipeline", "windowed_series"]
+__all__ = ["OPS", "StepError", "run_pipeline", "run_steps", "windowed_series"]
 
 
-class StepError(Exception):
-    def __init__(self, step: str, cause: Exception):
-        super().__init__(f"step {step!r} failed: {cause}")
-        self.step = step
-        self.cause = cause
+class _Values:
+    """One step being parsed, and what its parse yields.
+
+    ``terms`` caches parsed term texts across the manifest; ``earlier`` maps
+    each earlier step's name to that step and its missing series (it holds no
+    ``_Values``, so a parse leaves no reference cycle).  ``run`` is the step's
+    run function and ``plots`` its shock/response pairs (``irf`` only).
+    """
+
+    def __init__(self, step: Step, missing: str | None, terms: dict[str, Term], earlier: dict):
+        self.step, self.missing, self._terms, self._earlier = step, missing, terms, earlier
+        self.run = None
+        self.plots: tuple[tuple[str, str], ...] = ()
+
+    def term(self, key: str) -> Term:
+        return self.step.value(key, self.cached_term, "a term such as ln(GDP)@1")
+
+    def terms(self, key: str, step: Step | None = None) -> tuple[Term, ...]:
+        """``key`` of this step, or of the earlier ``step``, as comma-separated terms."""
+        return (step or self.step).value(
+            key, lambda t: tuple(self.cached_term(x) for x in t.split(",") if x.strip()),
+            "comma-separated terms such as ln(GDP)@1")
+
+    def cached_term(self, text: str) -> Term:
+        text = text.strip()
+        if text not in self._terms:
+            self._terms[text] = parse_term(text)
+        return self._terms[text]
+
+    def model(self) -> ModelSpec:
+        return ModelSpec(self.term("dependent"), self.terms("regressors"),
+                         self.step.boolean("constant", "true"), self.step.window("sample", None))
+
+    def ref(self, key: str, *ops: str) -> Step:
+        """The earlier step that ``key`` names; it must be of one of ``ops`` and have run."""
+        name = self.step.require(key)
+        other, missing = self._earlier.get(name, (None, None))
+        if other is not None and other.op not in ops:
+            reason = f"names a step of op {other.op!r}; expected op {' or '.join(map(repr, ops))}"
+        elif other is None or (missing and not self.missing):
+            reason = "names a step that did not run"
+        else:
+            return other
+        raise ManifestError(f"{key} = {name} {reason}", self.step.name, key, name)
 
 
-def _parse_terms(text: str) -> tuple[Term, ...]:
-    return tuple(parse_term(part) for part in text.split(",") if part.strip())
+def windowed_series(dataset: Dataset, term: Term | str, window: tuple[int, int] | str | None):
+    """Evaluate a term with the window applied to the base series first.
+
+    ``term`` is a parsed ``Term`` or its text, ``window`` a ``(first, last)``
+    pair or its ``YYYY:YYYY`` text.  Windowing before transforming matches
+    subsample-then-transform tool behaviour: a difference over a 1975-2010
+    window starts in 1976.
+    """
+    if isinstance(term, str):
+        term = parse_term(term)
+    if isinstance(window, str):
+        try:
+            window = parse_window(window)
+        except ValueError:
+            raise ManifestError(f"bad window {window!r}; expected YYYY:YYYY") from None
+    if window is None:
+        return apply_term(dataset, term)
+    base = dataset.get(term.base).window(*window)
+    return apply_term(Dataset({base.name: base}), term)
 
 
-def _parse_window(text: str | None) -> tuple[int, int] | None:
-    if text is None:
-        return None
-    try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
-    except ValueError:
-        raise ManifestError(f"bad sample/window {text!r}; expected YYYY:YYYY") from None
+def _adf_battery(v: _Values):
+    def row(text: str):
+        term, det, lag = (part.strip() for part in text.split(";"))
+        if det not in DETERMINISTICS or int(lag) < 0:
+            raise ValueError(text)
+        return v.cached_term(term), det, int(lag)
+
+    expected = f"'term ; deterministic ; lag >= 0' with one of {', '.join(DETERMINISTICS)}"
+    rows = [v.step.parse("row", text, row, expected) for text in v.step.get_all("row")]
+    window = v.step.window("window", None)
+
+    def run(dataset, results):
+        return AdfBattery(window, tuple(
+            (term.rendered_label(), det, lag, adf_test(windowed_series(dataset, term, window),
+                                                       AdfSpec(det, lag))
+             if term.base in dataset else None)
+            for term, det, lag in rows))
+
+    return run
 
 
-def _number(step: Step, key: str, text: str, kind=int, minimum: int | None = None):
-    """``text``, a value of ``key``, as an int (or ``kind``); a bad value is a manifest error."""
-    try:
-        value = kind(text)
-    except ValueError:
-        value = None
-    if value is None or (minimum is not None and value < minimum):
-        expected = ("an integer" if kind is int else "a number") + (
-            f" >= {minimum}" if minimum is not None else "")
-        raise ManifestError(f"step {step.name!r}: bad {key} {text!r}; expected {expected}")
-    return value
+def _adf(v: _Values):
+    series, window = v.term("series"), v.step.window("window", None)
+    spec = AdfSpec(v.step.choice("deterministic", DETERMINISTICS, "constant"),
+                   v.step.integer("lag_order", "1", minimum=0))
+    return lambda dataset, results: adf_test(windowed_series(dataset, series, window), spec)
 
 
-def _parse_bool(text: str | None, default: bool) -> bool:
-    if text is None:
-        return default
-    if text.lower() in ("true", "yes", "1"):
-        return True
-    if text.lower() in ("false", "no", "0"):
-        return False
-    raise ManifestError(f"bad boolean {text!r}")
+def _ols(v: _Values):
+    model = v.model()
+    return lambda dataset, results: ols_fit(dataset, model)
 
 
-def _model_spec(step: Step) -> ModelSpec:
-    return ModelSpec(
-        dependent=parse_term(step.require("dependent")),
-        regressors=_parse_terms(step.require("regressors")),
-        include_constant=_parse_bool(step.get("constant"), True),
-        sample=_parse_window(step.get("sample")),
-    )
+def _tsls(v: _Values):
+    model, instruments = v.model(), v.terms("instruments")
+    endogenous = tuple(s.strip() for s in v.step.value("endogenous").split(",") if s.strip())
+    return lambda dataset, results: tsls_fit(dataset, TslsSpec(model, endogenous, instruments))
+
+
+def _ar(v: _Values):
+    model, lags = v.model(), v.step.integers("ar_lags", minimum=1)
+    iterations = v.step.integer("max_iterations", "20", minimum=1)
+    tolerance = v.step.number("tolerance", "5e-5")
+    return lambda dataset, results: cochrane_orcutt_fit(
+        dataset, ArSpec(model, lags, iterations, tolerance))
+
+
+def _compare(v: _Values):
+    a, b = v.ref("a", "ar").name, v.ref("b", "ar").name
+    return lambda dataset, results: compare_models(results[a], results[b])
+
+
+def _coint(v: _Values):
+    model, lag = v.model(), v.step.integer("residual_lag", "1", minimum=0)
+    orders = None
+    if v.step.value("assume_i1", default=None) == "all":
+        orders = {t.rendered_label(): 1 for t in (model.dependent, *model.regressors)}
+    return lambda dataset, results: engle_granger(dataset, model, lag, orders)
+
+
+def _granger(v: _Values):
+    x, y, sample = v.term("x"), v.term("y"), v.step.window("sample", None)
+    lags = v.step.integer("lags", "4", minimum=1)
+    return lambda dataset, results: granger_causality(dataset, x, y, lags, sample=sample)
+
+
+def _chow(v: _Values):
+    model, years = v.model(), v.step.integers("break_years")
+    return lambda dataset, results: {year: chow_test(dataset, model, year) for year in years}
+
+
+def _var(v: _Values):
+    variables, sample = v.terms("variables"), v.step.window("sample", None)
+    lags = v.step.integer("lags", "4", minimum=1)
+    return lambda dataset, results: var_fit(dataset, variables, lags, sample)
+
+
+def _fevd(v: _Values):
+    var, horizon = v.ref("var", "var").name, v.step.integer("horizon", "10", minimum=0)
+    return lambda dataset, results: variance_decomposition(results[var], horizon)
+
+
+def _irf(v: _Values):
+    var_step, plots = v.ref("var", "var"), v.step.get_all("plot")
+    horizon = v.step.integer("horizon", "10", minimum=1 if plots else 0)  # a plot needs 2 points
+    labels = [t.rendered_label() for t in v.terms("variables", var_step)]
+    v.plots = tuple(tuple(label.strip() for label in text.partition("->")[::2]) for text in plots)
+    for text, pair in zip(plots, v.plots):
+        for label in pair:
+            if label not in labels:
+                raise ManifestError(f"bad plot {text!r}; expected 'shock -> response', each "
+                                    f"one of {', '.join(labels)}", v.step.name, "plot", label)
+    var = var_step.name
+    return lambda dataset, results: impulse_response(results[var], horizon)
+
+
+def _overrides(text: str) -> dict[int, float]:
+    pairs = (chunk.split(":") for chunk in text.split())
+    return {int(year): float(rate) for year, rate in pairs}
+
+
+def _simulate(v: _Values):
+    step, kind = v.step, v.step.op.partition("_")[2]  # kind is also the key naming the series
+    fit, series = v.ref("fit", "ols", "tsls").name, step.value(kind)
+    scenario = CapitalScenario(step.name, step.value("overrides", _overrides, "YYYY:rate pairs"))
+    window, capital = step.window("window"), v.term("capital")
+    amount = step.number("eap" if kind == "unemployment" else "terminal_actual_usd")
+    label = step.value("capital_label", default="d_Ln(K)")
+    log_growth = step.boolean("log_growth", "true")
+
+    def run(dataset, results):
+        simulate = simulate_unemployment if kind == "unemployment" else simulate_exports
+        return simulate(results[fit], scenario, window, amount, dataset.get(series),
+                        apply_term(dataset, capital), capital_label=label, as_log_growth=log_growth)
+
+    return run
+
+
+# op: (parse, table title); a run that returns a dict makes one table per key
+OPS = {
+    "adf_battery": (_adf_battery, ""),
+    "adf": (_adf, "Unit-root test: {name}"),
+    "ols": (_ols, "OLS estimates: {name}"),
+    "tsls": (_tsls, "Two-stage least squares: {name}"),
+    "ar": (_ar, "Iterative AR estimates: {name}"),
+    "compare": (_compare, "Model comparison: {name}"),
+    "coint": (_coint, "Engle-Granger: {name}"),
+    "granger": (_granger, "Granger causality: {name}"),
+    "chow": (_chow, "Chow test at {key}"),
+    "var": (_var, ""),
+    "irf": (_irf, ""),
+    "fevd": (_fevd, ""),
+    "simulate_unemployment": (_simulate, "Scenario: {name}"),
+    "simulate_exports": (_simulate, "Scenario: {name}"),
+}
 
 
 def _missing_series(step: Step, dataset: Dataset, optional: tuple[str, ...]) -> str | None:
@@ -92,275 +249,57 @@ def _missing_series(step: Step, dataset: Dataset, optional: tuple[str, ...]) -> 
     return None
 
 
-def _scenario_from(step: Step) -> CapitalScenario:
-    overrides = {}
-    for chunk in step.require("overrides").split():
-        year, _, rate = chunk.partition(":")
-        try:
-            overrides[int(year)] = float(rate)
-        except ValueError:
-            raise ManifestError(f"bad override {chunk!r}; expected YYYY:rate") from None
-    return CapitalScenario(step.name, overrides)
+def _parse_steps(steps, dataset: Dataset, optional: tuple[str, ...]) -> list[_Values]:
+    """Parse every step, in order; the first bad value raises ``ManifestError``."""
+    terms: dict[str, Term] = {}
+    earlier: dict[str, tuple[Step, str | None]] = {}
+    plan = []
+    for step in steps:
+        if step.op not in OPS:
+            raise ManifestError(f"unknown op {step.op!r}", step.name, "op", step.op)
+        values = _Values(step, _missing_series(step, dataset, optional), terms, earlier)
+        values.run = OPS[step.op][0](values)
+        earlier[step.name] = step, values.missing
+        plan.append(values)
+    return plan
 
 
-def _referenced(step: Step, key: str, results: dict, *ops: str):
-    """The result of the earlier step that ``key`` names, which must be one of ``ops``."""
-    name = step.require(key)
-    if name not in results:
-        raise ManifestError(f"step {step.name!r}: {key} = {name} names a step that did not run")
-    op, result = results[name]
-    if op not in ops:
-        raise ManifestError(f"step {step.name!r}: {key} = {name} names a step of op {op!r}; "
-                            f"expected op {' or '.join(map(repr, ops))}")
-    return result
-
-
-def run_pipeline(manifest: PipelineManifest, dataset: Dataset | None = None) -> ReportBundle:
-    """Execute every step in order and return the rendered bundle."""
-    if dataset is None:
-        path = None if manifest.dataset_path in ("bundled", "") else manifest.dataset_path
-        dataset = load_dataset(path)
-
-    bundle = ReportBundle(manifest_echo=manifest.source_text, dataset_checksum=dataset.checksum)
-    results: dict[str, tuple[str, object]] = {}
-    summary_rows: list[list[str]] = [["step", "op", "status"]]
-
-    for step in manifest.steps:
-        missing = _missing_series(step, dataset, manifest.optional_series)
-        if missing is not None:
-            summary_rows.append([step.name, step.op, f"SKIPPED: data-unavailable ({missing})"])
+def run_steps(steps, dataset: Dataset, bundle: ReportBundle,
+              optional: tuple[str, ...] = ()) -> list[list[str]]:
+    """Parse every step, then run each into ``bundle``; return ``[step, op, status]`` rows."""
+    results: dict[str, object] = {}
+    summary = []
+    for v in _parse_steps(steps, dataset, optional):
+        name, op = v.step.name, v.step.op
+        if v.missing:
+            summary.append([name, op, f"SKIPPED: data-unavailable ({v.missing})"])
             continue
         try:
-            _run_step(step, dataset, results, bundle)
+            out = results[name] = v.run(dataset, results)
+            for key, result in out.items() if isinstance(out, dict) else [(None, out)]:
+                bundle.add_table(name if key is None else f"{name}_{key}",
+                                 render_table(result, OPS[op][1].format(name=name, key=key)))
+            for shock, response in v.plots:
+                bundle.add_plot(f"{name}_{_slug(shock)}_to_{_slug(response)}",
+                                render_irf_plot(out, shock, response))
         except (ManifestError, DatasetError):
             raise
         except Exception as exc:
-            raise StepError(step.name, exc) from exc
-        summary_rows.append([step.name, step.op, "ok"])
+            raise StepError(name, exc) from exc
+        summary.append([name, op, "ok"])
+    return summary
 
-    text = "Pipeline summary\n\n" + "\n".join(
-        f"{r[0]:32s} {r[1]:22s} {r[2]}" for r in summary_rows[1:]
-    ) + "\n"
-    bundle.add_table("pipeline_summary", (text, _csv(summary_rows)))
+
+def run_pipeline(manifest: PipelineManifest, dataset: Dataset | None = None) -> ReportBundle:
+    """Parse every step of the manifest, then run each in order; return the rendered bundle."""
+    if dataset is None:
+        dataset = load_dataset(manifest.dataset_location)
+    bundle = ReportBundle(manifest_echo=manifest.source_text, dataset_checksum=dataset.checksum)
+    rows = run_steps(manifest.steps, dataset, bundle, manifest.optional_series)
+    text = "Pipeline summary\n\n" + "\n".join(f"{r[0]:32s} {r[1]:22s} {r[2]}" for r in rows) + "\n"
+    bundle.add_table("pipeline_summary", (text, _csv([["step", "op", "status"], *rows])))
     return bundle
-
-
-def _run_step(step: Step, dataset: Dataset, results: dict, bundle: ReportBundle) -> None:
-    op = step.op
-    if op == "adf_battery":
-        _run_adf_battery(step, dataset, bundle)
-    elif op == "adf":
-        spec = AdfSpec(step.get("deterministic", "constant"),
-                       _number(step, "lag_order", step.get("lag_order", "1"), minimum=0))
-        series = windowed_series(dataset, step.require("series"), step.get("window"))
-        res = adf_test(series, spec)
-        results[step.name] = (op, res)
-        bundle.add_table(step.name, render_table(res, f"Unit-root test: {step.name}"))
-    elif op == "ols":
-        fit = ols_fit(dataset, _model_spec(step))
-        results[step.name] = (op, fit)
-        bundle.add_table(step.name, render_table(fit, f"OLS estimates: {step.name}"))
-    elif op == "tsls":
-        spec = TslsSpec(
-            model=_model_spec(step),
-            endogenous=tuple(s.strip() for s in step.require("endogenous").split(",") if s.strip()),
-            instruments=_parse_terms(step.require("instruments")),
-        )
-        fit = tsls_fit(dataset, spec)
-        results[step.name] = (op, fit)
-        bundle.add_table(step.name, render_table(fit, f"Two-stage least squares: {step.name}"))
-    elif op == "ar":
-        spec = ArSpec(
-            model=_model_spec(step),
-            ar_lags=tuple(_number(step, "ar_lags", v, minimum=1)
-                          for v in step.require("ar_lags").replace(",", " ").split()),
-            max_iterations=_number(step, "max_iterations", step.get("max_iterations", "20"), minimum=1),
-            convergence_rel_tol=_number(step, "tolerance", step.get("tolerance", "5e-5"), float),
-        )
-        res = cochrane_orcutt_fit(dataset, spec)
-        results[step.name] = (op, res)
-        bundle.add_table(step.name, render_table(res, f"Iterative AR estimates: {step.name}"))
-    elif op == "compare":
-        cmp_res = compare_models(_referenced(step, "a", results, "ar"),
-                                 _referenced(step, "b", results, "ar"))
-        results[step.name] = (op, cmp_res)
-        bundle.add_table(step.name, render_table(cmp_res, f"Model comparison: {step.name}"))
-    elif op == "coint":
-        spec = _model_spec(step)
-        orders = None
-        if step.get("assume_i1") == "all":
-            labels = [spec.dependent.rendered_label()] + [t.rendered_label() for t in spec.regressors]
-            orders = {lbl: 1 for lbl in labels}
-        residual_lag = _number(step, "residual_lag", step.get("residual_lag", "1"), minimum=0)
-        res = engle_granger(dataset, spec, residual_lag, orders)
-        results[step.name] = (op, res)
-        bundle.add_table(step.name, render_table(res, f"Engle-Granger: {step.name}"))
-    elif op == "granger":
-        lags = _number(step, "lags", step.get("lags", "4"), minimum=1)
-        res = granger_causality(
-            dataset,
-            parse_term(step.require("x")),
-            parse_term(step.require("y")),
-            lags,
-            sample=_parse_window(step.get("sample")),
-        )
-        results[step.name] = (op, res)
-        bundle.add_table(step.name, render_table(res, f"Granger causality: {step.name}"))
-    elif op == "chow":
-        spec = _model_spec(step)
-        year_texts = step.require("break_years").split()
-        years = [_number(step, "break_years", text) for text in year_texts]
-        for year_text, year in zip(year_texts, years):
-            res = chow_test(dataset, spec, year)
-            name = f"{step.name}_{year_text}"
-            results[name] = (op, res)
-            bundle.add_table(name, render_table(res, f"Chow test at {year_text}"))
-    elif op == "var":
-        model = var_fit(
-            dataset,
-            _parse_terms(step.require("variables")),
-            _number(step, "lags", step.get("lags", "4"), minimum=1),
-            _parse_window(step.get("sample")),
-        )
-        results[step.name] = (op, model)
-        rows = [f"VAR({model.p}) on {', '.join(model.labels)}",
-                f"Cholesky ordering: {' -> '.join(model.labels)}",
-                f"Sample: {model.sample[0]}-{model.sample[1]}   "
-                f"Effective observations: {model.n_effective}", ""]
-        csv_rows = [["equation", "term", "coefficient"]]
-        for i, lbl in enumerate(model.labels):
-            rows.append(f"{lbl}: intercept {model.intercepts[i]:.6g}")
-            csv_rows.append([lbl, "intercept", float(model.intercepts[i])])
-            for lag, A in enumerate(model.coefficient_matrices, start=1):
-                for j, src in enumerate(model.labels):
-                    rows.append(f"    {src}(-{lag})  {A[i, j]:.6g}")
-                    csv_rows.append([lbl, f"{src}(-{lag})", float(A[i, j])])
-        bundle.add_table(step.name, ("\n".join(rows) + "\n", _csv(csv_rows)))
-    elif op == "irf":
-        model = _referenced(step, "var", results, "var")
-        irf = impulse_response(model, _number(step, "horizon", step.get("horizon", "10"), minimum=0))
-        results[step.name] = (op, irf)
-        csv_rows = [["shock", "response", "step", "value"]]
-        text_rows = [f"Orthogonalized impulse responses (ordering: {' -> '.join(irf.ordering)})", ""]
-        for shock in irf.ordering:
-            for resp in irf.ordering:
-                vals = irf.response(shock, resp)
-                text_rows.append(f"{resp} <- {shock}: " + " ".join(f"{v:.5g}" for v in vals))
-                for h, v in enumerate(vals):
-                    csv_rows.append([shock, resp, h, float(v)])
-        bundle.add_table(step.name, ("\n".join(text_rows) + "\n", _csv(csv_rows)))
-        for spec_text in step.get_all("plot"):
-            shock_lbl, _, resp_lbl = spec_text.partition("->")
-            shock_lbl, resp_lbl = shock_lbl.strip(), resp_lbl.strip()
-            svg = render_irf_plot(irf, shock_lbl, resp_lbl)
-            bundle.add_plot(f"{step.name}_{_slug(shock_lbl)}_to_{_slug(resp_lbl)}", svg)
-    elif op == "fevd":
-        model = _referenced(step, "var", results, "var")
-        fevd = variance_decomposition(model, _number(step, "horizon", step.get("horizon", "10"),
-                                                     minimum=0))
-        results[step.name] = (op, fevd)
-        csv_rows = [["response", "step", "shock", "share"]]
-        text_rows = [f"Forecast-error variance decomposition (ordering: {' -> '.join(fevd.ordering)})", ""]
-        for j, resp in enumerate(fevd.ordering):
-            for h in range(fevd.horizon + 1):
-                shares = fevd.shares[j, h, :]
-                text_rows.append(
-                    f"{resp} step {h:2d}: " + "  ".join(
-                        f"{s}={v:.4f}" for s, v in zip(fevd.ordering, shares))
-                )
-                for i, s in enumerate(fevd.ordering):
-                    csv_rows.append([resp, h, s, float(shares[i])])
-        bundle.add_table(step.name, ("\n".join(text_rows) + "\n", _csv(csv_rows)))
-    elif op in ("simulate_unemployment", "simulate_exports"):
-        fit = _referenced(step, "fit", results, "ols", "tsls")
-        scenario = _scenario_from(step)
-        window = _parse_window(step.require("window"))
-        growth = _evaluated(dataset, step.require("capital"))
-        log_growth = _parse_bool(step.get("log_growth"), True)
-        label = step.get("capital_label", "d_Ln(K)")
-        if op == "simulate_unemployment":
-            res = simulate_unemployment(
-                fit, scenario, window, _number(step, "eap", step.require("eap"), float),
-                dataset.get(step.require("unemployment")), growth,
-                capital_label=label, as_log_growth=log_growth,
-            )
-        else:
-            res = simulate_exports(
-                fit, scenario, window,
-                _number(step, "terminal_actual_usd", step.require("terminal_actual_usd"), float),
-                dataset.get(step.require("exports")), growth,
-                capital_label=label, as_log_growth=log_growth,
-            )
-        results[step.name] = (op, res)
-        bundle.add_table(step.name, _scenario_table(res, step.name))
-    else:
-        raise ManifestError(f"step {step.name!r}: unknown op {op!r}")
 
 
 def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "_", text).strip("_").lower()
-
-
-def _evaluated(dataset: Dataset, term_text: str):
-    return apply_term(dataset, parse_term(term_text))
-
-
-def windowed_series(dataset: Dataset, term: Term | str, window_text: str | None):
-    """Evaluate a term with the window applied to the base series first.
-
-    ``term`` is a parsed ``Term`` or its text.  Windowing before transforming
-    matches subsample-then-transform tool behaviour: a difference over a
-    1975-2010 window starts in 1976.
-    """
-    if isinstance(term, str):
-        term = parse_term(term)
-    w = _parse_window(window_text)
-    if w is None:
-        return apply_term(dataset, term)
-    base = dataset.get(term.base).window(*w)
-    return apply_term(Dataset({base.name: base}), term)
-
-
-def _run_adf_battery(step: Step, dataset: Dataset, bundle: ReportBundle) -> None:
-    window = step.get("window")
-    rows_text: list[list[str]] = [["Variable", "tau", "p-value", "Deterministic", "Lags", "Decision at 5%"]]
-    csv_rows: list[list] = [["variable", "tau", "p_value", "deterministic", "lag_order", "decision"]]
-    for row in step.get_all("row"):
-        parts = [p.strip() for p in row.split(";")]
-        if len(parts) != 3:
-            raise ManifestError(f"bad battery row {row!r}; expected 'term ; deterministic ; lag'")
-        term_text, det, lag_text = parts
-        term = parse_term(term_text)
-        if term.base not in dataset:
-            rows_text.append([term.rendered_label(), "-", "-", det, lag_text,
-                              "SKIPPED: data-unavailable"])
-            csv_rows.append([term.rendered_label(), "", "", det, lag_text, "skipped"])
-            continue
-        series = windowed_series(dataset, term, window)
-        res = adf_test(series, AdfSpec(det, _number(step, "row", lag_text, minimum=0)))
-        rows_text.append([
-            term.rendered_label(), f"{res.t_stat:.6g}", f"{res.p_value:.4f}", det, lag_text,
-            "reject" if res.reject_5pct else "fail to reject",
-        ])
-        csv_rows.append([term.rendered_label(), res.t_stat, res.p_value, det, lag_text,
-                         "reject" if res.reject_5pct else "fail_to_reject"])
-    widths = [max(len(r[i]) for r in rows_text) for i in range(6)]
-    lines = ["Unit-root battery" + (f" (window {window})" if window else ""), ""]
-    for r in rows_text:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    bundle.add_table(step.name, ("\n".join(lines) + "\n", _csv(csv_rows)))
-
-
-def _scenario_table(res, name: str) -> tuple[str, str]:
-    b, c = res.baseline_path, res.counterfactual_path
-    lines = [f"Scenario: {name}", "", "Year  Baseline      Counterfactual"]
-    csv_rows = [["year", "baseline", "counterfactual"]]
-    for y, bv, cv in zip(b.years, b.values, c.values):
-        lines.append(f"{y}  {bv:12.5g}  {cv:14.5g}")
-        csv_rows.append([y, bv, cv])
-    lines.append("")
-    lines.append(f"Terminal delta: {res.terminal_delta:.6g}")
-    for k in sorted(res.derived_quantities):
-        lines.append(f"{k}: {res.derived_quantities[k]:.6g}")
-        csv_rows.append([k, res.derived_quantities[k], ""])
-    return "\n".join(lines) + "\n", _csv(csv_rows)

@@ -127,6 +127,8 @@ def build_design(dataset: Dataset, spec: ModelSpec):
     for d in spec.dummies:
         cols.append(np.array([1.0 if ty in d.years else 0.0 for ty in window]))
         labels.append(d.name)
+    if not cols:
+        raise EstimationError("empty model: no regressors, no constant and no dummies")
     if len(set(labels)) != len(labels):
         raise EstimationError("regressor labels must be unique")
     X = np.column_stack(cols)

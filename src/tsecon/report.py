@@ -13,8 +13,9 @@ from pathlib import Path
 from .cointegration import CointegrationResult
 from .dynamics import ArFitResult, ChowResult, GrangerResult, ModelComparison
 from .regress import FitResult
-from .unitroot import AdfResult
-from .var import IrfResult
+from .scenario import ScenarioResult
+from .unitroot import AdfBattery, AdfResult
+from .var import FevdResult, IrfResult, VarModel
 
 __all__ = ["ReportBundle", "render_irf_plot", "render_table", "significance_stars"]
 
@@ -172,7 +173,96 @@ def render_table(result, title: str = "") -> tuple[str, str]:
         for r in rows[1:]:
             csv_rows.append(r)
         return (title or "Model comparison") + "\n\n" + _align(rows), _csv(csv_rows)
+    if isinstance(result, ScenarioResult):
+        return _scenario_table(result, title or "Scenario")
+    # these layouts carry their own heading
+    if isinstance(result, AdfBattery):
+        return _battery_table(result)
+    if isinstance(result, VarModel):
+        return _var_table(result)
+    if isinstance(result, IrfResult):
+        return _irf_table(result)
+    if isinstance(result, FevdResult):
+        return _fevd_table(result)
     raise TypeError(f"cannot render a {type(result).__name__}")
+
+
+def _battery_table(battery: AdfBattery) -> tuple[str, str]:
+    rows_text = [["Variable", "tau", "p-value", "Deterministic", "Lags", "Decision at 5%"]]
+    csv_rows: list[list] = [["variable", "tau", "p_value", "deterministic", "lag_order", "decision"]]
+    for label, det, lag, res in battery.rows:
+        if res is None:
+            rows_text.append([label, "-", "-", det, str(lag), "SKIPPED: data-unavailable"])
+            csv_rows.append([label, "", "", det, lag, "skipped"])
+            continue
+        rows_text.append([label, f"{res.t_stat:.6g}", f"{res.p_value:.4f}", det, str(lag),
+                          "reject" if res.reject_5pct else "fail to reject"])
+        csv_rows.append([label, res.t_stat, res.p_value, det, lag,
+                         "reject" if res.reject_5pct else "fail_to_reject"])
+    widths = [max(len(r[i]) for r in rows_text) for i in range(6)]
+    window = f" (window {battery.window[0]}:{battery.window[1]})" if battery.window else ""
+    lines = ["Unit-root battery" + window, ""]
+    for r in rows_text:
+        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
+    return "\n".join(lines) + "\n", _csv(csv_rows)
+
+
+def _var_table(model: VarModel) -> tuple[str, str]:
+    rows = [f"VAR({model.p}) on {', '.join(model.labels)}",
+            f"Cholesky ordering: {' -> '.join(model.labels)}",
+            f"Sample: {model.sample[0]}-{model.sample[1]}   "
+            f"Effective observations: {model.n_effective}", ""]
+    csv_rows = [["equation", "term", "coefficient"]]
+    for i, lbl in enumerate(model.labels):
+        rows.append(f"{lbl}: intercept {model.intercepts[i]:.6g}")
+        csv_rows.append([lbl, "intercept", float(model.intercepts[i])])
+        for lag, A in enumerate(model.coefficient_matrices, start=1):
+            for j, src in enumerate(model.labels):
+                rows.append(f"    {src}(-{lag})  {A[i, j]:.6g}")
+                csv_rows.append([lbl, f"{src}(-{lag})", float(A[i, j])])
+    return "\n".join(rows) + "\n", _csv(csv_rows)
+
+
+def _irf_table(irf: IrfResult) -> tuple[str, str]:
+    csv_rows = [["shock", "response", "step", "value"]]
+    text_rows = [f"Orthogonalized impulse responses (ordering: {' -> '.join(irf.ordering)})", ""]
+    for shock in irf.ordering:
+        for resp in irf.ordering:
+            vals = irf.response(shock, resp)
+            text_rows.append(f"{resp} <- {shock}: " + " ".join(f"{v:.5g}" for v in vals))
+            for h, v in enumerate(vals):
+                csv_rows.append([shock, resp, h, float(v)])
+    return "\n".join(text_rows) + "\n", _csv(csv_rows)
+
+
+def _fevd_table(fevd: FevdResult) -> tuple[str, str]:
+    csv_rows = [["response", "step", "shock", "share"]]
+    text_rows = [f"Forecast-error variance decomposition (ordering: {' -> '.join(fevd.ordering)})", ""]
+    for j, resp in enumerate(fevd.ordering):
+        for h in range(fevd.horizon + 1):
+            shares = fevd.shares[j, h, :]
+            text_rows.append(
+                f"{resp} step {h:2d}: " + "  ".join(
+                    f"{s}={v:.4f}" for s, v in zip(fevd.ordering, shares))
+            )
+            for i, s in enumerate(fevd.ordering):
+                csv_rows.append([resp, h, s, float(shares[i])])
+    return "\n".join(text_rows) + "\n", _csv(csv_rows)
+
+
+def _scenario_table(res: ScenarioResult, title: str) -> tuple[str, str]:
+    b, c = res.baseline_path, res.counterfactual_path
+    lines = [title, "", "Year  Baseline      Counterfactual"]
+    csv_rows = [["year", "baseline", "counterfactual"]]
+    for y, bv, cv in zip(b.years, b.values, c.values):
+        lines.append(f"{y}  {bv:12.5g}  {cv:14.5g}")
+        csv_rows.append([y, bv, cv])
+    lines.append("")
+    lines.append(f"Terminal delta: {res.terminal_delta:.6g}")
+    for k in sorted(res.derived_quantities):
+        lines.append(f"{k}: {res.derived_quantities[k]:.6g}")
+        csv_rows.append([k, res.derived_quantities[k], ""])
+    return "\n".join(lines) + "\n", _csv(csv_rows)
 
 
 _W, _H = 800, 500

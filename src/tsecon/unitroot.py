@@ -15,9 +15,9 @@ import numpy as np
 from ._record import record
 from ._tails import norm_cdf
 from .dataset import AnnualSeries
-from .regress import EstimationError, least_squares, unscaled_covariance
+from .regress import EstimationError, _column_norms, least_squares
 
-__all__ = ["AdfResult", "AdfSpec", "adf_test", "df_residual_test", "mackinnon_pvalue"]
+__all__ = ["AdfBattery", "AdfResult", "AdfSpec", "adf_test", "df_residual_test", "mackinnon_pvalue"]
 
 DETERMINISTICS = ("none", "constant", "constant_and_trend")
 
@@ -124,6 +124,18 @@ class AdfResult:
         return "reject unit root at 5%" if self.reject_5pct else "fail to reject unit root at 5%"
 
 
+@record
+class AdfBattery:
+    """ADF tests of several terms on one window.
+
+    Each row is ``(label, deterministic, lag_order, result)``; the result is
+    ``None`` when the term's series is absent from the dataset.
+    """
+
+    window: tuple[int, int] | None
+    rows: tuple[tuple[str, str, int, AdfResult | None], ...]
+
+
 def _adf_regression(values: np.ndarray, spec: AdfSpec) -> tuple[float, float, int]:
     k = spec.lag_order
     n = len(values)
@@ -135,15 +147,17 @@ def _adf_regression(values: np.ndarray, spec: AdfSpec) -> tuple[float, float, in
         raise EstimationError("cannot run a unit-root test on a constant series")
     dy = np.diff(values)
     Y = dy[k:]
+    # the lagged level goes last: with R from the QR of the unit-norm design,
+    # its entry of (X'X)^-1 is then 1 / (R[-1, -1] * norm)^2, and no other
+    # entry of the covariance is needed
     cols = []
     if n_det >= 1:
         cols.append(np.ones(rows))
     if n_det == 2:
         cols.append(np.arange(1.0, rows + 1.0))
-    cols.append(values[k:-1])
-    level_idx = len(cols) - 1
     for i in range(1, k + 1):
         cols.append(dy[k - i : len(dy) - i])
+    cols.append(values[k:-1])
     X = np.column_stack(cols)
     beta, e = least_squares(
         X, Y,
@@ -151,8 +165,10 @@ def _adf_regression(values: np.ndarray, spec: AdfSpec) -> tuple[float, float, in
         "terms, lagged level and lagged differences are collinear",
     )
     s2 = float(e @ e) / (rows - X.shape[1])
-    se = math.sqrt(s2 * unscaled_covariance(X)[level_idx, level_idx])
-    return float(beta[level_idx] / se), float(beta[level_idx]), rows
+    norms = _column_norms(X)
+    r_level = np.linalg.qr(X / norms, mode="r")[-1, -1] * norms[-1]
+    se = math.sqrt(s2) / abs(float(r_level))
+    return float(beta[-1] / se), float(beta[-1]), rows
 
 
 def adf_test(series: AnnualSeries, spec: AdfSpec) -> AdfResult:

@@ -198,7 +198,7 @@ class TestCli:
             main, ["simulate", "--kind", "exports", "--overrides", "2005:0.15 2006:0.10"],
         )
         assert r.exit_code == 0, r.output
-        assert "terminal delta:" in r.output
+        assert "Terminal delta:" in r.output
 
     @pytest.mark.parametrize("argv, flag", [
         (["granger", "--x", "dln(GDP)", "--y", "dln(Exports)", "--lags", "0"], "--lags"),
@@ -265,6 +265,20 @@ class TestCli:
          "constant = false\nsample = 1970:2010\nbreak_years = 1974 199x\n", "break_years", "'199x'"),
         ("[step g]\nop = granger\nx = dln(GDP)\ny = dln(Industrial Investment)\nlags = 0\n"
          "sample = 1976:2010\n", "lags", "'0'"),
+        ("[step o]\nop = ols\ndependent = ln(GDP)\nregressors = lnx(Exports)\n",
+         "regressors", "'lnx(Exports)'"),
+        ("[step a]\nop = adf\nseries = ln(GDP)\ndeterministic = quadratic\n",
+         "deterministic", "'quadratic'"),
+        ("[step v]\nop = var\nvariables = dln(GDP), dln(Exports)\nlags = 1\n"
+         "[step i]\nop = irf\nvar = v\nplot = d_Ln(GDP) -> nope\n", "plot", "'d_Ln(GDP) -> nope'"),
+        ("[step v]\nop = var\nvariables = dln(GDP), dln(Exports)\nlags = 1\n"
+         "[step i]\nop = irf\nvar = v\nhorizon = 0\nplot = d_Ln(GDP) -> d_Ln(Exports)\n",
+         "horizon", "'0'"),
+        ("[step o]\nop = ols\ndependent = ln(GDP)\nregressors = ln(Exports)\nconstant = maybe\n",
+         "constant", "'maybe'"),
+        ("[step o]\nop = ols\ndependent = ln(GDP)\nregressors = ln(Exports)\nsample = 1970-2010\n",
+         "sample", "'1970-2010'"),
+        ("[step a]\nop = adf\nseries = ln(GDP)\nwindow = 2010:1975\n", "window", "'2010:1975'"),
     ])
     def test_bad_step_value_is_manifest_error_naming_the_key(self, tmp_path, step, key, value):
         manifest = tmp_path / "m.ini"
@@ -272,7 +286,7 @@ class TestCli:
         r = CliRunner().invoke(main, ["report", "--manifest", str(manifest),
                                       "--output", str(tmp_path / "out")])
         assert r.exit_code == 2, r.output
-        name = step.split("]")[0].split()[1]
+        name = step.split("[step ")[-1].split("]")[0]
         assert f"manifest error: step {name!r}: bad {key} {value}" in r.output
         assert not (tmp_path / "out").exists()
 
@@ -303,3 +317,45 @@ class TestCli:
         r = CliRunner().invoke(main, ["report", "--output", str(target)])
         assert r.exit_code == 2
         assert f"output error: cannot write bundle to {str(target)!r}" in r.output
+
+    def test_bad_value_in_the_last_step_exits_before_any_step_runs(self, tmp_path, monkeypatch):
+        import tsecon.pipeline
+
+        calls = []
+        ols_fit = tsecon.pipeline.ols_fit
+        monkeypatch.setattr(tsecon.pipeline, "ols_fit", lambda *a: calls.append(a) or ols_fit(*a))
+        manifest = tmp_path / "m.ini"
+        manifest.write_text("[step o]\nop = ols\ndependent = ln(GDP)\nregressors = ln(Exports)\n"
+                            "[step g]\nop = granger\nx = dln(GDP)\ny = dln(Exports)\nlags = x\n")
+        r = CliRunner().invoke(main, ["report", "--manifest", str(manifest),
+                                      "--output", str(tmp_path / "out")])
+        assert r.exit_code == 2, r.output
+        assert "manifest error: step 'g': bad lags 'x'" in r.output
+        assert calls == []
+        manifest.write_text("[step o]\nop = ols\ndependent = ln(GDP)\nregressors = ln(Exports)\n")
+        assert CliRunner().invoke(main, ["report", "--manifest", str(manifest),
+                                         "--output", str(tmp_path / "out")]).exit_code == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["adf", "--series", "lnx(GDP)"], "--series"),
+        (["adf", "--series", "ln(GDP)", "--window", "2010:1975"], "--window"),
+        (["fit-ols", "--dependent", "ln(GDP)", "--regressors", "ln(Exports)",
+          "--sample", "2010:1970"], "--sample"),
+        (["chow", "--break", "1998", "--regressors", "ln(Credit), lnx(GDP)"], "--regressors"),
+        (["irf", "--variables", "dln(GDP), dln(Exports)", "--shock", "d_Ln(GDP)",
+          "--response", "nope"], "--response"),
+        (["simulate", "--kind", "exports", "--overrides", "2005:0.1", "--window", "2010:2000"],
+         "--window"),
+    ])
+    def test_bad_flag_value_is_usage_error_naming_the_flag(self, argv, flag):
+        r = CliRunner().invoke(main, argv)
+        assert r.exit_code == 2, r.output
+        assert f"Invalid value for '{flag}'" in r.output
+
+    def test_empty_model_is_estimation_error_naming_it(self):
+        r = CliRunner().invoke(main, ["fit-ols", "--dependent", "ln(GDP)", "--regressors", "",
+                                      "--no-constant"])
+        assert r.exit_code == 4, r.output
+        assert "empty model" in r.output
+        assert "concatenate" not in r.output

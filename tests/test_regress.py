@@ -64,6 +64,10 @@ class TestOlsCore:
         with pytest.raises(EstimationError, match="rank deficient"):
             ols_fit(ds, spec_for(["x1", "x2"], constant=False))
 
+    def test_empty_model_error(self, toy_dataset):
+        with pytest.raises(EstimationError, match="empty model"):
+            build_design(toy_dataset, spec_for([], constant=False))
+
     def test_too_few_observations_error(self):
         ds = make_dataset(y=(2000, [1.0, 2.0]), x=(2000, [1.0, 4.0]))
         with pytest.raises(EstimationError, match="exceed"):
