@@ -3,10 +3,10 @@
 ``tsecon report`` runs a pipeline manifest into a report bundle.  Every other
 estimating subcommand builds a one-step manifest from its flags (two steps for
 ``irf`` and ``simulate``), runs it through the same op registry and prints the
-table its last step adds to a bundle; a bad flag value is a usage error naming
-the flag.  ``ingest`` runs no estimation and never loads numpy.  Exit codes:
-0 success (skipped optional steps are not errors), 2 manifest, usage or
-output error, 3 dataset error, 4 estimation/step error.
+table its last step adds to a bundle.  An omitted flag keeps the registry's (or
+the bundled step's) default; a bad one is a usage error naming it.  ``ingest``
+never loads numpy.  Exit codes: 0 success (skipped optional steps are not
+errors), 2 manifest, usage or output error, 3 dataset error, 4 step error.
 """
 from __future__ import annotations
 
@@ -112,10 +112,9 @@ def ingest(dataset):
 @main.command()
 @click.option("--dataset", default=None)
 @click.option("--series", required=True, help="Term expression, e.g. 'ln(Inflation)'.")
-@click.option("--det", "deterministic", default="constant",
-              type=click.Choice(["none", "constant", "trend"]),
+@click.option("--det", "deterministic", type=click.Choice(["none", "constant", "trend"]),
               help="'trend' means constant and trend.")
-@click.option("--lags", "lag_order", default=1, type=click.IntRange(min=0))
+@click.option("--lags", "lag_order")
 @click.option("--window", default=None, help="YYYY:YYYY window applied before testing.")
 def adf(dataset, deterministic, **keys):
     """Augmented Dickey-Fuller unit-root test."""
@@ -127,7 +126,7 @@ def adf(dataset, deterministic, **keys):
 @click.option("--dataset", default=None)
 @click.option("--dependent", required=True)
 @click.option("--regressors", required=True, help="Comma-separated term expressions.")
-@click.option("--constant/--no-constant", default=True)
+@click.option("--constant/--no-constant", default=None)
 @click.option("--sample", default=None)
 def fit_ols(dataset, **keys):
     """Ordinary least squares with the full diagnostic block."""
@@ -140,7 +139,7 @@ def fit_ols(dataset, **keys):
 @click.option("--regressors", required=True)
 @click.option("--endogenous", required=True, help="Comma-separated regressor labels.")
 @click.option("--instruments", required=True, help="Comma-separated term expressions.")
-@click.option("--constant/--no-constant", default=True)
+@click.option("--constant/--no-constant", default=None)
 @click.option("--sample", default=None)
 def fit_tsls(dataset, **keys):
     """Two-stage least squares with an explicit instrument list."""
@@ -152,7 +151,7 @@ def fit_tsls(dataset, **keys):
 @click.option("--dependent", required=True)
 @click.option("--regressors", required=True)
 @click.option("--ar-lags", required=True, help="Space- or comma-separated lag list, e.g. '1 2'.")
-@click.option("--constant/--no-constant", default=True)
+@click.option("--constant/--no-constant", default=None)
 @click.option("--sample", default=None)
 def fit_ar(dataset, **keys):
     """Iterative AR estimation (generalized quasi-differencing)."""
@@ -165,7 +164,7 @@ def fit_ar(dataset, **keys):
 @click.option("--regressors", required=True)
 @click.option("--constant/--no-constant", default=False)
 @click.option("--sample", default=None)
-@click.option("--residual-lag", default=1, type=click.IntRange(min=0))
+@click.option("--residual-lag")
 def coint(dataset, **keys):
     """Engle-Granger two-step cointegration (inputs asserted I(1))."""
     _print_run(dataset, _step("coint", "coint", assume_i1="all", **keys))
@@ -175,7 +174,7 @@ def coint(dataset, **keys):
 @click.option("--dataset", default=None)
 @click.option("--x", required=True, help="Candidate cause (term expression).")
 @click.option("--y", required=True, help="Candidate effect (term expression).")
-@click.option("--lags", default=4, type=click.IntRange(min=1))
+@click.option("--lags")
 @click.option("--sample", default=None)
 def granger(dataset, **keys):
     """Granger causality F tests, both directions."""
@@ -184,7 +183,7 @@ def granger(dataset, **keys):
 
 @main.command()
 @click.option("--dataset", default=None)
-@click.option("--break", "break_years", required=True, type=int)
+@click.option("--break", "break_years", required=True)
 @click.option("--dependent", default=None, help="Default: the bundled chow_breaks model's.")
 @click.option("--regressors", default=None, help="Default: the bundled chow_breaks model's.")
 @click.option("--constant/--no-constant", default=None,
@@ -198,7 +197,7 @@ def chow(dataset, **keys):
 @main.command()
 @click.option("--dataset", default=None)
 @click.option("--variables", required=True, help="Ordered comma-separated terms (Cholesky order).")
-@click.option("--lags", default=4, type=click.IntRange(min=1))
+@click.option("--lags")
 @click.option("--sample", default=None)
 def var(dataset, **keys):
     """Estimate a VAR(p) and print per-equation coefficients."""
@@ -208,9 +207,9 @@ def var(dataset, **keys):
 @main.command()
 @click.option("--dataset", default=None)
 @click.option("--variables", required=True)
-@click.option("--lags", default=4, type=click.IntRange(min=1))
+@click.option("--lags")
 @click.option("--sample", default=None)
-@click.option("--horizon", default=10, type=click.IntRange(min=0))
+@click.option("--horizon")
 @click.option("--shock", required=True, help="Shock variable label.")
 @click.option("--response", required=True, help="Responding variable label.")
 @click.option("--svg", "svg_path", default=None, help="Write the plot to this SVG file.")
@@ -228,14 +227,13 @@ def irf(dataset, horizon, shock, response, svg_path, **keys):
 @click.option("--dataset", default=None)
 @click.option("--kind", type=click.Choice(["unemployment", "exports"]), required=True)
 @click.option("--overrides", required=True, help="e.g. '2005:0.15 2006:0.10'.")
-@click.option("--window", default="2000:2010")
-@click.option("--eap", default=1_665_000.0, type=float)
-@click.option("--terminal-actual-usd", default=6_762_000_000.0, type=float)
+@click.option("--window", help="Default: the bundled scenario's.")
+@click.option("--eap", help="Default: the bundled unemployment scenario's.")
+@click.option("--terminal-actual-usd", help="Default: the bundled exports scenario's.")
 def simulate(dataset, kind, **keys):
     """Capital-growth scenario simulation using the bundled default models."""
-    fit = _default_step("model1_unemployment" if kind == "unemployment" else "model2_exports")
-    scenario = _default_step(f"scenario1_{kind}")
-    _print_run(dataset, fit, _step("simulate", scenario.op, scenario, **keys))
+    base = _default_step(f"scenario1_{kind}")  # run its fit step, then it with the flags' values
+    _print_run(dataset, _default_step(base.get("fit")), _step("simulate", base.op, base, **keys))
 
 
 @main.command()

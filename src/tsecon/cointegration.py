@@ -12,7 +12,7 @@ from typing import Mapping
 from ._record import record
 from .dataset import Dataset
 from .regress import EstimationError, FitResult, ModelSpec, ols_fit
-from .unitroot import AdfResult, df_residual_test
+from .unitroot import MACKINNON_MAX_VARS, AdfResult, df_residual_test
 
 __all__ = ["CointegrationResult", "engle_granger"]
 
@@ -37,7 +37,12 @@ def engle_granger(
     Passing ``None`` skips the upstream check (the cointegrated flag then
     reflects the residual test alone).
     """
-    all_i1 = True
+    n_vars = 1 + len(spec.regressors)
+    if n_vars > MACKINNON_MAX_VARS:
+        raise EstimationError(
+            f"the MacKinnon response surfaces cover at most {MACKINNON_MAX_VARS} variables; "
+            f"the long-run relation has {n_vars}"
+        )
     if integration_orders is not None:
         labels = [spec.dependent.rendered_label()] + [
             t.rendered_label() for t in spec.regressors
@@ -51,9 +56,8 @@ def engle_granger(
                     "regression requires I(1) inputs"
                 )
     long_run = ols_fit(dataset, spec)
-    n_vars = 1 + len(spec.regressors)
     surface = "constant" if spec.include_constant else "none"
     residual_test = df_residual_test(
         long_run.residuals, residual_lag, n_vars=n_vars, surface=surface
     )
-    return CointegrationResult(long_run, residual_test, residual_test.reject_5pct and all_i1)
+    return CointegrationResult(long_run, residual_test, residual_test.reject_5pct)

@@ -160,11 +160,6 @@ class Term:
         if self.lag < 0:
             raise TermError("lag order must be >= 1 when present")
 
-    @property
-    def shift(self) -> int:
-        """Years lost at the start of the sample: lags plus differences."""
-        return self.lag + (1 if self.transform in ("diff", "diff_ln") else 0)
-
     def rendered_label(self) -> str:
         if self.label:
             return self.label
@@ -211,8 +206,8 @@ def parse_term(text: str) -> Term:
 def apply_term(dataset: Dataset, term: Term) -> AnnualSeries:
     """Evaluate a term against the dataset.
 
-    The returned series starts ``term.shift`` years after the base series and
-    is shorter by the same amount.  ``ln`` requires strictly positive values.
+    The result is re-dated ``term.lag`` years forward, and a difference also
+    drops the first year.  ``ln`` requires strictly positive values.
     """
     base = dataset.get(term.base)
     values = base.values

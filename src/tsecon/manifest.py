@@ -9,6 +9,7 @@ documentation of it.
 """
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
@@ -55,15 +56,19 @@ def parse_window(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _integer(minimum: int | None):
-    """The parser of an integer >= ``minimum`` (of any integer for ``None``) and what it expects."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if minimum is not None and value < minimum:
+def _number(kind, minimum: int | None = None):
+    """The parser of a finite ``kind`` (int or float) >= ``minimum``, and what it expects.
+
+    ``None`` sets no minimum; NaN and the infinities are always rejected.
+    """
+    def parse(text: str):
+        value = kind(text)
+        if not abs(value) < math.inf or (minimum is not None and value < minimum):
             raise ValueError(text)
         return value
 
-    return parse, "an integer" + ("" if minimum is None else f" >= {minimum}")
+    expected = "an integer" if kind is int else "a finite number"
+    return parse, expected + ("" if minimum is None else f" >= {minimum}")
 
 
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -110,15 +115,15 @@ class Step:
         return text if text is None or parse is None else self.parse(key, text, parse, expected)
 
     def integer(self, key: str, default=_REQUIRED, minimum: int | None = None) -> int:
-        return self.value(key, *_integer(minimum), default)
+        return self.value(key, *_number(int, minimum), default)
 
     def integers(self, key: str, minimum: int | None = None) -> tuple[int, ...]:
         """A space- or comma-separated list; a bad item is named on its own."""
         items = self.require(key).replace(",", " ").split()
-        return tuple(self.parse(key, item, *_integer(minimum)) for item in items)
+        return tuple(self.parse(key, item, *_number(int, minimum)) for item in items)
 
     def number(self, key: str, default=_REQUIRED) -> float:
-        return self.value(key, float, "a number", default)
+        return self.value(key, *_number(float), default)
 
     def boolean(self, key: str, default: str) -> bool:
         return self.value(key, lambda t: _BOOLEANS[t.lower()], "true or false", default)

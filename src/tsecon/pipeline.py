@@ -14,12 +14,12 @@ they run, so a tracer that patches those names sees every engine call.
 """
 from __future__ import annotations
 
-import re
+import math
 
 from .cointegration import engle_granger
-from .dataset import Dataset, DatasetError, Term, apply_term, load_dataset, parse_term
+from .dataset import Dataset, DatasetError, Term, _slug, apply_term, load_dataset, parse_term
 from .dynamics import ArSpec, chow_test, cochrane_orcutt_fit, compare_models, granger_causality
-from .manifest import ManifestError, PipelineManifest, Step, StepError, parse_window
+from .manifest import ManifestError, PipelineManifest, Step, StepError
 from .regress import ModelSpec, ols_fit
 from .report import ReportBundle, _csv, render_irf_plot, render_table
 from .scenario import CapitalScenario, simulate_exports, simulate_unemployment
@@ -76,21 +76,12 @@ class _Values:
         raise ManifestError(f"{key} = {name} {reason}", self.step.name, key, name)
 
 
-def windowed_series(dataset: Dataset, term: Term | str, window: tuple[int, int] | str | None):
-    """Evaluate a term with the window applied to the base series first.
+def windowed_series(dataset: Dataset, term: Term, window: tuple[int, int] | None):
+    """Evaluate a term with the ``(first, last)`` window applied to the base series first.
 
-    ``term`` is a parsed ``Term`` or its text, ``window`` a ``(first, last)``
-    pair or its ``YYYY:YYYY`` text.  Windowing before transforming matches
-    subsample-then-transform tool behaviour: a difference over a 1975-2010
-    window starts in 1976.
+    Windowing before transforming matches subsample-then-transform tool
+    behaviour: a difference over a 1975-2010 window starts in 1976.
     """
-    if isinstance(term, str):
-        term = parse_term(term)
-    if isinstance(window, str):
-        try:
-            window = parse_window(window)
-        except ValueError:
-            raise ManifestError(f"bad window {window!r}; expected YYYY:YYYY") from None
     if window is None:
         return apply_term(dataset, term)
     base = dataset.get(term.base).window(*window)
@@ -194,14 +185,20 @@ def _irf(v: _Values):
 
 
 def _overrides(text: str) -> dict[int, float]:
-    pairs = (chunk.split(":") for chunk in text.split())
-    return {int(year): float(rate) for year, rate in pairs}
+    overrides: dict[int, float] = {}
+    for year, rate in (chunk.split(":") for chunk in text.split()):
+        year, rate = int(year), float(rate)
+        if year in overrides or not -1.0 < rate < math.inf:  # NaN fails too
+            raise ValueError(text)
+        overrides[year] = rate
+    return overrides
 
 
 def _simulate(v: _Values):
     step, kind = v.step, v.step.op.partition("_")[2]  # kind is also the key naming the series
     fit, series = v.ref("fit", "ols", "tsls").name, step.value(kind)
-    scenario = CapitalScenario(step.name, step.value("overrides", _overrides, "YYYY:rate pairs"))
+    scenario = CapitalScenario(step.name, step.value("overrides", _overrides, (
+        "YYYY:rate pairs, each year once and each rate a finite number > -1")))
     window, capital = step.window("window"), v.term("capital")
     amount = step.number("eap" if kind == "unemployment" else "terminal_actual_usd")
     label = step.value("capital_label", default="d_Ln(K)")
@@ -249,16 +246,33 @@ def _missing_series(step: Step, dataset: Dataset, optional: tuple[str, ...]) -> 
     return None
 
 
+class _Read(dict):
+    """A step's options that remember which keys a parse looked up."""
+
+    def __init__(self, options: dict[str, list[str]]):
+        super().__init__(options)
+        self.read: set[str] = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
 def _parse_steps(steps, dataset: Dataset, optional: tuple[str, ...]) -> list[_Values]:
-    """Parse every step, in order; the first bad value raises ``ManifestError``."""
+    """Parse every step, in order; the first bad value or unknown key raises ``ManifestError``."""
     terms: dict[str, Term] = {}
     earlier: dict[str, tuple[Step, str | None]] = {}
     plan = []
     for step in steps:
         if step.op not in OPS:
             raise ManifestError(f"unknown op {step.op!r}", step.name, "op", step.op)
+        step = Step(step.name, step.op, _Read(step.options))
         values = _Values(step, _missing_series(step, dataset, optional), terms, earlier)
         values.run = OPS[step.op][0](values)
+        unknown = [key for key in step.options if key not in step.options.read]
+        if unknown:
+            raise ManifestError(f"unknown key {unknown[0]!r} for op {step.op!r}", step.name,
+                                unknown[0])
         earlier[step.name] = step, values.missing
         plan.append(values)
     return plan
@@ -277,11 +291,11 @@ def run_steps(steps, dataset: Dataset, bundle: ReportBundle,
         try:
             out = results[name] = v.run(dataset, results)
             for key, result in out.items() if isinstance(out, dict) else [(None, out)]:
-                bundle.add_table(name if key is None else f"{name}_{key}",
-                                 render_table(result, OPS[op][1].format(name=name, key=key)))
+                bundle.tables[name if key is None else f"{name}_{key}"] = render_table(
+                    result, OPS[op][1].format(name=name, key=key))
             for shock, response in v.plots:
-                bundle.add_plot(f"{name}_{_slug(shock)}_to_{_slug(response)}",
-                                render_irf_plot(out, shock, response))
+                bundle.plots[f"{name}_{_slug(shock)}_to_{_slug(response)}"] = render_irf_plot(
+                    out, shock, response)
         except (ManifestError, DatasetError):
             raise
         except Exception as exc:
@@ -297,9 +311,5 @@ def run_pipeline(manifest: PipelineManifest, dataset: Dataset | None = None) -> 
     bundle = ReportBundle(manifest_echo=manifest.source_text, dataset_checksum=dataset.checksum)
     rows = run_steps(manifest.steps, dataset, bundle, manifest.optional_series)
     text = "Pipeline summary\n\n" + "\n".join(f"{r[0]:32s} {r[1]:22s} {r[2]}" for r in rows) + "\n"
-    bundle.add_table("pipeline_summary", (text, _csv([["step", "op", "status"], *rows])))
+    bundle.tables["pipeline_summary"] = text, _csv([["step", "op", "status"], *rows])
     return bundle
-
-
-def _slug(text: str) -> str:
-    return re.sub(r"[^A-Za-z0-9]+", "_", text).strip("_").lower()

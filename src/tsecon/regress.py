@@ -18,7 +18,6 @@ from .dataset import AnnualSeries, Dataset, Term, align
 
 __all__ = [
     "Coefficient",
-    "Dummy",
     "EstimationError",
     "FitResult",
     "ModelSpec",
@@ -37,14 +36,6 @@ class EstimationError(Exception):
 
 
 @record
-class Dummy:
-    """An indicator regressor equal to 1 in the listed years."""
-
-    name: str
-    years: tuple[int, ...]
-
-
-@record
 class ModelSpec:
     """Declarative regression description evaluated against a dataset."""
 
@@ -52,7 +43,6 @@ class ModelSpec:
     regressors: tuple[Term, ...]
     include_constant: bool = True
     sample: tuple[int, int] | None = None
-    dummies: tuple[Dummy, ...] = ()
 
 
 @record
@@ -101,10 +91,6 @@ class FitResult:
     def estimates(self) -> np.ndarray:
         return np.array([c.estimate for c in self.coefficients])
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(c.label for c in self.coefficients)
-
 
 def build_design(dataset: Dataset, spec: ModelSpec):
     """Evaluate the spec's terms into (y, X, labels, years).
@@ -124,11 +110,8 @@ def build_design(dataset: Dataset, spec: ModelSpec):
     for col, t in zip(columns[1:], spec.regressors):
         cols.append(np.array(col))
         labels.append(t.rendered_label())
-    for d in spec.dummies:
-        cols.append(np.array([1.0 if ty in d.years else 0.0 for ty in window]))
-        labels.append(d.name)
     if not cols:
-        raise EstimationError("empty model: no regressors, no constant and no dummies")
+        raise EstimationError("empty model: no regressors and no constant")
     if len(set(labels)) != len(labels):
         raise EstimationError("regressor labels must be unique")
     X = np.column_stack(cols)

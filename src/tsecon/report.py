@@ -269,7 +269,7 @@ _W, _H = 800, 500
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 
-def render_irf_plot(irf: IrfResult, shock: str, response: str, title: str = "") -> str:
+def render_irf_plot(irf: IrfResult, shock: str, response: str) -> str:
     """A single impulse-response path as a self-contained SVG document."""
     if irf.horizon < 1:
         raise ValueError("plotting requires horizon >= 1")
@@ -288,7 +288,6 @@ def render_irf_plot(irf: IrfResult, shock: str, response: str, title: str = "") 
         return _MT + (_H - _MT - _MB) * (vmax - v) / (vmax - vmin)
 
     pts = " ".join(f"{sx(i):.4f},{sy(v):.4f}" for i, v in enumerate(values))
-    label = title or f"Response of {response} to a one-s.d. shock in {shock}"
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
@@ -299,7 +298,7 @@ def render_irf_plot(irf: IrfResult, shock: str, response: str, title: str = "") 
         'stroke="#444" stroke-width="1"/>',
         f'<polyline points="{pts}" fill="none" stroke="#1f77b4" stroke-width="2"/>',
         f'<text x="{_W / 2:.1f}" y="24" font-family="sans-serif" font-size="16" '
-        f'text-anchor="middle">{label}</text>',
+        f'text-anchor="middle">Response of {response} to a one-s.d. shock in {shock}</text>',
         f'<text x="{_W / 2:.1f}" y="{_H - 14}" font-family="sans-serif" font-size="12" '
         f'text-anchor="middle">steps (years)</text>',
     ]
@@ -321,19 +320,11 @@ def render_irf_plot(irf: IrfResult, shock: str, response: str, title: str = "") 
 class ReportBundle:
     """Named tables and plots plus the configuration that produced them."""
 
-    def __init__(self, tables: dict[str, tuple[str, str]] | None = None,
-                 plots: dict[str, str] | None = None, manifest_echo: str = "",
-                 dataset_checksum: str = ""):
-        self.tables = {} if tables is None else tables
-        self.plots = {} if plots is None else plots
+    def __init__(self, manifest_echo: str = "", dataset_checksum: str = ""):
+        self.tables: dict[str, tuple[str, str]] = {}
+        self.plots: dict[str, str] = {}
         self.manifest_echo = manifest_echo
         self.dataset_checksum = dataset_checksum
-
-    def add_table(self, name: str, rendered: tuple[str, str]) -> None:
-        self.tables[name] = rendered
-
-    def add_plot(self, name: str, svg: str) -> None:
-        self.plots[name] = svg
 
     def write(self, outdir: str | Path) -> None:
         # str paths, not Path objects: pathlib interns every path part, which

@@ -36,10 +36,6 @@ class CapitalScenario:
         applicable = [y for y in self.overrides if y <= year]
         return self.overrides[max(applicable)] if applicable else None
 
-    @property
-    def first_year(self) -> int | None:
-        return min(self.overrides) if self.overrides else None
-
 
 @record
 class ScenarioResult:
@@ -56,14 +52,37 @@ def _coeff(fit: FitResult, label: str) -> float:
         raise EstimationError(f"fit is missing the required coefficient {label!r}") from None
 
 
-def _deviation_path(
-    beta_k: float,
-    ar_coeffs: tuple[float, float],
+def _simulate(
+    fit: FitResult,
     scenario: CapitalScenario,
-    years: range,
-    actual_growth: AnnualSeries,
+    window: tuple[int, int],
+    actual: AnnualSeries,
+    capital_growth: AnnualSeries,
+    capital_label: str,
     as_log_growth: bool,
-) -> dict[int, float]:
+) -> tuple[range, tuple[float, ...], list[float]]:
+    """The window's years, the actual (baseline) path and the deviation in each year.
+
+    ``fit`` must carry coefficients for the constant, the capital-growth
+    regressor (``capital_label``), and the first two lags of the dependent
+    variable; previously simulated deviations feed those lags.
+    """
+    _coeff(fit, "const")
+    beta_k = _coeff(fit, capital_label)
+    ar1, ar2 = (_coeff(fit, f"{fit.dep_label}(-{lag})") for lag in (1, 2))
+    lo, hi = window
+    if lo > hi:
+        raise EstimationError("empty simulation window")
+    outside = [y for y in scenario.overrides if not lo <= y <= hi]
+    if outside:
+        raise EstimationError(f"override years {outside} lie outside the window {lo}-{hi}")
+    for s in (actual, capital_growth):
+        if lo < s.start_year or hi > s.end_year:
+            raise EstimationError(
+                f"window {lo}-{hi} outside the data range of {s.name!r} "
+                f"({s.start_year}-{s.end_year})"
+            )
+    years = range(lo, hi + 1)
     dev: dict[int, float] = {}
     for y in years:
         rate = scenario.rate_for(y)
@@ -71,31 +90,9 @@ def _deviation_path(
             dev[y] = 0.0
             continue
         g_scen = math.log1p(rate) if as_log_growth else rate
-        g_act = actual_growth.value_in(y)
-        dev[y] = (
-            beta_k * (g_scen - g_act)
-            + ar_coeffs[0] * dev.get(y - 1, 0.0)
-            + ar_coeffs[1] * dev.get(y - 2, 0.0)
-        )
-    return dev
-
-
-def _check_window(
-    window: tuple[int, int], scenario: CapitalScenario, *series: AnnualSeries
-) -> range:
-    lo, hi = window
-    if lo > hi:
-        raise EstimationError("empty simulation window")
-    outside = [y for y in scenario.overrides if not lo <= y <= hi]
-    if outside:
-        raise EstimationError(f"override years {outside} lie outside the window {lo}-{hi}")
-    for s in series:
-        if lo < s.start_year or hi > s.end_year:
-            raise EstimationError(
-                f"window {lo}-{hi} outside the data range of {s.name!r} "
-                f"({s.start_year}-{s.end_year})"
-            )
-    return range(lo, hi + 1)
+        g_act = capital_growth.value_in(y)
+        dev[y] = beta_k * (g_scen - g_act) + ar1 * dev.get(y - 1, 0.0) + ar2 * dev.get(y - 2, 0.0)
+    return years, tuple(actual.value_in(y) for y in years), [dev[y] for y in years]
 
 
 def simulate_unemployment(
@@ -110,18 +107,12 @@ def simulate_unemployment(
 ) -> ScenarioResult:
     """Counterfactual unemployment path under a capital-growth schedule.
 
-    ``fit`` must carry coefficients for the constant, the capital-growth
-    regressor (``capital_label``), and the first two lags of the dependent
-    variable.  Jobs created = (terminal actual - terminal simulated)/100 x eap.
+    Jobs created = (terminal actual - terminal simulated)/100 x eap.
     """
-    _coeff(fit, "const")
-    beta_k = _coeff(fit, capital_label)
-    dep = fit.dep_label
-    ar = (_coeff(fit, f"{dep}(-1)"), _coeff(fit, f"{dep}(-2)"))
-    years = _check_window(window, scenario, unemployment, capital_growth)
-    dev = _deviation_path(beta_k, ar, scenario, years, capital_growth, as_log_growth)
-    base = tuple(unemployment.value_in(y) for y in years)
-    cf = tuple(b + dev[y] for b, y in zip(base, years))
+    years, base, dev = _simulate(
+        fit, scenario, window, unemployment, capital_growth, capital_label, as_log_growth
+    )
+    cf = tuple(b + d for b, d in zip(base, dev))
     terminal = cf[-1] - base[-1]
     jobs = (base[-1] - cf[-1]) / 100.0 * eap
     return ScenarioResult(
@@ -148,14 +139,10 @@ def simulate_exports(
     the terminal percentage delta converts to dollars against
     ``terminal_actual_usd``.
     """
-    _coeff(fit, "const")
-    beta_k = _coeff(fit, capital_label)
-    dep = fit.dep_label
-    ar = (_coeff(fit, f"{dep}(-1)"), _coeff(fit, f"{dep}(-2)"))
-    years = _check_window(window, scenario, exports, capital_growth)
-    dev = _deviation_path(beta_k, ar, scenario, years, capital_growth, as_log_growth)
-    base = tuple(exports.value_in(y) for y in years)
-    cf = tuple(b * math.exp(dev[y]) for b, y in zip(base, years))
+    years, base, dev = _simulate(
+        fit, scenario, window, exports, capital_growth, capital_label, as_log_growth
+    )
+    cf = tuple(b * math.exp(d) for b, d in zip(base, dev))
     pct = cf[-1] / base[-1] - 1.0
     return ScenarioResult(
         AnnualSeries("exports baseline", years[0], base, exports.unit),

@@ -14,7 +14,7 @@ import numpy as np
 from ._record import record
 from .dataset import Dataset, DatasetError, Term, apply_term
 from .regress import (
-    EstimationError, FitResult, ModelSpec, build_design, diagnostics, least_squares,
+    EstimationError, FitResult, ModelSpec, build_design, diagnostics, least_squares, ols_fit,
 )
 
 __all__ = ["TslsSpec", "tsls_fit"]
@@ -38,8 +38,6 @@ class TslsSpec:
 
 def tsls_fit(dataset: Dataset, spec: TslsSpec) -> FitResult:
     """Two-stage least squares over the model's realized sample."""
-    from .regress import ols_fit
-
     if not spec.endogenous:
         return ols_fit(dataset, spec.model)
     y, X, labels, years = build_design(dataset, spec.model)

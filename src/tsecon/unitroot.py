@@ -20,6 +20,7 @@ from .regress import EstimationError, _column_norms, least_squares
 __all__ = ["AdfBattery", "AdfResult", "AdfSpec", "adf_test", "df_residual_test", "mackinnon_pvalue"]
 
 DETERMINISTICS = ("none", "constant", "constant_and_trend")
+MACKINNON_MAX_VARS = 6  # the response surfaces below cover 1..6 series
 
 # MacKinnon (1994, 2010 update) response-surface coefficients for the
 # asymptotic distribution of the tau statistic.  Rows are N = 1..6 series in
@@ -80,8 +81,8 @@ def mackinnon_pvalue(tau: float, deterministic: str, n_vars: int = 1) -> float:
     """Asymptotic p-value for a (residual) Dickey-Fuller tau statistic."""
     if deterministic not in DETERMINISTICS:
         raise ValueError(f"unknown deterministic case {deterministic!r}")
-    if not 1 <= n_vars <= 6:
-        raise ValueError("n_vars must be between 1 and 6")
+    if not 1 <= n_vars <= MACKINNON_MAX_VARS:
+        raise ValueError(f"n_vars must be between 1 and {MACKINNON_MAX_VARS}")
     i = n_vars - 1
     if tau <= _TAU_MIN[deterministic][i]:
         return 0.0

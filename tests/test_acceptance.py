@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import tsecon as t
-from tsecon.dataset import load_dataset
+from tsecon.dataset import load_dataset, parse_term
 from tsecon.manifest import default_manifest_text, parse_manifest
 from tsecon.pipeline import run_pipeline
 from tsecon.unitroot import AdfSpec, adf_test
@@ -184,7 +184,7 @@ class TestCriterion3:
     def test_battery_row(self, ds, term, det, tau, reject):
         from tsecon.pipeline import windowed_series
 
-        series = windowed_series(ds, term, "1975:2010")
+        series = windowed_series(ds, parse_term(term), (1975, 2010))
         res = adf_test(series, AdfSpec(det, 1))
         ok = line(3, f"ADF {term} tau", stat_ok(res.t_stat, tau), res.t_stat, tau)
         ok &= line(3, f"ADF {term} decision", res.reject_5pct == reject,

@@ -12,6 +12,23 @@ from tsecon.manifest import ManifestError, default_manifest_text, parse_manifest
 from tsecon.pipeline import run_pipeline
 
 
+GOLDEN_TABLES = Path(__file__).resolve().parent / "golden" / "default_bundle" / "tables"
+# a fit step for scenario steps that only need to parse
+SCENARIO_FIT = "[step m]\nop = ols\ndependent = Unemployment rate\nregressors = ln(GDP)\n"
+
+
+def default_step_flags(name: str) -> list[str]:
+    """The CLI flags that set the keys of the bundled manifest's step ``name``."""
+    step = next(s for s in parse_manifest(default_manifest_text()).steps if s.name == name)
+    argv = []
+    for key, (value,) in step.options.items():
+        if key == "constant":
+            argv.append("--constant" if value == "true" else "--no-constant")
+        else:
+            argv += [f"--{key.replace('_', '-')}", value]
+    return argv
+
+
 def tree_digest(root: Path) -> str:
     h = hashlib.sha256()
     for f in sorted(root.rglob("*")):
@@ -179,7 +196,8 @@ class TestCli:
         assert "Invalid value for '--ar-lags'" in r.output
         assert "invalid literal" not in r.output
 
-    @pytest.mark.parametrize("overrides", ["2005:0.15 2006", "2005:x", "y2005:0.1"])
+    @pytest.mark.parametrize("overrides", ["2005:0.15 2006", "2005:x", "y2005:0.1", "2005:-1",
+                                           "2005:nan", "2005:inf", "2005:0.15 2005:0.9"])
     def test_bad_overrides_is_usage_error_naming_the_flag(self, overrides):
         r = CliRunner().invoke(
             main, ["simulate", "--kind", "unemployment", "--overrides", overrides],
@@ -279,6 +297,18 @@ class TestCli:
         ("[step o]\nop = ols\ndependent = ln(GDP)\nregressors = ln(Exports)\nsample = 1970-2010\n",
          "sample", "'1970-2010'"),
         ("[step a]\nop = adf\nseries = ln(GDP)\nwindow = 2010:1975\n", "window", "'2010:1975'"),
+        ("[step r]\nop = ar\ndependent = ln(GDP)\nregressors = ln(Exports)\nar_lags = 1\n"
+         "tolerance = nan\n", "tolerance", "'nan'"),
+        (SCENARIO_FIT + "[step s]\nop = simulate_unemployment\nfit = m\noverrides = 2005:0.15\n"
+         "window = 2000:2010\neap = nan\nunemployment = Unemployment rate\n"
+         "capital = dln(Total investment)\n", "eap", "'nan'"),
+        (SCENARIO_FIT + "[step s]\nop = simulate_exports\nfit = m\noverrides = 2005:0.15\n"
+         "window = 2000:2010\nterminal_actual_usd = -inf\nexports = Exports\n"
+         "capital = dln(Total investment)\n", "terminal_actual_usd", "'-inf'"),
+        (SCENARIO_FIT + "[step s]\nop = simulate_exports\nfit = m\n"
+         "overrides = 2005:0.15 2005:0.9\nwindow = 2000:2010\nterminal_actual_usd = 1\n"
+         "exports = Exports\ncapital = dln(Total investment)\n",
+         "overrides", "'2005:0.15 2005:0.9'"),
     ])
     def test_bad_step_value_is_manifest_error_naming_the_key(self, tmp_path, step, key, value):
         manifest = tmp_path / "m.ini"
@@ -347,6 +377,16 @@ class TestCli:
           "--response", "nope"], "--response"),
         (["simulate", "--kind", "exports", "--overrides", "2005:0.1", "--window", "2010:2000"],
          "--window"),
+        (["simulate", "--kind", "exports", "--overrides", "2005:nan"], "--overrides"),
+        (["simulate", "--kind", "unemployment", "--overrides", "2005:0.1", "--eap", "nan"],
+         "--eap"),
+        (["simulate", "--kind", "exports", "--overrides", "2005:0.1",
+          "--terminal-actual-usd", "inf"], "--terminal-actual-usd"),
+        # the exports scenario has no eap, and an unknown key is not ignored
+        (["simulate", "--kind", "exports", "--overrides", "2005:0.1", "--eap", "1"], "--eap"),
+        (["irf", "--variables", "dln(GDP), dln(Exports)", "--shock", "d_Ln(GDP)",
+          "--response", "d_Ln(Exports)", "--horizon", "0"], "--horizon"),
+        (["chow", "--break", "1998 199x"], "--break"),
     ])
     def test_bad_flag_value_is_usage_error_naming_the_flag(self, argv, flag):
         r = CliRunner().invoke(main, argv)
@@ -359,3 +399,65 @@ class TestCli:
         assert r.exit_code == 4, r.output
         assert "empty model" in r.output
         assert "concatenate" not in r.output
+
+    def test_unknown_step_key_is_manifest_error_naming_it(self, tmp_path):
+        manifest = tmp_path / "m.ini"
+        manifest.write_text("[pipeline]\nseed = 20181001\n"
+                            "[step g]\nop = granger\nx = dln(GDP)\ny = dln(Exports)\nlag = 2\n")
+        r = CliRunner().invoke(main, ["report", "--manifest", str(manifest),
+                                      "--output", str(tmp_path / "out")])
+        assert r.exit_code == 2, r.output
+        assert "manifest error: step 'g': unknown key 'lag'" in r.output
+        assert not (tmp_path / "out").exists()
+
+    def test_coint_beyond_the_response_surfaces_is_estimation_error(self):
+        r = CliRunner().invoke(main, [
+            "coint", "--dependent", "ln(Industrial Investment)", "--regressors",
+            "ln(GDP),ln(Credit),ln(Exports),ln(CPI),ln(Public investment),ln(Total investment)"])
+        assert r.exit_code == 4, r.output
+        assert "cover at most 6 variables; the long-run relation has 7" in r.output
+
+    def test_coint_subcommand(self):
+        r = CliRunner().invoke(main, [
+            "coint", "--dependent", "ln(Industrial Investment)",
+            "--regressors", "ln(Public investment), ln(GDP model base), ln(Credit)",
+            "--sample", "1975:2010"])
+        assert r.exit_code == 0, r.output
+        assert "Cointegrated at 5%:" in r.output
+
+    def test_fit_tsls_prints_the_bundled_equation(self):
+        r = CliRunner().invoke(main, ["fit-tsls", *default_step_flags("model1_unemployment")])
+        assert r.exit_code == 0, r.output
+        golden = (GOLDEN_TABLES / "model1_unemployment.txt").read_text("utf-8")
+        # all but the title line, which names the step
+        assert r.output.split("\n", 1)[1] == golden.split("\n", 1)[1] + "\n"
+
+    def test_var_prints_the_bundled_table(self):
+        r = CliRunner().invoke(main, ["var", *default_step_flags("var_main")])
+        assert r.exit_code == 0, r.output
+        assert r.output == (GOLDEN_TABLES / "var_main.txt").read_text("utf-8") + "\n"
+
+    @pytest.mark.parametrize("argv, old_defaults", [
+        (["adf", "--series", "ln(Inflation)"], ["--det", "constant", "--lags", "1"]),
+        (["granger", "--x", "dln(GDP)", "--y", "dln(Industrial Investment)"], ["--lags", "4"]),
+        (["var", "--variables", "dln(GDP), dln(Exports)"], ["--lags", "4"]),
+        (["irf", "--variables", "dln(GDP), dln(Exports)", "--shock", "d_Ln(GDP)",
+          "--response", "d_Ln(Exports)"], ["--lags", "4", "--horizon", "10"]),
+        (["coint", "--dependent", "ln(GDP)", "--regressors", "ln(Exports)"],
+         ["--residual-lag", "1"]),
+        (["fit-ols", "--dependent", "ln(GDP)", "--regressors", "ln(Exports)"], ["--constant"]),
+        (["fit-tsls", "--dependent", "ln(Exports)", "--regressors", "dln(GDP), ln(Exports)@1",
+          "--endogenous", "d_Ln(GDP)", "--instruments", "dln(GDP)@1"], ["--constant"]),
+        (["fit-ar", "--dependent", "ln(Industrial Investment)", "--regressors", "ln(GDP)",
+          "--ar-lags", "1"], ["--constant"]),
+        (["simulate", "--kind", "unemployment", "--overrides", "2005:0.15"],
+         ["--window", "2000:2010", "--eap", "1665000.0"]),
+        (["simulate", "--kind", "exports", "--overrides", "2005:0.15"],
+         ["--window", "2000:2010", "--terminal-actual-usd", "6762000000.0"]),
+    ], ids=["adf", "granger", "var", "irf", "coint", "fit-ols", "fit-tsls", "fit-ar",
+            "simulate-unemployment", "simulate-exports"])
+    def test_a_flag_left_out_takes_its_former_default(self, argv, old_defaults):
+        without = CliRunner().invoke(main, argv)
+        explicit = CliRunner().invoke(main, argv + old_defaults)
+        assert without.exit_code == 0, without.output
+        assert without.output == explicit.output

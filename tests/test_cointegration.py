@@ -86,3 +86,12 @@ class TestEngleGranger:
         ds = cointegrated_pair(2)
         res = engle_granger(ds, SPEC, 1, I1_FLAGS)
         assert res.residual_test.n_vars == 2
+
+
+def test_more_variables_than_the_response_surfaces_is_estimation_error():
+    names = [f"x{i}" for i in range(7)]
+    rng = np.random.default_rng(5)
+    ds = make_dataset(**{n: (1970, np.cumsum(rng.normal(size=40))) for n in names})
+    spec = ModelSpec(Term(names[0]), tuple(Term(n) for n in names[1:]), include_constant=False)
+    with pytest.raises(EstimationError, match="cover at most 6 variables; the long-run relation has 7"):
+        engle_granger(ds, spec, 1)

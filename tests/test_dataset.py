@@ -98,14 +98,6 @@ class TestTerms:
         assert out.start_year == 2002
         assert out.value_in(2002) == 1.0
 
-    def test_shift_accounting(self):
-        ds = one_series_dataset("s", 2000, [1, 2, 3, 4])
-        t = Term("s", "diff_ln", lag=1)
-        out = apply_term(ds, t)
-        assert t.shift == 2
-        assert out.start_year == 2002
-        assert len(out) == 3
-
     def test_ln_nonpositive_error(self):
         ds = one_series_dataset("s", 2000, [1.0, -1.0])
         with pytest.raises(TermError, match="non-positive"):

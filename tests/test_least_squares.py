@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsecon.dataset import AnnualSeries, Term
+from tsecon.dataset import AnnualSeries, Term, parse_term
 from tsecon.dynamics import ArSpec, chow_test, cochrane_orcutt_fit, granger_causality
 from tsecon.pipeline import windowed_series
 from tsecon.regress import EstimationError, ModelSpec, least_squares, ols_fit
@@ -53,7 +53,7 @@ def exact_adf_tau(values, lags):
 
 def test_adf_tau_of_gdp_levels_matches_exact_arithmetic(dataset):
     # ln(GDP) sits near 26: the lagged-level column dwarfs the constant
-    series = windowed_series(dataset, "ln(GDP)", "1975:2010")
+    series = windowed_series(dataset, parse_term("ln(GDP)"), (1975, 2010))
     want = exact_adf_tau(series.values, 1)
     got = adf_test(series, AdfSpec("constant_and_trend", 1)).t_stat
     assert abs(got - want) <= 1e-13 * abs(want)

@@ -134,36 +134,3 @@ class TestDiagnostics:
         assert fit.r_squared == pytest.approx(expect, rel=1e-12)
         assert fit.r_squared > 0.99
 
-
-class TestDummies:
-    def test_indicator_regressor(self):
-        from tsecon.regress import Dummy
-
-        rng = np.random.default_rng(23)
-        n = 30
-        x = rng.normal(size=n)
-        bump = np.zeros(n)
-        bump[6] = bump[7] = 1.0  # 2006-2007 regime years
-        y = 1.0 + 2.0 * x + 5.0 * bump + rng.normal(0, 0.1, n)
-        ds = make_dataset(y=(2000, y), x=(2000, x))
-        spec = ModelSpec(
-            dependent=Term("y"),
-            regressors=(Term("x"),),
-            include_constant=True,
-            dummies=(Dummy("D06", (2006, 2007)),),
-        )
-        fit = ols_fit(ds, spec)
-        assert fit.coefficient("D06").estimate == pytest.approx(5.0, abs=0.2)
-        assert fit.coefficient("x").estimate == pytest.approx(2.0, abs=0.2)
-
-    def test_dummy_outside_sample_is_zero_column(self):
-        ds = make_dataset(y=(2000, np.arange(8.0)), x=(2000, np.arange(8.0) ** 2))
-        from tsecon.regress import Dummy
-
-        spec = ModelSpec(
-            dependent=Term("y"), regressors=(Term("x"),),
-            dummies=(Dummy("D99", (1999,)),),
-        )
-        with pytest.raises(EstimationError, match="rank deficient"):
-            ols_fit(ds, spec)  # all-zero indicator cannot be identified
-
