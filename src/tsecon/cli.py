@@ -233,7 +233,8 @@ def irf(dataset, horizon, shock, response, svg_path, **keys):
 def simulate(dataset, kind, **keys):
     """Capital-growth scenario simulation using the bundled default models."""
     base = _default_step(f"scenario1_{kind}")  # run its fit step, then it with the flags' values
-    _print_run(dataset, _default_step(base.get("fit")), _step("simulate", base.op, base, **keys))
+    fit = _default_step(base.options["fit"][0])
+    _print_run(dataset, fit, _step("simulate", base.op, base, **keys))
 
 
 @main.command()

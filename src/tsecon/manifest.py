@@ -9,12 +9,10 @@ documentation of it.
 """
 from __future__ import annotations
 
-import math
 import re
 from pathlib import Path
 
 from ._record import record
-from .dataset import TermError
 
 __all__ = [
     "ManifestError", "PipelineManifest", "Step", "StepError", "default_manifest_text",
@@ -25,14 +23,15 @@ __all__ = [
 class ManifestError(Exception):
     """Raised for manifest syntax, reference or step-value errors.
 
-    An error in a step's value names the step, the key and the value; its
-    ``reason`` leaves out the step, so a caller that set the key from a
-    command-line flag can report it under the flag's name instead.
+    An error in a step's value names the step, the key and the value.  Its
+    message is the step, ``lead`` (the words naming the key) and ``reason``, so
+    a caller that set the key from a command-line flag can report ``reason``
+    under the flag's name.
     """
 
     def __init__(self, reason: str, step: str | None = None, key: str | None = None,
-                 value: str | None = None):
-        super().__init__(reason if step is None else f"step {step!r}: {reason}")
+                 value: str | None = None, lead: str = ""):
+        super().__init__(reason if step is None else f"step {step!r}: {lead}{reason}")
         self.reason, self.step, self.key, self.value = reason, step, key, value
 
 
@@ -45,95 +44,13 @@ class StepError(Exception):
         self.cause = cause
 
 
-_REQUIRED = object()
-
-
-def parse_window(text: str) -> tuple[int, int]:
-    """``YYYY:YYYY`` as a ``(first, last)`` year pair; ``ValueError`` unless first <= last."""
-    lo, hi = (int(year) for year in text.split(":"))
-    if lo > hi:
-        raise ValueError(text)
-    return lo, hi
-
-
-def _number(kind, minimum: int | None = None):
-    """The parser of a finite ``kind`` (int or float) >= ``minimum``, and what it expects.
-
-    ``None`` sets no minimum; NaN and the infinities are always rejected.
-    """
-    def parse(text: str):
-        value = kind(text)
-        if not abs(value) < math.inf or (minimum is not None and value < minimum):
-            raise ValueError(text)
-        return value
-
-    expected = "an integer" if kind is int else "a finite number"
-    return parse, expected + ("" if minimum is None else f" >= {minimum}")
-
-
-_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-
 @record
 class Step:
-    """A ``[step <name>]`` section.
-
-    ``get`` returns a value's text; ``value`` and the typed getters parse it
-    and raise ``ManifestError`` naming the step, the key and the value when it
-    is bad.  A missing key takes the getter's default text, or is an error when
-    there is none.
-    """
+    """A ``[step <name>]`` section: its op and each other key's values, in order."""
 
     name: str
     op: str
     options: dict[str, list[str]]
-
-    def get(self, key: str, default: str | None = None) -> str | None:
-        vals = self.options.get(key)
-        return vals[0] if vals else default
-
-    def get_all(self, key: str) -> list[str]:
-        return list(self.options.get(key, []))
-
-    def require(self, key: str) -> str:
-        v = self.get(key)
-        if v is None:
-            raise ManifestError(f"missing required key {key!r}", self.name, key)
-        return v
-
-    def parse(self, key: str, text: str, parse, expected: str):
-        """``parse(text)`` for a value of ``key``; a ``ValueError`` from it means a bad value."""
-        try:
-            return parse(text)
-        except (ValueError, LookupError, TermError):
-            raise ManifestError(f"bad {key} {text!r}; expected {expected}", self.name, key,
-                                text) from None
-
-    def value(self, key: str, parse=None, expected: str = "", default=_REQUIRED):
-        """``key``'s text through ``parse``; a missing key takes ``default``, parsed too."""
-        text = self.require(key) if default is _REQUIRED else self.get(key, default)
-        return text if text is None or parse is None else self.parse(key, text, parse, expected)
-
-    def integer(self, key: str, default=_REQUIRED, minimum: int | None = None) -> int:
-        return self.value(key, *_number(int, minimum), default)
-
-    def integers(self, key: str, minimum: int | None = None) -> tuple[int, ...]:
-        """A space- or comma-separated list; a bad item is named on its own."""
-        items = self.require(key).replace(",", " ").split()
-        return tuple(self.parse(key, item, *_number(int, minimum)) for item in items)
-
-    def number(self, key: str, default=_REQUIRED) -> float:
-        return self.value(key, *_number(float), default)
-
-    def boolean(self, key: str, default: str) -> bool:
-        return self.value(key, lambda t: _BOOLEANS[t.lower()], "true or false", default)
-
-    def choice(self, key: str, choices: tuple[str, ...], default=_REQUIRED) -> str:
-        return self.value(key, lambda t: choices[choices.index(t)],
-                          f"one of {', '.join(choices)}", default)
-
-    def window(self, key: str, default=_REQUIRED) -> tuple[int, int] | None:
-        return self.value(key, parse_window, "YYYY:YYYY, the first year <= the last", default)
 
 
 @record

@@ -1,13 +1,16 @@
 """Execute a pipeline manifest into a report bundle.
 
 ``OPS`` maps each op to its parse function and its table title.  A parse
-function reads every value of a step by its kind and returns the step's run
-function, which calls the engine on the parsed values.  ``run_steps`` parses
-every step before it runs any, so a bad value anywhere in a manifest is a
-``ManifestError`` naming the step, the key and the value.  Each result is kept
-by step name for later steps (model comparisons, impulse responses, scenario
-simulations) and rendered into the bundle.  Steps whose optional data is
-absent are recorded as skipped, never silently dropped, and do not fail the run.
+function reads every value of a step through one parse context, by its kind,
+and returns the step's run function, which calls the engine on the parsed
+values.  ``run_steps`` parses every step before it runs any, so a bad value
+anywhere in a manifest is a ``ManifestError`` naming the step, the key and the
+value.  Each result is kept by step name for later steps (model comparisons,
+impulse responses, scenario simulations) and rendered into the bundle.  A
+series a step reads that the dataset lacks is a ``ManifestError`` unless
+``[pipeline] optional`` lists it; then the step (for the unit-root battery, the
+row), and every step that references it, is recorded as skipped, never
+silently dropped.
 
 The run functions look the engine up through this module's global names when
 they run, so a tracer that patches those names sees every engine call.
@@ -17,7 +20,8 @@ from __future__ import annotations
 import math
 
 from .cointegration import engle_granger
-from .dataset import Dataset, DatasetError, Term, _slug, apply_term, load_dataset, parse_term
+from .dataset import (Dataset, DatasetError, Term, TermError, _slug, apply_term, load_dataset,
+                      parse_term)
 from .dynamics import ArSpec, chow_test, cochrane_orcutt_fit, compare_models, granger_causality
 from .manifest import ManifestError, PipelineManifest, Step, StepError
 from .regress import ModelSpec, ols_fit
@@ -30,28 +34,128 @@ from .var import impulse_response, var_fit, variance_decomposition
 __all__ = ["OPS", "StepError", "run_pipeline", "run_steps", "windowed_series"]
 
 
-class _Values:
-    """One step being parsed, and what its parse yields.
+_REQUIRED = object()
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
-    ``terms`` caches parsed term texts across the manifest; ``earlier`` maps
-    each earlier step's name to that step and its missing series (it holds no
-    ``_Values``, so a parse leaves no reference cycle).  ``run`` is the step's
-    run function and ``plots`` its shock/response pairs (``irf`` only).
+
+def _number(kind, minimum: int | None = None):
+    """The parser of a finite ``kind`` (int or float) >= ``minimum``, and what it expects.
+
+    ``None`` sets no minimum; NaN and the infinities are always rejected.
+    """
+    def parse(text: str):
+        value = kind(text)
+        if not abs(value) < math.inf or (minimum is not None and value < minimum):
+            raise ValueError(text)
+        return value
+
+    expected = "an integer" if kind is int else "a finite number"
+    return parse, expected + ("" if minimum is None else f" >= {minimum}")
+
+
+def _window(text: str) -> tuple[int, int]:
+    """``YYYY:YYYY`` as a ``(first, last)`` year pair; ``ValueError`` unless first <= last."""
+    lo, hi = (int(year) for year in text.split(":"))
+    if lo > hi:
+        raise ValueError(text)
+    return lo, hi
+
+
+class _Parse:
+    """One step being parsed: every reader of its values, and what its parse yields.
+
+    Each reader notes the key it reads in ``read``, gives a missing key its
+    default text (or fails when there is none) and raises ``ManifestError``
+    naming the step, the key and the value when a value is bad.  Every series
+    the step reads goes through ``present``: ``missing`` is the first absent
+    one, or the reason a step this one references was skipped, and skips the
+    step.  ``terms`` caches parsed term texts across the manifest; ``earlier``
+    maps each earlier step's name to its op, missing series and VAR labels (it
+    holds no ``_Parse``, so a parse leaves no reference cycle).  ``run`` is the
+    step's run function, ``labels`` its variables' labels (``var``) and
+    ``plots`` maps each plot's file name to its shock and response (``irf``).
     """
 
-    def __init__(self, step: Step, missing: str | None, terms: dict[str, Term], earlier: dict):
-        self.step, self.missing, self._terms, self._earlier = step, missing, terms, earlier
-        self.run = None
-        self.plots: tuple[tuple[str, str], ...] = ()
+    def __init__(self, step: Step, dataset: Dataset, optional: tuple[str, ...],
+                 terms: dict[str, Term], earlier: dict):
+        self.step, self._dataset, self._optional = step, dataset, optional
+        self._terms, self.earlier = terms, earlier
+        self.read: set[str] = set()
+        self.missing: str | None = None
+        self.run, self.labels, self.plots = None, (), {}
+
+    def all(self, key: str) -> list[str]:
+        self.read.add(key)
+        return self.step.options.get(key, [])
+
+    def bad(self, key: str, text: str, expected: str, value: str | None = None):
+        return ManifestError(f"{text!r}; expected {expected}", self.step.name, key,
+                             text if value is None else value, f"bad {key} ")
+
+    def parse(self, key: str, text: str, parse, expected: str):
+        """``parse(text)`` for a value of ``key``; a ``ValueError`` from it means a bad value."""
+        try:
+            return parse(text)
+        except (ValueError, LookupError, TermError):
+            raise self.bad(key, text, expected) from None
+
+    def value(self, key: str, parse=None, expected: str = "", default=_REQUIRED):
+        """``key``'s text through ``parse``; a missing key takes ``default``, parsed too."""
+        text = next(iter(self.all(key)), None if default is _REQUIRED else default)
+        if text is None and default is _REQUIRED:
+            raise ManifestError(f"missing required key {key!r}", self.step.name, key)
+        return text if text is None or parse is None else self.parse(key, text, parse, expected)
+
+    def items(self, key: str, parse, expected: str, sep: str | None = None) -> tuple:
+        """One or more items split at commas and ``sep`` (None: whitespace), each parsed."""
+        text = self.value(key)
+        items = list(filter(None, map(str.strip, text.replace(",", sep or " ").split(sep))))
+        if not items:
+            raise self.bad(key, text, expected)
+        return tuple(self.parse(key, item, parse, expected) for item in items)
+
+    def integer(self, key: str, default=_REQUIRED, minimum: int | None = None) -> int:
+        return self.value(key, *_number(int, minimum), default)
+
+    def number(self, key: str, default=_REQUIRED) -> float:
+        return self.value(key, *_number(float), default)
+
+    def boolean(self, key: str, default: str) -> bool:
+        return self.value(key, lambda t: _BOOLEANS[t.lower()], "true or false", default)
+
+    def choice(self, key: str, choices: tuple[str, ...], default=_REQUIRED) -> str:
+        return self.value(key, lambda t: choices[choices.index(t)],
+                          f"one of {', '.join(choices)}", default)
+
+    def window(self, key: str, default=_REQUIRED) -> tuple[int, int] | None:
+        return self.value(key, _window, "YYYY:YYYY, the first year <= the last", default)
+
+    def present(self, key: str, series: str) -> bool:
+        """Whether the dataset holds ``series``; an absent one must be declared optional."""
+        if series in self._dataset:
+            return True
+        if series not in self._optional:
+            raise ManifestError(f"unknown series {series!r} that is not declared optional",
+                                self.step.name, key, series, f"{key}: ")
+        return False
+
+    def need(self, key: str, *series: str) -> None:
+        """Skip the step unless the dataset holds each of ``series``."""
+        for name in series:
+            if not self.present(key, name):
+                self.missing = self.missing or name
 
     def term(self, key: str) -> Term:
-        return self.step.value(key, self.cached_term, "a term such as ln(GDP)@1")
+        term = self.value(key, self.cached_term, "a term such as ln(GDP)@1")
+        self.need(key, term.base)
+        return term
 
-    def terms(self, key: str, step: Step | None = None) -> tuple[Term, ...]:
-        """``key`` of this step, or of the earlier ``step``, as comma-separated terms."""
-        return (step or self.step).value(
-            key, lambda t: tuple(self.cached_term(x) for x in t.split(",") if x.strip()),
+    def terms(self, key: str) -> tuple[Term, ...]:
+        terms = self.value(key, lambda text: tuple(
+            self.cached_term(t) for t in text.split(",") if t.strip()),
             "comma-separated terms such as ln(GDP)@1")
+        self.need(key, *(t.base for t in terms))
+        return terms
 
     def cached_term(self, text: str) -> Term:
         text = text.strip()
@@ -61,19 +165,18 @@ class _Values:
 
     def model(self) -> ModelSpec:
         return ModelSpec(self.term("dependent"), self.terms("regressors"),
-                         self.step.boolean("constant", "true"), self.step.window("sample", None))
+                         self.boolean("constant", "true"), self.window("sample", None))
 
-    def ref(self, key: str, *ops: str) -> Step:
-        """The earlier step that ``key`` names; it must be of one of ``ops`` and have run."""
-        name = self.step.require(key)
-        other, missing = self._earlier.get(name, (None, None))
-        if other is not None and other.op not in ops:
-            reason = f"names a step of op {other.op!r}; expected op {' or '.join(map(repr, ops))}"
-        elif other is None or (missing and not self.missing):
-            reason = "names a step that did not run"
-        else:
-            return other
-        raise ManifestError(f"{key} = {name} {reason}", self.step.name, key, name)
+    def ref(self, key: str, *ops: str) -> str:
+        """The earlier step that ``key`` names, of one of ``ops``; if it was skipped, so is this."""
+        name = self.value(key)
+        op, missing, _ = self.earlier.get(name, (None, None, ()))
+        if op in ops:
+            self.missing = self.missing or missing
+            return name
+        reason = ("names a step that did not run" if op is None else
+                  f"names a step of op {op!r}; expected op {' or '.join(map(repr, ops))}")
+        raise ManifestError(reason, self.step.name, key, name, f"{key} = {name} ")
 
 
 def windowed_series(dataset: Dataset, term: Term, window: tuple[int, int] | None):
@@ -88,99 +191,107 @@ def windowed_series(dataset: Dataset, term: Term, window: tuple[int, int] | None
     return apply_term(Dataset({base.name: base}), term)
 
 
-def _adf_battery(v: _Values):
-    def row(text: str):
+def _adf_battery(v: _Parse):
+    def row(text: str):  # an absent optional series skips only its row
         term, det, lag = (part.strip() for part in text.split(";"))
         if det not in DETERMINISTICS or int(lag) < 0:
             raise ValueError(text)
-        return v.cached_term(term), det, int(lag)
+        term = v.cached_term(term)
+        return term, det, int(lag), v.present("row", term.base)
 
     expected = f"'term ; deterministic ; lag >= 0' with one of {', '.join(DETERMINISTICS)}"
-    rows = [v.step.parse("row", text, row, expected) for text in v.step.get_all("row")]
-    window = v.step.window("window", None)
+    rows = [v.parse("row", text, row, expected) for text in v.all("row")]
+    window = v.window("window", None)
 
     def run(dataset, results):
         return AdfBattery(window, tuple(
             (term.rendered_label(), det, lag, adf_test(windowed_series(dataset, term, window),
-                                                       AdfSpec(det, lag))
-             if term.base in dataset else None)
-            for term, det, lag in rows))
+                                                       AdfSpec(det, lag)) if present else None)
+            for term, det, lag, present in rows))
 
     return run
 
 
-def _adf(v: _Values):
-    series, window = v.term("series"), v.step.window("window", None)
-    spec = AdfSpec(v.step.choice("deterministic", DETERMINISTICS, "constant"),
-                   v.step.integer("lag_order", "1", minimum=0))
+def _adf(v: _Parse):
+    series, window = v.term("series"), v.window("window", None)
+    spec = AdfSpec(v.choice("deterministic", DETERMINISTICS, "constant"),
+                   v.integer("lag_order", "1", minimum=0))
     return lambda dataset, results: adf_test(windowed_series(dataset, series, window), spec)
 
 
-def _ols(v: _Values):
+def _ols(v: _Parse):
     model = v.model()
     return lambda dataset, results: ols_fit(dataset, model)
 
 
-def _tsls(v: _Values):
+def _tsls(v: _Parse):
     model, instruments = v.model(), v.terms("instruments")
-    endogenous = tuple(s.strip() for s in v.step.value("endogenous").split(",") if s.strip())
+    labels = [t.rendered_label() for t in model.regressors]
+    endogenous = v.items("endogenous", lambda label: labels[labels.index(label)],
+                         f"regressor labels, each one of {', '.join(labels)}", ",")
     return lambda dataset, results: tsls_fit(dataset, TslsSpec(model, endogenous, instruments))
 
 
-def _ar(v: _Values):
-    model, lags = v.model(), v.step.integers("ar_lags", minimum=1)
-    iterations = v.step.integer("max_iterations", "20", minimum=1)
-    tolerance = v.step.number("tolerance", "5e-5")
+def _ar(v: _Parse):
+    model, lags = v.model(), v.items("ar_lags", *_number(int, 1))
+    iterations = v.integer("max_iterations", "20", minimum=1)
+    tolerance = v.number("tolerance", "5e-5")
     return lambda dataset, results: cochrane_orcutt_fit(
         dataset, ArSpec(model, lags, iterations, tolerance))
 
 
-def _compare(v: _Values):
-    a, b = v.ref("a", "ar").name, v.ref("b", "ar").name
+def _compare(v: _Parse):
+    a, b = v.ref("a", "ar"), v.ref("b", "ar")
     return lambda dataset, results: compare_models(results[a], results[b])
 
 
-def _coint(v: _Values):
-    model, lag = v.model(), v.step.integer("residual_lag", "1", minimum=0)
+def _coint(v: _Parse):
+    model, lag = v.model(), v.integer("residual_lag", "1", minimum=0)
     orders = None
-    if v.step.value("assume_i1", default=None) == "all":
+    if v.choice("assume_i1", ("all",), None):
         orders = {t.rendered_label(): 1 for t in (model.dependent, *model.regressors)}
     return lambda dataset, results: engle_granger(dataset, model, lag, orders)
 
 
-def _granger(v: _Values):
-    x, y, sample = v.term("x"), v.term("y"), v.step.window("sample", None)
-    lags = v.step.integer("lags", "4", minimum=1)
+def _granger(v: _Parse):
+    x, y, sample = v.term("x"), v.term("y"), v.window("sample", None)
+    lags = v.integer("lags", "4", minimum=1)
     return lambda dataset, results: granger_causality(dataset, x, y, lags, sample=sample)
 
 
-def _chow(v: _Values):
-    model, years = v.model(), v.step.integers("break_years")
+def _chow(v: _Parse):
+    model, years = v.model(), v.items("break_years", *_number(int))
     return lambda dataset, results: {year: chow_test(dataset, model, year) for year in years}
 
 
-def _var(v: _Values):
-    variables, sample = v.terms("variables"), v.step.window("sample", None)
-    lags = v.step.integer("lags", "4", minimum=1)
+def _var(v: _Parse):
+    variables, sample = v.terms("variables"), v.window("sample", None)
+    lags = v.integer("lags", "4", minimum=1)
+    v.labels = tuple(t.rendered_label() for t in variables)
     return lambda dataset, results: var_fit(dataset, variables, lags, sample)
 
 
-def _fevd(v: _Values):
-    var, horizon = v.ref("var", "var").name, v.step.integer("horizon", "10", minimum=0)
+def _fevd(v: _Parse):
+    var, horizon = v.ref("var", "var"), v.integer("horizon", "10", minimum=0)
     return lambda dataset, results: variance_decomposition(results[var], horizon)
 
 
-def _irf(v: _Values):
-    var_step, plots = v.ref("var", "var"), v.step.get_all("plot")
-    horizon = v.step.integer("horizon", "10", minimum=1 if plots else 0)  # a plot needs 2 points
-    labels = [t.rendered_label() for t in v.terms("variables", var_step)]
-    v.plots = tuple(tuple(label.strip() for label in text.partition("->")[::2]) for text in plots)
-    for text, pair in zip(plots, v.plots):
+def _irf(v: _Parse):
+    var, plots = v.ref("var", "var"), v.all("plot")
+    horizon = v.integer("horizon", "10", minimum=1 if plots else 0)  # a plot needs 2 points
+    labels = v.earlier[var][2]
+    for text in plots:
+        pair = tuple(label.strip() for label in text.partition("->")[::2])
         for label in pair:
             if label not in labels:
-                raise ManifestError(f"bad plot {text!r}; expected 'shock -> response', each "
-                                    f"one of {', '.join(labels)}", v.step.name, "plot", label)
-    var = var_step.name
+                raise v.bad("plot", text, f"'shock -> response', each one of {', '.join(labels)}",
+                            label)
+        name = f"{v.step.name}_{_slug(pair[0])}_to_{_slug(pair[1])}"
+        if name in v.plots:  # labels that slug alike would write one file
+            raise ManifestError(f"{text!r}; its file plots/{name}.svg is also written by plot "
+                                f"{' -> '.join(v.plots[name])!r}", v.step.name, "plot", text,
+                                "bad plot ")
+        v.plots[name] = pair
     return lambda dataset, results: impulse_response(results[var], horizon)
 
 
@@ -194,15 +305,16 @@ def _overrides(text: str) -> dict[int, float]:
     return overrides
 
 
-def _simulate(v: _Values):
-    step, kind = v.step, v.step.op.partition("_")[2]  # kind is also the key naming the series
-    fit, series = v.ref("fit", "ols", "tsls").name, step.value(kind)
-    scenario = CapitalScenario(step.name, step.value("overrides", _overrides, (
+def _simulate(v: _Parse):
+    kind = v.step.op.partition("_")[2]  # kind is also the key naming the series
+    fit, series = v.ref("fit", "ols", "tsls"), v.value(kind)
+    v.need(kind, series)
+    scenario = CapitalScenario(v.step.name, v.value("overrides", _overrides, (
         "YYYY:rate pairs, each year once and each rate a finite number > -1")))
-    window, capital = step.window("window"), v.term("capital")
-    amount = step.number("eap" if kind == "unemployment" else "terminal_actual_usd")
-    label = step.value("capital_label", default="d_Ln(K)")
-    log_growth = step.boolean("log_growth", "true")
+    window, capital = v.window("window"), v.term("capital")
+    amount = v.number("eap" if kind == "unemployment" else "terminal_actual_usd")
+    label = v.value("capital_label", default="d_Ln(K)")
+    log_growth = v.boolean("log_growth", "true")
 
     def run(dataset, results):
         simulate = simulate_unemployment if kind == "unemployment" else simulate_exports
@@ -231,50 +343,24 @@ OPS = {
 }
 
 
-def _missing_series(step: Step, dataset: Dataset, optional: tuple[str, ...]) -> str | None:
-    """The name of a required-but-absent optional series, if any."""
-    for name in step.get_all("requires"):
-        for part in name.split(","):
-            part = part.strip()
-            if part and part not in dataset:
-                if part not in optional:
-                    raise ManifestError(
-                        f"step {step.name!r} requires unknown series {part!r} "
-                        "that is not declared optional"
-                    )
-                return part
-    return None
-
-
-class _Read(dict):
-    """A step's options that remember which keys a parse looked up."""
-
-    def __init__(self, options: dict[str, list[str]]):
-        super().__init__(options)
-        self.read: set[str] = set()
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
-
-
-def _parse_steps(steps, dataset: Dataset, optional: tuple[str, ...]) -> list[_Values]:
+def _parse_steps(steps, dataset: Dataset, optional: tuple[str, ...]) -> list[_Parse]:
     """Parse every step, in order; the first bad value or unknown key raises ``ManifestError``."""
     terms: dict[str, Term] = {}
-    earlier: dict[str, tuple[Step, str | None]] = {}
+    earlier: dict[str, tuple[str, str | None, tuple[str, ...]]] = {}
     plan = []
     for step in steps:
         if step.op not in OPS:
             raise ManifestError(f"unknown op {step.op!r}", step.name, "op", step.op)
-        step = Step(step.name, step.op, _Read(step.options))
-        values = _Values(step, _missing_series(step, dataset, optional), terms, earlier)
-        values.run = OPS[step.op][0](values)
-        unknown = [key for key in step.options if key not in step.options.read]
+        v = _Parse(step, dataset, optional, terms, earlier)
+        for text in v.all("requires"):
+            v.need("requires", *filter(None, map(str.strip, text.split(","))))
+        v.run = OPS[step.op][0](v)
+        unknown = [key for key in step.options if key not in v.read]
         if unknown:
             raise ManifestError(f"unknown key {unknown[0]!r} for op {step.op!r}", step.name,
                                 unknown[0])
-        earlier[step.name] = step, values.missing
-        plan.append(values)
+        earlier[step.name] = step.op, v.missing, v.labels
+        plan.append(v)
     return plan
 
 
@@ -293,9 +379,8 @@ def run_steps(steps, dataset: Dataset, bundle: ReportBundle,
             for key, result in out.items() if isinstance(out, dict) else [(None, out)]:
                 bundle.tables[name if key is None else f"{name}_{key}"] = render_table(
                     result, OPS[op][1].format(name=name, key=key))
-            for shock, response in v.plots:
-                bundle.plots[f"{name}_{_slug(shock)}_to_{_slug(response)}"] = render_irf_plot(
-                    out, shock, response)
+            for plot, (shock, response) in v.plots.items():
+                bundle.plots[plot] = render_irf_plot(out, shock, response)
         except (ManifestError, DatasetError):
             raise
         except Exception as exc:

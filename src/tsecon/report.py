@@ -163,16 +163,13 @@ def render_table(result, title: str = "") -> tuple[str, str]:
         verdict = f"\nCointegrated at 5%: {str(result.cointegrated).lower()}\n"
         return lr_text + "\n" + rt_text + verdict, lr_csv + rt_csv
     if isinstance(result, ModelComparison):
-        rows = [["Statistic", "Model A", "Model B", "B improves"],
-                ["SSR", _g6(result.ssr[0]), _g6(result.ssr[1]), str(result.improved["ssr"]).lower()],
-                ["S.E. of residuals", _g6(result.resid_std_error[0]), _g6(result.resid_std_error[1]),
-                 str(result.improved["resid_std_error"]).lower()],
-                ["Schwarz criterion", _g6(result.schwarz[0]), _g6(result.schwarz[1]),
-                 str(result.improved["schwarz"]).lower()]]
-        csv_rows = [["statistic", "model_a", "model_b", "b_improves"]]
-        for r in rows[1:]:
-            csv_rows.append(r)
-        return (title or "Model comparison") + "\n\n" + _align(rows), _csv(csv_rows)
+        stats = (("SSR", "ssr", result.ssr), ("S.E. of residuals", "resid_std_error",
+                 result.resid_std_error), ("Schwarz criterion", "schwarz", result.schwarz))
+        csv_rows = [[label, a, b, str(result.improved[key]).lower()] for label, key, (a, b) in stats]
+        rows = [[label, _g6(a), _g6(b), better] for label, a, b, better in csv_rows]
+        text = _align([["Statistic", "Model A", "Model B", "B improves"], *rows])
+        return ((title or "Model comparison") + "\n\n" + text,
+                _csv([["statistic", "model_a", "model_b", "b_improves"], *csv_rows]))
     if isinstance(result, ScenarioResult):
         return _scenario_table(result, title or "Scenario")
     # these layouts carry their own heading

@@ -38,6 +38,21 @@ def tree_digest(root: Path) -> str:
     return h.hexdigest()
 
 
+@pytest.fixture
+def benefit_dataset(tmp_path):
+    """The bundled dataset plus a synthetic positive benefit series."""
+    for f in bundled_dataset_path().iterdir():
+        if f.suffix in (".csv", ".txt") and f.name != "default_manifest.ini":
+            shutil.copy(f, tmp_path / f.name)
+    rows = ["year,Tax benefits", "# unit: thousands of 1983 pesos"]
+    value = 900.0
+    for year in range(1975, 2011):
+        value *= 1.0 + 0.05 * ((year % 7) - 3) / 3.0 + 0.03
+        rows.append(f"{year},{value!r}")
+    (tmp_path / "tax_benefits.csv").write_text("\n".join(rows) + "\n")
+    return load_dataset(tmp_path)
+
+
 class TestManifestParsing:
     def test_default_manifest_parses(self):
         m = parse_manifest(default_manifest_text())
@@ -87,24 +102,53 @@ class TestPipeline:
         with pytest.raises(ManifestError, match="not declared optional"):
             run_pipeline(m, dataset)
 
-    def test_benefit_series_unlocks_all_steps(self, tmp_path, dataset):
-        # copy the bundle and add a synthetic positive benefit series
-        for f in bundled_dataset_path().iterdir():
-            if f.suffix in (".csv", ".txt") and f.name != "default_manifest.ini":
-                shutil.copy(f, tmp_path / f.name)
-        rows = ["year,Tax benefits", "# unit: thousands of 1983 pesos"]
-        value = 900.0
-        for year in range(1975, 2011):
-            value *= 1.0 + 0.05 * ((year % 7) - 3) / 3.0 + 0.03
-            rows.append(f"{year},{value!r}")
-        (tmp_path / "tax_benefits.csv").write_text("\n".join(rows) + "\n")
-        ds = load_dataset(tmp_path)
-        bundle = run_pipeline(parse_manifest(default_manifest_text()), ds)
+    def test_benefit_series_unlocks_all_steps(self, benefit_dataset):
+        bundle = run_pipeline(parse_manifest(default_manifest_text()), benefit_dataset)
         summary = bundle.tables["pipeline_summary"][0]
         assert "SKIPPED" not in summary
         for name in ("coint_long_run", "ar_full", "ar_restricted", "ar_comparison",
                      "granger_benefits"):
             assert name in bundle.tables
+
+    def test_comparison_csv_reads_back_at_full_precision(self, benefit_dataset, monkeypatch):
+        import tsecon.pipeline
+
+        compared = []
+        compare_models = tsecon.pipeline.compare_models
+        monkeypatch.setattr(tsecon.pipeline, "compare_models",
+                            lambda *a: compared.append(compare_models(*a)) or compared[-1])
+        bundle = run_pipeline(parse_manifest(default_manifest_text()), benefit_dataset)
+        (result,) = compared
+        rows = list(csv.reader(bundle.tables["ar_comparison"][1].splitlines()))
+        assert rows[0] == ["statistic", "model_a", "model_b", "b_improves"]
+        for row, pair, key in zip(rows[1:], (result.ssr, result.resid_std_error, result.schwarz),
+                                  ("ssr", "resid_std_error", "schwarz")):
+            assert (float(row[1]), float(row[2])) == pair
+            assert row[3] == str(result.improved[key]).lower()
+        text = bundle.tables["ar_comparison"][0]
+        assert f"{result.ssr[0]:.6g}" in text and repr(float(result.ssr[0])) not in text
+
+    @pytest.mark.parametrize("manifest, skipped", [
+        ("[step g]\nop = granger\nx = dln(GDP)\ny = dln(Tax benefits)\n", ["g"]),
+        ("[step o]\nop = ols\ndependent = ln(GDP)\nregressors = ln(Credit), ln(Tax benefits)\n",
+         ["o"]),
+        # a step that references a skipped step is skipped with its reason
+        ("[step a1]\nop = ar\ndependent = ln(GDP)\nregressors = ln(Tax benefits)\nar_lags = 1\n"
+         "[step a2]\nop = ar\ndependent = ln(GDP)\nregressors = ln(Tax benefits), ln(Credit)\n"
+         "ar_lags = 1\n[step c]\nop = compare\na = a1\nb = a2\n", ["a1", "a2", "c"]),
+        ("[step v]\nop = var\nvariables = dln(GDP), dln(Tax benefits)\nlags = 1\n"
+         "[step i]\nop = irf\nvar = v\nplot = d_Ln(GDP) -> d_Ln(Tax benefits)\n"
+         "[step f]\nop = fevd\nvar = v\n", ["v", "i", "f"]),
+        (SCENARIO_FIT + "[step s]\nop = simulate_exports\nfit = m\noverrides = 2005:0.15\n"
+         "window = 2000:2010\nterminal_actual_usd = 1\nexports = Tax benefits\n"
+         "capital = dln(Total investment)\n", ["s"]),
+    ], ids=["term", "regressors", "compare", "irf-fevd", "series-name-key"])
+    def test_optional_series_read_without_requires_is_skipped(self, dataset, manifest, skipped):
+        bundle = run_pipeline(parse_manifest(manifest), dataset)
+        rows = list(csv.reader(bundle.tables["pipeline_summary"][1].splitlines()))[1:]
+        assert [r[0] for r in rows if r[2] != "ok"] == skipped
+        assert {r[2] for r in rows if r[2] != "ok"} == {"SKIPPED: data-unavailable (Tax benefits)"}
+        assert not set(skipped) & set(bundle.tables) and bundle.plots == {}
 
 
     def test_every_csv_table_reads_back_rectangular(self, tmp_path, dataset):
@@ -112,7 +156,7 @@ class TestPipeline:
         m = parse_manifest(
             "[step battery]\nop = adf_battery\nwindow = 1975:2010\n"
             "row = ln(GDP) as GDP, log ; constant ; 1\n"
-            'row = ln(Nope) as "absent", log ; constant ; 1\n'
+            'row = ln(Tax benefits) as "absent", log ; constant ; 1\n'
             "[step v]\nop = var\nvariables = dln(GDP) as \"g\", dln(Exports)\nlags = 1\n"
             "[step i]\nop = irf\nvar = v\nhorizon = 2\n"
             "[step f]\nop = fevd\nvar = v\nhorizon = 2\n"
@@ -309,6 +353,17 @@ class TestCli:
          "overrides = 2005:0.15 2005:0.9\nwindow = 2000:2010\nterminal_actual_usd = 1\n"
          "exports = Exports\ncapital = dln(Total investment)\n",
          "overrides", "'2005:0.15 2005:0.9'"),
+        # an empty list or an unknown choice would otherwise change the estimator
+        ("[step r]\nop = ar\ndependent = ln(GDP)\nregressors = ln(Exports)\nar_lags =\n",
+         "ar_lags", "''"),
+        ("[step t]\nop = tsls\ndependent = ln(Exports)\nregressors = dln(GDP), ln(Exports)@1\n"
+         "endogenous =\ninstruments = dln(GDP)@1\n", "endogenous", "''"),
+        ("[step t]\nop = tsls\ndependent = ln(Exports)\nregressors = dln(GDP), ln(Exports)@1\n"
+         "endogenous = d_Ln(GDP), nope\ninstruments = dln(GDP)@1\n", "endogenous", "'nope'"),
+        ("[step c]\nop = coint\ndependent = ln(GDP)\nregressors = ln(Exports)\n"
+         "assume_i1 = none\n", "assume_i1", "'none'"),
+        ("[step c]\nop = chow\ndependent = ln(GDP)\nregressors = ln(Exports)\nbreak_years =\n",
+         "break_years", "''"),
     ])
     def test_bad_step_value_is_manifest_error_naming_the_key(self, tmp_path, step, key, value):
         manifest = tmp_path / "m.ini"
@@ -318,6 +373,42 @@ class TestCli:
         assert r.exit_code == 2, r.output
         name = step.split("[step ")[-1].split("]")[0]
         assert f"manifest error: step {name!r}: bad {key} {value}" in r.output
+        assert not (tmp_path / "out").exists()
+
+    def test_plots_whose_file_names_collide_are_manifest_error(self, tmp_path):
+        manifest = tmp_path / "m.ini"
+        manifest.write_text(
+            "[step v]\nop = var\nvariables = dln(GDP) as g(1), dln(Exports) as G 1, "
+            "dln(Credit) as x\nlags = 1\n[step i]\nop = irf\nvar = v\nplot = g(1) -> x\n"
+            "plot = G 1 -> x\n")
+        r = CliRunner().invoke(main, ["report", "--manifest", str(manifest),
+                                      "--output", str(tmp_path / "out")])
+        assert r.exit_code == 2, r.output
+        assert ("manifest error: step 'i': bad plot 'G 1 -> x'; its file plots/i_g_1_to_x.svg "
+                "is also written by plot 'g(1) -> x'") in r.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("step, key, series", [
+        ("[step b]\nop = adf_battery\nrow = ln(GDP) ; constant ; 1\n"
+         "row = ln(GDPP) ; constant ; 1\n", "row", "GDPP"),
+        ("[step g]\nop = granger\nx = dln(GDP)\ny = dln(Benefits)\n", "y", "Benefits"),
+        ("[step o]\nop = ols\ndependent = ln(GDP)\nregressors = ln(Tax benefits), ln(Nope)\n",
+         "regressors", "Nope"),
+        ("[step o]\nop = ols\nrequires = Nope\ndependent = ln(GDP)\nregressors = ln(Exports)\n",
+         "requires", "Nope"),
+        (SCENARIO_FIT + "[step s]\nop = simulate_exports\nfit = m\noverrides = 2005:0.15\n"
+         "window = 2000:2010\nterminal_actual_usd = 1\nexports = Export\n"
+         "capital = dln(Total investment)\n", "exports", "Export"),
+    ], ids=["battery-row", "term", "after-an-optional-one", "requires", "series-name-key"])
+    def test_unknown_series_is_manifest_error_naming_the_key(self, tmp_path, step, key, series):
+        manifest = tmp_path / "m.ini"
+        manifest.write_text("[pipeline]\noptional = Tax benefits\n" + step)
+        r = CliRunner().invoke(main, ["report", "--manifest", str(manifest),
+                                      "--output", str(tmp_path / "out")])
+        assert r.exit_code == 2, r.output
+        name = step.split("[step ")[-1].split("]")[0]
+        assert (f"manifest error: step {name!r}: {key}: unknown series {series!r} "
+                "that is not declared optional") in r.output
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("step, key, message", [
@@ -387,11 +478,44 @@ class TestCli:
         (["irf", "--variables", "dln(GDP), dln(Exports)", "--shock", "d_Ln(GDP)",
           "--response", "d_Ln(Exports)", "--horizon", "0"], "--horizon"),
         (["chow", "--break", "1998 199x"], "--break"),
+        (["chow", "--break", ""], "--break"),
+        (["fit-ar", "--dependent", "ln(GDP)", "--regressors", "ln(Exports)", "--ar-lags", ""],
+         "--ar-lags"),
+        (["fit-tsls", "--dependent", "ln(Exports)", "--regressors", "dln(GDP), ln(Exports)@1",
+          "--endogenous", "", "--instruments", "dln(GDP)@1"], "--endogenous"),
+        (["fit-tsls", "--dependent", "ln(Exports)", "--regressors", "dln(GDP), ln(Exports)@1",
+          "--endogenous", "nope", "--instruments", "dln(GDP)@1"], "--endogenous"),
     ])
     def test_bad_flag_value_is_usage_error_naming_the_flag(self, argv, flag):
         r = CliRunner().invoke(main, argv)
         assert r.exit_code == 2, r.output
         assert f"Invalid value for '{flag}'" in r.output
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["adf", "--series", "ln(Nope)"], "--series"),
+        (["granger", "--x", "dln(GDP)", "--y", "dln(Nope)"], "--y"),
+        (["fit-ols", "--dependent", "ln(GDP)", "--regressors", "ln(Exports), ln(Nope)"],
+         "--regressors"),
+        # the CLI declares no series optional
+        (["granger", "--x", "dln(GDP)", "--y", "dln(Tax benefits)"], "--y"),
+    ])
+    def test_unknown_series_is_usage_error_naming_the_flag(self, argv, flag):
+        r = CliRunner().invoke(main, argv)
+        assert r.exit_code == 2, r.output
+        assert f"Invalid value for '{flag}': unknown series " in r.output
+        assert "dataset error" not in r.output
+
+    @pytest.mark.parametrize("argv, key", [
+        (["adf", "--series", "ln(GDP)", "--lags", "-1"], "lag_order"),
+        (["chow", "--break", "1998 199x"], "break_years"),
+        (["fit-ar", "--dependent", "ln(GDP)", "--regressors", "ln(Exports)", "--ar-lags", "x"],
+         "ar_lags"),
+    ])
+    def test_flag_error_leaves_out_the_step_key(self, argv, key):
+        r = CliRunner().invoke(main, argv)
+        assert r.exit_code == 2, r.output
+        message = r.output.split("Invalid value for ", 1)[1]
+        assert key not in message.split(":", 1)[1], message
 
     def test_empty_model_is_estimation_error_naming_it(self):
         r = CliRunner().invoke(main, ["fit-ols", "--dependent", "ln(GDP)", "--regressors", "",
