@@ -8,7 +8,6 @@ an optional lag — evaluated against the dataset.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import operator
 import re
@@ -17,6 +16,14 @@ from itertools import repeat
 from pathlib import Path
 
 from ._record import record
+
+try:  # CPython's own SHA-256: hashlib would load OpenSSL for one digest
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = [
     "AnnualSeries",
@@ -273,7 +280,7 @@ def serialize_dataset(dataset: Dataset) -> dict[str, bytes]:
 
 
 def _checksum(series: dict[str, AnnualSeries]) -> str:
-    h = hashlib.sha256()
+    h = sha256()
     for fname, payload in sorted(serialize_dataset(Dataset(dict(series))).items()):
         h.update(fname.encode("utf-8"))
         h.update(payload)

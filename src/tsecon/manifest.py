@@ -85,6 +85,9 @@ def parse_manifest(text: str) -> PipelineManifest:
             op = current.get("op")
             if not op:
                 raise ManifestError(f"step {current_name!r}: missing 'op'")
+            if len(op) > 1:
+                raise ManifestError(f"step {current_name!r}: bad op {op[1]!r}; expected one "
+                                    f"value, and op is already {op[0]!r}")
             steps.append(Step(current_name, op[0], {k: v for k, v in current.items() if k != "op"}))
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -115,8 +118,11 @@ def parse_manifest(text: str) -> PipelineManifest:
     close()
 
     def first(key: str, default: str) -> str:
-        vals = pipeline_opts.get(key)
-        return vals[0] if vals else default
+        vals = pipeline_opts.get(key, [default])
+        if len(vals) > 1:
+            raise ManifestError(f"[pipeline]: bad {key} {vals[1]!r}; expected one value, "
+                                f"and {key} is already {vals[0]!r}")
+        return vals[0]
 
     optional = tuple(
         s.strip() for s in first("optional", "Tax benefits").split(",") if s.strip()

@@ -72,8 +72,10 @@ class _Parse:
     step.  ``terms`` caches parsed term texts across the manifest; ``earlier``
     maps each earlier step's name to its op, missing series and VAR labels (it
     holds no ``_Parse``, so a parse leaves no reference cycle).  ``run`` is the
-    step's run function, ``labels`` its variables' labels (``var``) and
-    ``plots`` maps each plot's file name to its shock and response (``irf``).
+    step's run function, ``labels`` its variables' labels (``var``), ``plots``
+    maps each plot's file name to its shock and response (``irf``) and
+    ``tables`` maps each table name the step writes to the key and value text
+    that name it (the step's name, or a Chow break year).
     """
 
     def __init__(self, step: Step, dataset: Dataset, optional: tuple[str, ...],
@@ -83,6 +85,7 @@ class _Parse:
         self.read: set[str] = set()
         self.missing: str | None = None
         self.run, self.labels, self.plots = None, (), {}
+        self.tables = {step.name: ("name", step.name)}
 
     def all(self, key: str) -> list[str]:
         self.read.add(key)
@@ -100,8 +103,11 @@ class _Parse:
             raise self.bad(key, text, expected) from None
 
     def value(self, key: str, parse=None, expected: str = "", default=_REQUIRED):
-        """``key``'s text through ``parse``; a missing key takes ``default``, parsed too."""
-        text = next(iter(self.all(key)), None if default is _REQUIRED else default)
+        """``key``'s one text through ``parse``; a missing key takes ``default``, parsed too."""
+        texts = self.all(key)
+        if len(texts) > 1:
+            raise self.bad(key, texts[1], f"one value, and {key} is already {texts[0]!r}")
+        text = next(iter(texts), None if default is _REQUIRED else default)
         if text is None and default is _REQUIRED:
             raise ManifestError(f"missing required key {key!r}", self.step.name, key)
         return text if text is None or parse is None else self.parse(key, text, parse, expected)
@@ -261,6 +267,7 @@ def _granger(v: _Parse):
 
 def _chow(v: _Parse):
     model, years = v.model(), v.items("break_years", *_number(int))
+    v.tables = {f"{v.step.name}_{year}": ("break_years", str(year)) for year in years}
     return lambda dataset, results: {year: chow_test(dataset, model, year) for year in years}
 
 
@@ -344,8 +351,12 @@ OPS = {
 
 
 def _parse_steps(steps, dataset: Dataset, optional: tuple[str, ...]) -> list[_Parse]:
-    """Parse every step, in order; the first bad value or unknown key raises ``ManifestError``."""
+    """Parse every step, in order; the first bad value or unknown key raises ``ManifestError``.
+
+    A table name that an earlier step writes, or ``pipeline_summary``, is a bad value too.
+    """
     terms: dict[str, Term] = {}
+    writers: dict[str, str | None] = {"pipeline_summary": None}  # table -> first step to write it
     earlier: dict[str, tuple[str, str | None, tuple[str, ...]]] = {}
     plan = []
     for step in steps:
@@ -359,6 +370,13 @@ def _parse_steps(steps, dataset: Dataset, optional: tuple[str, ...]) -> list[_Pa
         if unknown:
             raise ManifestError(f"unknown key {unknown[0]!r} for op {step.op!r}", step.name,
                                 unknown[0])
+        for table, (key, text) in v.tables.items():
+            first = writers.setdefault(table, step.name)
+            if first != step.name:
+                where = ("reserved for the pipeline summary" if first is None
+                         else f"also written by step {first!r}")
+                raise ManifestError(f"{text!r}; its file tables/{table}.txt is {where}",
+                                    step.name, key, text, f"bad {key} ")
         earlier[step.name] = step.op, v.missing, v.labels
         plan.append(v)
     return plan
@@ -376,9 +394,9 @@ def run_steps(steps, dataset: Dataset, bundle: ReportBundle,
             continue
         try:
             out = results[name] = v.run(dataset, results)
-            for key, result in out.items() if isinstance(out, dict) else [(None, out)]:
-                bundle.tables[name if key is None else f"{name}_{key}"] = render_table(
-                    result, OPS[op][1].format(name=name, key=key))
+            items = out.items() if isinstance(out, dict) else [(None, out)]
+            for table, (key, result) in zip(v.tables, items, strict=True):
+                bundle.tables[table] = render_table(result, OPS[op][1].format(name=name, key=key))
             for plot, (shock, response) in v.plots.items():
                 bundle.plots[plot] = render_irf_plot(out, shock, response)
         except (ManifestError, DatasetError):

@@ -71,6 +71,15 @@ class TestManifestParsing:
             parse_manifest("[step x]\nop ols\n")
         with pytest.raises(ManifestError, match="duplicate step name"):
             parse_manifest("[step x]\nop = ols\n[step x]\nop = ols\n")
+        with pytest.raises(ManifestError, match="step 'x': bad op 'adf'; expected one value, "
+                                                "and op is already 'ols'"):
+            parse_manifest("[step x]\nop = ols\nop = adf\n")
+
+    @pytest.mark.parametrize("key", ["dataset", "output", "optional"])
+    def test_pipeline_key_given_twice_is_manifest_error(self, key):
+        with pytest.raises(ManifestError, match=rf"\[pipeline\]: bad {key} 'b'; expected one "
+                                                rf"value, and {key} is already 'a'"):
+            parse_manifest(f"[pipeline]\n{key} = a\n{key} = b\n")
 
     def test_pipeline_seed_is_accepted_and_ignored(self):
         m = parse_manifest("[pipeline]\nseed = not a number\noutput = out\n")
@@ -364,6 +373,21 @@ class TestCli:
          "assume_i1 = none\n", "assume_i1", "'none'"),
         ("[step c]\nop = chow\ndependent = ln(GDP)\nregressors = ln(Exports)\nbreak_years =\n",
          "break_years", "''"),
+        # a key given twice would otherwise keep its first value
+        ("[step g]\nop = granger\nx = dln(GDP)\ny = dln(Exports)\nlags = 1\nlags = 2\n",
+         "lags", "'2'; expected one value, and lags is already '1'"),
+        # a table name written twice would otherwise keep one table
+        ("[step c_1990]\nop = ols\ndependent = ln(GDP)\nregressors = ln(Exports)\n"
+         "[step c]\nop = chow\ndependent = ln(GDP)\nregressors = ln(Exports)\n"
+         "break_years = 1975 1990\n", "break_years",
+         "'1990'; its file tables/c_1990.txt is also written by step 'c_1990'"),
+        ("[step c]\nop = chow\ndependent = ln(GDP)\nregressors = ln(Exports)\n"
+         "break_years = 1990\n[step c_1990]\nop = ols\ndependent = ln(GDP)\n"
+         "regressors = ln(Exports)\n", "name",
+         "'c_1990'; its file tables/c_1990.txt is also written by step 'c'"),
+        ("[step pipeline_summary]\nop = ols\ndependent = ln(GDP)\nregressors = ln(Exports)\n",
+         "name", "'pipeline_summary'; its file tables/pipeline_summary.txt is reserved for the "
+         "pipeline summary"),
     ])
     def test_bad_step_value_is_manifest_error_naming_the_key(self, tmp_path, step, key, value):
         manifest = tmp_path / "m.ini"

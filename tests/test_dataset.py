@@ -1,4 +1,9 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +36,28 @@ class TestLoad:
 
     def test_checksum_pinned(self, dataset):
         assert dataset.checksum == BUNDLE_CHECKSUM
+
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_checksum_is_sha256_of_the_canonical_files(self, dataset, extended):
+        # hashlib is the reference the built-in SHA-256 module must agree with
+        if extended:
+            dataset = dataset.with_series(AnnualSeries("Extra, unit", 1950, (1.5, -2.0, 1e17)))
+        h = hashlib.sha256()
+        for fname, payload in sorted(serialize_dataset(dataset).items()):
+            h.update(fname.encode("utf-8"))
+            h.update(payload)
+        assert dataset.checksum == h.hexdigest()
+
+    def test_checksum_without_a_built_in_sha256_module_falls_back_to_hashlib(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        code = ('import sys\nsys.modules["_sha2"] = sys.modules["_sha256"] = None\n'
+                "from tsecon.dataset import load_dataset\n"
+                'print(load_dataset().checksum, "hashlib" in sys.modules)')
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert proc.stdout.split() == [BUNDLE_CHECKSUM, "True"]
 
     def test_round_trip_is_fixed_point(self, dataset, tmp_path):
         files = serialize_dataset(dataset)
