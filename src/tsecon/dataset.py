@@ -352,17 +352,31 @@ def _parse_wide_csv(text: str, origin: str) -> list[AnnualSeries]:
     return [AnnualSeries(n, years[0], tuple(col)) for n, col in zip(names, columns)]
 
 
-def _parse_provenance(text: str) -> tuple[ProvenanceNote, ...]:
+def _parse_provenance(text: str, origin: str) -> tuple[ProvenanceNote, ...]:
     notes = []
-    for ln in text.splitlines():
+    for lineno, ln in enumerate(text.splitlines(), start=1):
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
         parts = ln.split(",", 4)
-        if len(parts) != 5:
-            raise DatasetError(f"malformed provenance line {ln!r}")
+        if len(parts) != 5 or not parts[1].strip().isdecimal():
+            raise DatasetError(f"{origin}: line {lineno}: {ln!r} is not "
+                               "'series,year,printed,curated,reason' with a numeric year")
         notes.append(ProvenanceNote(parts[0], int(parts[1]), parts[2], parts[3], parts[4]))
     return tuple(notes)
+
+
+def _read(path: Path) -> str:
+    """A bundle file's text; an unreadable or non-UTF-8 file is a ``DatasetError``."""
+    try:
+        data = path.read_bytes()
+        return data.decode("utf-8")
+    except OSError as exc:
+        raise DatasetError(f"{path.name}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DatasetError(f"{path.name}: line {line}: byte {data[exc.start]:#04x} is not "
+                           "UTF-8 text") from None
 
 
 def bundled_dataset_path() -> Path:
@@ -387,15 +401,15 @@ def load_dataset(path: str | Path | None = None) -> Dataset:
         if not files:
             raise DatasetError(f"no CSV files in bundle {p}")
         for f in files:
-            s = _parse_series_csv(f.read_text("utf-8"), f.name)
+            s = _parse_series_csv(_read(f), f.name)
             if s.name in series:
                 raise DatasetError(f"duplicate series name {s.name!r}")
             series[s.name] = s
         prov = p / "provenance.txt"
         if prov.exists():
-            provenance = _parse_provenance(prov.read_text("utf-8"))
+            provenance = _parse_provenance(_read(prov), prov.name)
     else:
-        for s in _parse_wide_csv(p.read_text("utf-8"), p.name):
+        for s in _parse_wide_csv(_read(p), p.name):
             if s.name in series:
                 raise DatasetError(f"duplicate series name {s.name!r}")
             series[s.name] = s

@@ -1,17 +1,38 @@
+import contextlib
 import csv
 import hashlib
+import io
+import re
 import shutil
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from tsecon.cli import main
 from tsecon.dataset import bundled_dataset_path, load_dataset
 from tsecon.manifest import ManifestError, default_manifest_text, parse_manifest
 from tsecon.pipeline import run_pipeline
 
+from conftest import run_cli
 
+
+# every flag of each command but --dataset, which each has
+COMMAND_FLAGS = {
+    "ingest": [],
+    "adf": ["--series", "--det", "--lags", "--window"],
+    "fit-ols": ["--dependent", "--regressors", "--constant", "--no-constant", "--sample"],
+    "fit-tsls": ["--dependent", "--regressors", "--endogenous", "--instruments", "--constant",
+                 "--no-constant", "--sample"],
+    "fit-ar": ["--dependent", "--regressors", "--ar-lags", "--constant", "--no-constant",
+               "--sample"],
+    "coint": ["--dependent", "--regressors", "--constant", "--no-constant", "--sample",
+              "--residual-lag"],
+    "granger": ["--x", "--y", "--lags", "--sample"],
+    "chow": ["--break", "--dependent", "--regressors", "--constant", "--no-constant", "--sample"],
+    "var": ["--variables", "--lags", "--sample"],
+    "irf": ["--variables", "--lags", "--sample", "--horizon", "--shock", "--response", "--svg"],
+    "simulate": ["--kind", "--overrides", "--window", "--eap", "--terminal-actual-usd"],
+    "report": ["--manifest", "--output"],
+}
 GOLDEN_TABLES = Path(__file__).resolve().parent / "golden" / "default_bundle" / "tables"
 # a fit step for scenario steps that only need to parse
 SCENARIO_FIT = "[step m]\nop = ols\ndependent = Unemployment rate\nregressors = ln(GDP)\n"
@@ -186,65 +207,93 @@ class TestPipeline:
 
 class TestCli:
     def test_ingest(self):
-        r = CliRunner().invoke(main, ["ingest"])
+        r = run_cli(["ingest"])
         assert r.exit_code == 0
         assert "checksum:" in r.output
 
     def test_adf_subcommand_reproduces_battery_row(self):
-        r = CliRunner().invoke(
-            main, ["adf", "--series", "ln(Inflation)", "--det", "trend", "--lags", "1",
-                   "--window", "1975:2010"],
-        )
+        r = run_cli(["adf", "--series", "ln(Inflation)", "--det", "trend", "--lags", "1",
+                     "--window", "1975:2010"])
         assert r.exit_code == 0
         assert "-3.51828" in r.output
 
     def test_chow_subcommand_default_model(self):
-        r = CliRunner().invoke(main, ["chow", "--break", "1998"])
+        r = run_cli(["chow", "--break", "1998"])
         assert r.exit_code == 0
         assert "3.08263" in r.output
 
     def test_granger_subcommand(self):
-        r = CliRunner().invoke(
-            main, ["granger", "--x", "dln(GDP)", "--y", "dln(Industrial Investment)",
-                   "--lags", "4", "--sample", "1976:2010"],
-        )
+        r = run_cli(["granger", "--x", "dln(GDP)", "--y", "dln(Industrial Investment)",
+                     "--lags", "4", "--sample", "1976:2010"])
         assert r.exit_code == 0
         assert "5.40933" in r.output
 
     def test_unknown_flag_exits_2(self):
-        r = CliRunner().invoke(main, ["adf", "--nope", "x"])
+        r = run_cli(["adf", "--nope", "x"])
         assert r.exit_code == 2
 
+    @pytest.mark.parametrize("argv, named", [
+        # a flag prefix is not the flag
+        (["adf", "--series", "ln(GDP)", "--ser", "ln(GDP)"], "unrecognized arguments: --ser"),
+        (["adf"], "required: --series"),
+        (["adf", "--series", "ln(GDP)", "--det", "quadratic"], "argument --det: invalid choice"),
+        (["simulate", "--kind", "imports", "--overrides", "2005:0.1"],
+         "argument --kind: invalid choice"),
+        (["fit-ols", "--dependent", "ln(GDP)", "--regressors", "ln(Exports)", "--constant=yes"],
+         "argument --constant/--no-constant"),
+        # --help is the one spelling
+        (["adf", "--series", "ln(GDP)", "-h"], "unrecognized arguments: -h"),
+    ], ids=["prefix", "missing", "det-choice", "kind-choice", "boolean-value", "short-help"])
+    def test_usage_error_exits_2_naming_the_flag(self, argv, named):
+        r = run_cli(argv)
+        assert r.exit_code == 2, r.output
+        assert named in r.output
+
+    @pytest.mark.parametrize("command", [None, *COMMAND_FLAGS])
+    def test_help_lists_the_flags_of_each_command(self, command):
+        r = run_cli([command, "--help"] if command else ["--help"])
+        assert r.exit_code == 0, r.output
+        if command is None:
+            assert all(name in r.output for name in COMMAND_FLAGS)
+        else:
+            assert set(re.findall(r"--[a-z][a-z-]*", r.output)) == {"--help", "--dataset",
+                                                                     *COMMAND_FLAGS[command]}
+
+    def test_the_benchmark_probes_call_prints_what_main_prints(self):
+        import tsecon.cli
+
+        argv = ["granger", "--x", "dln(GDP)", "--y", "dln(Industrial Investment)",
+                "--sample", "1976:2010"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):  # as perfbench/worker.py's cli_probe calls it
+            tsecon.cli.main.main(args=argv, prog_name="tsecon", standalone_mode=False)
+        assert "5.40933" in out.getvalue()
+        assert out.getvalue() == run_cli(argv).output
+
     def test_bad_sample_is_usage_error_naming_the_flag(self):
-        r = CliRunner().invoke(
-            main, ["granger", "--x", "dln(GDP)", "--y", "dln(Industrial Investment)",
-                   "--sample", "1970-2010"],
-        )
+        r = run_cli(["granger", "--x", "dln(GDP)", "--y", "dln(Industrial Investment)",
+                     "--sample", "1970-2010"])
         assert r.exit_code == 2
         assert "Invalid value for '--sample'" in r.output
         assert "YYYY:YYYY" in r.output
 
     def test_bad_window_is_usage_error_not_manifest_error(self):
-        r = CliRunner().invoke(main, ["adf", "--series", "ln(Inflation)", "--window", "x"])
+        r = run_cli(["adf", "--series", "ln(Inflation)", "--window", "x"])
         assert r.exit_code == 2
         assert "Invalid value for '--window'" in r.output
         assert "manifest error" not in r.output
 
     def test_unknown_irf_label_is_usage_error_naming_the_flag(self):
-        r = CliRunner().invoke(
-            main, ["irf", "--variables", "dln(GDP), dln(Exports)",
-                   "--shock", "nope", "--response", "d_Ln(GDP)"],
-        )
+        r = run_cli(["irf", "--variables", "dln(GDP), dln(Exports)",
+                     "--shock", "nope", "--response", "d_Ln(GDP)"])
         assert r.exit_code == 2
         assert "Invalid value for '--shock'" in r.output
         assert "d_Ln(GDP), d_Ln(Exports)" in r.output
 
     @pytest.mark.parametrize("lags", ["1 x", "1,,2.5"])
     def test_bad_ar_lags_is_usage_error_naming_the_flag(self, lags):
-        r = CliRunner().invoke(
-            main, ["fit-ar", "--dependent", "ln(Industrial Investment)",
-                   "--regressors", "ln(GDP)", "--ar-lags", lags],
-        )
+        r = run_cli(["fit-ar", "--dependent", "ln(Industrial Investment)",
+                     "--regressors", "ln(GDP)", "--ar-lags", lags])
         assert r.exit_code == 2
         assert "Invalid value for '--ar-lags'" in r.output
         assert "invalid literal" not in r.output
@@ -252,22 +301,16 @@ class TestCli:
     @pytest.mark.parametrize("overrides", ["2005:0.15 2006", "2005:x", "y2005:0.1", "2005:-1",
                                            "2005:nan", "2005:inf", "2005:0.15 2005:0.9"])
     def test_bad_overrides_is_usage_error_naming_the_flag(self, overrides):
-        r = CliRunner().invoke(
-            main, ["simulate", "--kind", "unemployment", "--overrides", overrides],
-        )
+        r = run_cli(["simulate", "--kind", "unemployment", "--overrides", overrides])
         assert r.exit_code == 2
         assert "Invalid value for '--overrides'" in r.output
         assert "YYYY:rate" in r.output
 
     def test_good_ar_lags_and_overrides_still_run(self):
-        r = CliRunner().invoke(
-            main, ["fit-ar", "--dependent", "ln(Industrial Investment)",
-                   "--regressors", "ln(GDP), ln(Public investment)", "--ar-lags", "1, 2"],
-        )
+        r = run_cli(["fit-ar", "--dependent", "ln(Industrial Investment)",
+                     "--regressors", "ln(GDP), ln(Public investment)", "--ar-lags", "1, 2"])
         assert r.exit_code == 0, r.output
-        r = CliRunner().invoke(
-            main, ["simulate", "--kind", "exports", "--overrides", "2005:0.15 2006:0.10"],
-        )
+        r = run_cli(["simulate", "--kind", "exports", "--overrides", "2005:0.15 2006:0.10"])
         assert r.exit_code == 0, r.output
         assert "Terminal delta:" in r.output
 
@@ -283,33 +326,31 @@ class TestCli:
           "--residual-lag", "-1"], "--residual-lag"),
     ])
     def test_out_of_range_count_is_usage_error_naming_the_flag(self, argv, flag):
-        r = CliRunner().invoke(main, argv)
+        r = run_cli(argv)
         assert r.exit_code == 2, r.output
         assert f"Invalid value for '{flag}'" in r.output
         assert "division by zero" not in r.output
 
     def test_dataset_error_exits_3(self):
-        r = CliRunner().invoke(main, ["ingest", "--dataset", "/no/such/path"])
+        r = run_cli(["ingest", "--dataset", "/no/such/path"])
         assert r.exit_code == 3
 
     def test_env_var_selects_default_dataset(self, tmp_path, monkeypatch):
         (tmp_path / "s.csv").write_text("year,s\n1970,1\n1971,2\n")
         monkeypatch.setenv("TSECON_DATASET", str(tmp_path))
-        r = CliRunner().invoke(main, ["ingest"])
+        r = run_cli(["ingest"])
         assert r.exit_code == 0
         assert "s: 1970-1971" in r.output
 
     def test_estimation_error_exits_4(self):
-        r = CliRunner().invoke(
-            main, ["fit-ols", "--dependent", "ln(Exports)",
-                   "--regressors", "ln(GDP), ln(GDP)"],
-        )
+        r = run_cli(["fit-ols", "--dependent", "ln(Exports)",
+                     "--regressors", "ln(GDP), ln(GDP)"])
         assert r.exit_code == 4
 
     def test_report_runs_and_is_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
-        r1 = CliRunner().invoke(main, ["report", "--output", str(out1)])
-        r2 = CliRunner().invoke(main, ["report", "--output", str(out2)])
+        r1 = run_cli(["report", "--output", str(out1)])
+        r2 = run_cli(["report", "--output", str(out2)])
         assert r1.exit_code == 0 and r2.exit_code == 0
         assert (out1 / "tables" / "pipeline_summary.txt").exists()
         assert tree_digest(out1) == tree_digest(out2)
@@ -317,15 +358,25 @@ class TestCli:
     def test_bad_manifest_exits_2(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("key = value outside any section\n")
-        r = CliRunner().invoke(main, ["report", "--manifest", str(bad)])
+        r = run_cli(["report", "--manifest", str(bad)])
         assert r.exit_code == 2
+
+    @pytest.mark.parametrize("content", [b"\xff[step o]\nop = ols\n", None],
+                             ids=["not-utf-8", "missing"])
+    def test_unreadable_manifest_exits_2_naming_the_path(self, tmp_path, content):
+        manifest = tmp_path / "m.ini"
+        if content is not None:
+            manifest.write_bytes(content)
+        r = run_cli(["report", "--manifest", str(manifest), "--output", str(tmp_path / "out")])
+        assert r.exit_code == 2, r.output
+        assert f"manifest error: cannot read {str(manifest)!r}: " in r.output
 
     def test_manifest_echo_reruns_identically(self, tmp_path):
         out1 = tmp_path / "a"
-        CliRunner().invoke(main, ["report", "--output", str(out1)])
+        run_cli(["report", "--output", str(out1)])
         echoed = out1 / "manifest.echo.ini"
         out2 = tmp_path / "b"
-        r = CliRunner().invoke(main, ["report", "--manifest", str(echoed), "--output", str(out2)])
+        r = run_cli(["report", "--manifest", str(echoed), "--output", str(out2)])
         assert r.exit_code == 0
         assert tree_digest(out1) == tree_digest(out2)
 
@@ -392,8 +443,8 @@ class TestCli:
     def test_bad_step_value_is_manifest_error_naming_the_key(self, tmp_path, step, key, value):
         manifest = tmp_path / "m.ini"
         manifest.write_text(step)
-        r = CliRunner().invoke(main, ["report", "--manifest", str(manifest),
-                                      "--output", str(tmp_path / "out")])
+        r = run_cli(["report", "--manifest", str(manifest),
+                     "--output", str(tmp_path / "out")])
         assert r.exit_code == 2, r.output
         name = step.split("[step ")[-1].split("]")[0]
         assert f"manifest error: step {name!r}: bad {key} {value}" in r.output
@@ -405,8 +456,8 @@ class TestCli:
             "[step v]\nop = var\nvariables = dln(GDP) as g(1), dln(Exports) as G 1, "
             "dln(Credit) as x\nlags = 1\n[step i]\nop = irf\nvar = v\nplot = g(1) -> x\n"
             "plot = G 1 -> x\n")
-        r = CliRunner().invoke(main, ["report", "--manifest", str(manifest),
-                                      "--output", str(tmp_path / "out")])
+        r = run_cli(["report", "--manifest", str(manifest),
+                     "--output", str(tmp_path / "out")])
         assert r.exit_code == 2, r.output
         assert ("manifest error: step 'i': bad plot 'G 1 -> x'; its file plots/i_g_1_to_x.svg "
                 "is also written by plot 'g(1) -> x'") in r.output
@@ -427,8 +478,8 @@ class TestCli:
     def test_unknown_series_is_manifest_error_naming_the_key(self, tmp_path, step, key, series):
         manifest = tmp_path / "m.ini"
         manifest.write_text("[pipeline]\noptional = Tax benefits\n" + step)
-        r = CliRunner().invoke(main, ["report", "--manifest", str(manifest),
-                                      "--output", str(tmp_path / "out")])
+        r = run_cli(["report", "--manifest", str(manifest),
+                     "--output", str(tmp_path / "out")])
         assert r.exit_code == 2, r.output
         name = step.split("[step ")[-1].split("]")[0]
         assert (f"manifest error: step {name!r}: {key}: unknown series {series!r} "
@@ -449,8 +500,8 @@ class TestCli:
         manifest.write_text(
             "[step o]\nop = ols\ndependent = ln(GDP)\nregressors = ln(Exports)\n"
             "[step v]\nop = var\nvariables = dln(GDP), dln(Exports)\nlags = 1\n" + step)
-        r = CliRunner().invoke(main, ["report", "--manifest", str(manifest),
-                                      "--output", str(tmp_path / "out")])
+        r = run_cli(["report", "--manifest", str(manifest),
+                     "--output", str(tmp_path / "out")])
         assert r.exit_code == 2, r.output
         name = step.split("]")[0].split()[1]
         assert f"manifest error: step {name!r}: {key} {message}" in r.output
@@ -459,7 +510,7 @@ class TestCli:
         blocker = tmp_path / "a_file"
         blocker.write_text("")
         target = blocker / "sub"
-        r = CliRunner().invoke(main, ["report", "--output", str(target)])
+        r = run_cli(["report", "--output", str(target)])
         assert r.exit_code == 2
         assert f"output error: cannot write bundle to {str(target)!r}" in r.output
 
@@ -472,14 +523,14 @@ class TestCli:
         manifest = tmp_path / "m.ini"
         manifest.write_text("[step o]\nop = ols\ndependent = ln(GDP)\nregressors = ln(Exports)\n"
                             "[step g]\nop = granger\nx = dln(GDP)\ny = dln(Exports)\nlags = x\n")
-        r = CliRunner().invoke(main, ["report", "--manifest", str(manifest),
-                                      "--output", str(tmp_path / "out")])
+        r = run_cli(["report", "--manifest", str(manifest),
+                     "--output", str(tmp_path / "out")])
         assert r.exit_code == 2, r.output
         assert "manifest error: step 'g': bad lags 'x'" in r.output
         assert calls == []
         manifest.write_text("[step o]\nop = ols\ndependent = ln(GDP)\nregressors = ln(Exports)\n")
-        assert CliRunner().invoke(main, ["report", "--manifest", str(manifest),
-                                         "--output", str(tmp_path / "out")]).exit_code == 0
+        assert run_cli(["report", "--manifest", str(manifest),
+                        "--output", str(tmp_path / "out")]).exit_code == 0
         assert len(calls) == 1
 
     @pytest.mark.parametrize("argv, flag", [
@@ -511,7 +562,7 @@ class TestCli:
           "--endogenous", "nope", "--instruments", "dln(GDP)@1"], "--endogenous"),
     ])
     def test_bad_flag_value_is_usage_error_naming_the_flag(self, argv, flag):
-        r = CliRunner().invoke(main, argv)
+        r = run_cli(argv)
         assert r.exit_code == 2, r.output
         assert f"Invalid value for '{flag}'" in r.output
 
@@ -524,7 +575,7 @@ class TestCli:
         (["granger", "--x", "dln(GDP)", "--y", "dln(Tax benefits)"], "--y"),
     ])
     def test_unknown_series_is_usage_error_naming_the_flag(self, argv, flag):
-        r = CliRunner().invoke(main, argv)
+        r = run_cli(argv)
         assert r.exit_code == 2, r.output
         assert f"Invalid value for '{flag}': unknown series " in r.output
         assert "dataset error" not in r.output
@@ -536,37 +587,39 @@ class TestCli:
          "ar_lags"),
     ])
     def test_flag_error_leaves_out_the_step_key(self, argv, key):
-        r = CliRunner().invoke(main, argv)
+        r = run_cli(argv)
         assert r.exit_code == 2, r.output
         message = r.output.split("Invalid value for ", 1)[1]
         assert key not in message.split(":", 1)[1], message
 
     def test_empty_model_is_estimation_error_naming_it(self):
-        r = CliRunner().invoke(main, ["fit-ols", "--dependent", "ln(GDP)", "--regressors", "",
-                                      "--no-constant"])
+        r = run_cli(["fit-ols", "--dependent", "ln(GDP)", "--regressors", "",
+                     "--no-constant"])
         assert r.exit_code == 4, r.output
         assert "empty model" in r.output
         assert "concatenate" not in r.output
 
-    def test_unknown_step_key_is_manifest_error_naming_it(self, tmp_path):
+    # a step key spelt like a flag of report is still the manifest's, not the flag's
+    @pytest.mark.parametrize("key", ["lag", "output", "dataset"])
+    def test_unknown_step_key_is_manifest_error_naming_it(self, tmp_path, key):
         manifest = tmp_path / "m.ini"
         manifest.write_text("[pipeline]\nseed = 20181001\n"
-                            "[step g]\nop = granger\nx = dln(GDP)\ny = dln(Exports)\nlag = 2\n")
-        r = CliRunner().invoke(main, ["report", "--manifest", str(manifest),
-                                      "--output", str(tmp_path / "out")])
+                            f"[step g]\nop = granger\nx = dln(GDP)\ny = dln(Exports)\n{key} = 2\n")
+        r = run_cli(["report", "--manifest", str(manifest),
+                     "--output", str(tmp_path / "out")])
         assert r.exit_code == 2, r.output
-        assert "manifest error: step 'g': unknown key 'lag'" in r.output
+        assert f"manifest error: step 'g': unknown key {key!r}" in r.output
         assert not (tmp_path / "out").exists()
 
     def test_coint_beyond_the_response_surfaces_is_estimation_error(self):
-        r = CliRunner().invoke(main, [
+        r = run_cli([
             "coint", "--dependent", "ln(Industrial Investment)", "--regressors",
             "ln(GDP),ln(Credit),ln(Exports),ln(CPI),ln(Public investment),ln(Total investment)"])
         assert r.exit_code == 4, r.output
         assert "cover at most 6 variables; the long-run relation has 7" in r.output
 
     def test_coint_subcommand(self):
-        r = CliRunner().invoke(main, [
+        r = run_cli([
             "coint", "--dependent", "ln(Industrial Investment)",
             "--regressors", "ln(Public investment), ln(GDP model base), ln(Credit)",
             "--sample", "1975:2010"])
@@ -574,14 +627,14 @@ class TestCli:
         assert "Cointegrated at 5%:" in r.output
 
     def test_fit_tsls_prints_the_bundled_equation(self):
-        r = CliRunner().invoke(main, ["fit-tsls", *default_step_flags("model1_unemployment")])
+        r = run_cli(["fit-tsls", *default_step_flags("model1_unemployment")])
         assert r.exit_code == 0, r.output
         golden = (GOLDEN_TABLES / "model1_unemployment.txt").read_text("utf-8")
         # all but the title line, which names the step
         assert r.output.split("\n", 1)[1] == golden.split("\n", 1)[1] + "\n"
 
     def test_var_prints_the_bundled_table(self):
-        r = CliRunner().invoke(main, ["var", *default_step_flags("var_main")])
+        r = run_cli(["var", *default_step_flags("var_main")])
         assert r.exit_code == 0, r.output
         assert r.output == (GOLDEN_TABLES / "var_main.txt").read_text("utf-8") + "\n"
 
@@ -605,7 +658,7 @@ class TestCli:
     ], ids=["adf", "granger", "var", "irf", "coint", "fit-ols", "fit-tsls", "fit-ar",
             "simulate-unemployment", "simulate-exports"])
     def test_a_flag_left_out_takes_its_former_default(self, argv, old_defaults):
-        without = CliRunner().invoke(main, argv)
-        explicit = CliRunner().invoke(main, argv + old_defaults)
+        without = run_cli(argv)
+        explicit = run_cli(argv + old_defaults)
         assert without.exit_code == 0, without.output
         assert without.output == explicit.output

@@ -91,6 +91,26 @@ class TestLoad:
         with pytest.raises(DatasetError, match="unknown series"):
             dataset.get("no such series")
 
+    @pytest.mark.parametrize("name, content, message", [
+        ("s.csv", b"year,s\n1970,1\n1971,\xff\n", r"s\.csv: line 3: byte 0xff is not UTF-8 text"),
+        ("provenance.txt", b"s,1970,1,2,\xe9\n", r"provenance\.txt: line 1: byte 0xe9 is not UTF-8 text"),
+        ("provenance.txt", b"# notes\ns,19x0,1,2,note\n",
+         r"provenance\.txt: line 2: 's,19x0,1,2,note' is not .* with a numeric year"),
+        ("provenance.txt", b"s,1970,1\n", r"provenance\.txt: line 1: 's,1970,1' is not 'series,year,printed,curated,reason'"),
+        ("wide.csv", b"year,a\n1970,1\n# \xff\n", r"wide\.csv: line 3: byte 0xff is not UTF-8 text"),
+        ("t.csv", None, r"t\.csv: cannot read: Is a directory"),
+        ("provenance.txt", None, r"provenance\.txt: cannot read: Is a directory"),
+    ], ids=["series-not-utf-8", "provenance-not-utf-8", "provenance-year", "provenance-fields",
+            "wide-not-utf-8", "series-unreadable", "provenance-unreadable"])
+    def test_bad_bundle_file_is_dataset_error_naming_it(self, tmp_path, name, content, message):
+        (tmp_path / "s.csv").write_text("year,s\n1970,1\n1971,2\n")
+        if content is None:  # a directory where a file is expected cannot be read
+            (tmp_path / name).mkdir()
+        else:
+            (tmp_path / name).write_bytes(content)
+        with pytest.raises(DatasetError, match=message):
+            load_dataset(tmp_path / name if name == "wide.csv" else tmp_path)
+
     def test_wide_file(self, tmp_path):
         (tmp_path / "wide.csv").write_text("year,a,b\n1970,1,10\n1971,2,20\n")
         ds = load_dataset(tmp_path / "wide.csv")

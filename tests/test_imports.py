@@ -14,6 +14,8 @@ import pytest
 
 import tsecon
 
+from conftest import run_cli
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 PUBLIC_NAMES = [
@@ -44,7 +46,8 @@ def loaded_after(code: str, roots: tuple[str, ...] = ("numpy", "scipy")) -> list
 
 
 def test_ingest_loads_neither_numpy_nor_scipy():
-    # the dataset checksum uses CPython's own SHA-256; hashlib loads OpenSSL
+    # the dataset checksum uses CPython's own SHA-256 (hashlib loads OpenSSL), and the CLI
+    # parses its flags with argparse
     code = """
 import runpy, sys
 sys.argv = ["tsecon", "ingest"]
@@ -53,7 +56,7 @@ try:
 except SystemExit as exc:
     assert not exc.code, exc.code
 """
-    assert loaded_after(code, ("numpy", "scipy", "hashlib", "_hashlib")) == []
+    assert loaded_after(code, ("numpy", "scipy", "hashlib", "_hashlib", "click")) == []
 
 
 def test_import_tsecon_loads_neither_numpy_nor_scipy():
@@ -83,10 +86,10 @@ try:
 except SystemExit as exc:
     assert not exc.code, exc.code
 """
-    loaded = loaded_after(code, ("numpy", "scipy", "hashlib", "_hashlib"))
+    loaded = loaded_after(code, ("numpy", "scipy", "hashlib", "_hashlib", "click"))
     assert (tmp_path / "out" / "tables" / "pipeline_summary.csv").exists()
     assert "numpy.linalg" in loaded
-    assert not [m for m in loaded if m.split(".")[0] in ("scipy", "hashlib", "_hashlib")
+    assert not [m for m in loaded if m.split(".")[0] in ("scipy", "hashlib", "_hashlib", "click")
                 or m.startswith(("numpy.f2py", "numpy.testing"))]
 
 
@@ -105,12 +108,8 @@ except SystemExit as exc:
 
 
 def test_only_the_process_entry_freezes_the_heap(tmp_path):
-    from click.testing import CliRunner
-
-    import tsecon.cli
-
     before = gc.get_freeze_count()
-    r = CliRunner().invoke(tsecon.cli.main, ["report", "--output", str(tmp_path / "out")])
+    r = run_cli(["report", "--output", str(tmp_path / "out")])
     assert r.exit_code == 0
     assert gc.get_freeze_count() == before == 0
 
