@@ -14,7 +14,7 @@ from .dataset import Dataset
 from .regress import EstimationError, FitResult, ModelSpec, ols_fit
 from .unitroot import MACKINNON_MAX_VARS, AdfResult, df_residual_test
 
-__all__ = ["CointegrationResult", "engle_granger"]
+__all__ = ["CointegrationResult", "engle_granger", "relation_size"]
 
 
 @record
@@ -22,6 +22,15 @@ class CointegrationResult:
     long_run: FitResult
     residual_test: AdfResult
     cointegrated: bool
+
+
+def relation_size(spec: ModelSpec) -> int:
+    """The number of series in the long-run relation, which the response surfaces must cover."""
+    n_vars = 1 + len(spec.regressors)
+    if n_vars > MACKINNON_MAX_VARS:
+        raise EstimationError("the MacKinnon response surfaces cover at most "
+                              f"{MACKINNON_MAX_VARS} variables; the long-run relation has {n_vars}")
+    return n_vars
 
 
 def engle_granger(
@@ -37,12 +46,7 @@ def engle_granger(
     Passing ``None`` skips the upstream check (the cointegrated flag then
     reflects the residual test alone).
     """
-    n_vars = 1 + len(spec.regressors)
-    if n_vars > MACKINNON_MAX_VARS:
-        raise EstimationError(
-            f"the MacKinnon response surfaces cover at most {MACKINNON_MAX_VARS} variables; "
-            f"the long-run relation has {n_vars}"
-        )
+    n_vars = relation_size(spec)
     if integration_orders is not None:
         labels = [spec.dependent.rendered_label()] + [
             t.rendered_label() for t in spec.regressors

@@ -139,14 +139,6 @@ class Dataset:
     def notes_for(self, name: str) -> tuple[ProvenanceNote, ...]:
         return tuple(n for n in self.provenance if n.series == name)
 
-    def with_series(self, extra: AnnualSeries) -> "Dataset":
-        """A new dataset with one series added (used for the optional benefit data)."""
-        if extra.name in self.series:
-            raise DatasetError(f"duplicate series name {extra.name!r}")
-        merged = dict(self.series)
-        merged[extra.name] = extra
-        return Dataset(merged, self.provenance, _checksum({**self.series, extra.name: extra}))
-
 
 @record
 class Term:
@@ -290,66 +282,54 @@ def _checksum(series: dict[str, AnnualSeries]) -> str:
 _UNIT_RE = re.compile(r"#\s*unit:\s*(.*)")
 
 
-def _parse_series_csv(text: str, origin: str) -> AnnualSeries:
+def _parse_csv(text: str, origin: str, wide: bool) -> list[AnnualSeries]:
+    """The series of one CSV file: ``year,<name>`` and one series, or, if ``wide``, one per column.
+
+    Blank lines are skipped, a line starting with ``#`` is a comment, and a
+    ``# unit: <u>`` comment sets the unit of every series in the file.  A
+    series file's name is the whole header after ``year,``, commas included.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("year,"):
-        raise DatasetError(f"{origin}: first row must be 'year,<series-name>'")
-    name = lines[0].split(",", 1)[1].strip()
-    if not name:
-        raise DatasetError(f"{origin}: missing series name in header")
-    rows = [ln for ln in lines[1:] if ln[0] != "#"]
+    rows = [ln for ln in lines if ln[0] != "#"]
     unit = ""
-    if len(rows) < len(lines) - 1:
-        for m in filter(None, map(_UNIT_RE.match, lines[1:])):
+    if len(rows) < len(lines):
+        for m in filter(None, map(_UNIT_RE.match, lines)):
             unit = m.group(1).strip()
+    first, comma, rest = (rows.pop(0) if rows else "").partition(",")
+    if first.strip() != "year" or not comma:
+        raise DatasetError(f"{origin}: first row must be 'year,<series-name>'")
+    names = [n.strip() for n in rest.split(",")] if wide else [rest.strip()]
+    if not all(names):
+        raise DatasetError(f"{origin}: missing series name in header")
     if not rows:
-        raise DatasetError(f"{origin}: series {name!r} has no rows")
+        raise DatasetError(f"{origin}: series {', '.join(map(repr, names))} has no rows")
     try:
         year_cells, _, value_cells = zip(*map(str.partition, rows, repeat(",")))
         years = list(map(int, year_cells))
-        values = tuple(map(float, value_cells))
+        columns = [value_cells]
+        if wide:  # split the values into one column per name
+            cells = list(map(str.split, value_cells, repeat(",")))
+            if set(map(len, cells)) != {len(names)}:
+                raise ValueError
+            columns = zip(*cells)
+        columns = [tuple(map(float, col)) for col in columns]
     except ValueError:
-        # a row with other than one comma leaves a comma or nothing in its
-        # value cell; re-scan so the first bad row names the error
+        # a row with the wrong number of cells or a non-numeric cell fails
+        # above; re-scan so the first bad row names the error
         for ln in rows:
             parts = ln.split(",")
-            if len(parts) != 2:
+            if len(parts) != 1 + len(names):
                 raise DatasetError(f"{origin}: malformed row {ln!r}") from None
             try:
-                int(parts[0]), float(parts[1])
+                int(parts[0]), *map(float, parts[1:])
             except ValueError:
                 raise DatasetError(f"{origin}: non-numeric cell in row {ln!r}") from None
         raise
     if years != list(range(years[0], years[0] + len(years))):
         a, b = next((a, b) for a, b in zip(years, years[1:]) if b != a + 1)
-        raise DatasetError(f"{origin}: non-contiguous years {a} -> {b} in series {name!r}")
-    return AnnualSeries(name, years[0], values, unit)
-
-
-def _parse_wide_csv(text: str, origin: str) -> list[AnnualSeries]:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    header = lines[0].split(",")
-    if header[0].strip() != "year" or len(header) < 2:
-        raise DatasetError(f"{origin}: wide file must start with a 'year' column")
-    names = [h.strip() for h in header[1:]]
-    columns: list[list[float]] = [[] for _ in names]
-    years = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise DatasetError(f"{origin}: malformed row {ln!r}")
-        try:
-            years.append(int(parts[0]))
-            for col, cell in zip(columns, parts[1:]):
-                col.append(float(cell))
-        except ValueError:
-            raise DatasetError(f"{origin}: non-numeric cell in row {ln!r}") from None
-    for a, b in zip(years, years[1:]):
-        if b != a + 1:
-            raise DatasetError(f"{origin}: non-contiguous years {a} -> {b}")
-    if not years:
-        raise DatasetError(f"{origin}: no data rows")
-    return [AnnualSeries(n, years[0], tuple(col)) for n, col in zip(names, columns)]
+        raise DatasetError(f"{origin}: non-contiguous years {a} -> {b} in series "
+                           + ", ".join(map(repr, names)))
+    return [AnnualSeries(n, years[0], col, unit) for n, col in zip(names, columns)]
 
 
 def _parse_provenance(text: str, origin: str) -> tuple[ProvenanceNote, ...]:
@@ -394,23 +374,16 @@ def load_dataset(path: str | Path | None = None) -> Dataset:
     p = bundled_dataset_path() if path is None else Path(path)
     if not p.exists():
         raise DatasetError(f"dataset path {p} does not exist")
+    wide = not p.is_dir()
+    files = [p] if wide else sorted(f for f in p.iterdir() if f.suffix == ".csv")
+    if not files:
+        raise DatasetError(f"no CSV files in bundle {p}")
     series: dict[str, AnnualSeries] = {}
-    provenance: tuple[ProvenanceNote, ...] = ()
-    if p.is_dir():
-        files = sorted(f for f in p.iterdir() if f.suffix == ".csv")
-        if not files:
-            raise DatasetError(f"no CSV files in bundle {p}")
-        for f in files:
-            s = _parse_series_csv(_read(f), f.name)
+    for f in files:
+        for s in _parse_csv(_read(f), f.name, wide):
             if s.name in series:
                 raise DatasetError(f"duplicate series name {s.name!r}")
             series[s.name] = s
-        prov = p / "provenance.txt"
-        if prov.exists():
-            provenance = _parse_provenance(_read(prov), prov.name)
-    else:
-        for s in _parse_wide_csv(_read(p), p.name):
-            if s.name in series:
-                raise DatasetError(f"duplicate series name {s.name!r}")
-            series[s.name] = s
+    prov = p / "provenance.txt"
+    provenance = () if wide or not prov.exists() else _parse_provenance(_read(prov), prov.name)
     return Dataset(series, provenance, _checksum(series))

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 
-from .cointegration import engle_granger
+from .cointegration import engle_granger, relation_size
 from .dataset import (Dataset, DatasetError, Term, TermError, _slug, apply_term, load_dataset,
                       parse_term)
 from .dynamics import ArSpec, chow_test, cochrane_orcutt_fit, compare_models, granger_causality
 from .manifest import ManifestError, PipelineManifest, Step, StepError
-from .regress import ModelSpec, ols_fit
+from .regress import EstimationError, ModelSpec, ols_fit
 from .report import ReportBundle, _csv, render_irf_plot, render_table
 from .scenario import CapitalScenario, simulate_exports, simulate_unemployment
 from .tsls import TslsSpec, tsls_fit
@@ -71,17 +71,18 @@ class _Parse:
     one, or the reason a step this one references was skipped, and skips the
     step.  ``terms`` caches parsed term texts across the manifest; ``earlier``
     maps each earlier step's name to its op, missing series and VAR labels (it
-    holds no ``_Parse``, so a parse leaves no reference cycle).  ``run`` is the
-    step's run function, ``labels`` its variables' labels (``var``), ``plots``
-    maps each plot's file name to its shock and response (``irf``) and
-    ``tables`` maps each table name the step writes to the key and value text
-    that name it (the step's name, or a Chow break year).
+    holds no ``_Parse``, so a parse leaves no reference cycle) and ``writers``
+    each claimed bundle file to its step and value text.  ``run`` is the step's
+    run function, ``labels`` its variables' labels (``var``), ``plots`` maps
+    each plot's file name to its shock and response (``irf``) and ``tables``
+    maps each table name the step writes to the key and value text that name it
+    (the step's name, or a Chow break year).
     """
 
     def __init__(self, step: Step, dataset: Dataset, optional: tuple[str, ...],
-                 terms: dict[str, Term], earlier: dict):
+                 terms: dict[str, Term], earlier: dict, writers: dict):
         self.step, self._dataset, self._optional = step, dataset, optional
-        self._terms, self.earlier = terms, earlier
+        self._terms, self.earlier, self._writers = terms, earlier, writers
         self.read: set[str] = set()
         self.missing: str | None = None
         self.run, self.labels, self.plots = None, (), {}
@@ -91,8 +92,8 @@ class _Parse:
         self.read.add(key)
         return self.step.options.get(key, [])
 
-    def bad(self, key: str, text: str, expected: str, value: str | None = None):
-        return ManifestError(f"{text!r}; expected {expected}", self.step.name, key,
+    def bad(self, key: str, text: str, reason: str, value: str | None = None):
+        return ManifestError(f"{text!r}; {reason}", self.step.name, key,
                              text if value is None else value, f"bad {key} ")
 
     def parse(self, key: str, text: str, parse, expected: str):
@@ -100,13 +101,14 @@ class _Parse:
         try:
             return parse(text)
         except (ValueError, LookupError, TermError):
-            raise self.bad(key, text, expected) from None
+            raise self.bad(key, text, f"expected {expected}") from None
 
     def value(self, key: str, parse=None, expected: str = "", default=_REQUIRED):
         """``key``'s one text through ``parse``; a missing key takes ``default``, parsed too."""
         texts = self.all(key)
         if len(texts) > 1:
-            raise self.bad(key, texts[1], f"one value, and {key} is already {texts[0]!r}")
+            raise self.bad(key, texts[1],
+                           f"expected one value, and {key} is already {texts[0]!r}")
         text = next(iter(texts), None if default is _REQUIRED else default)
         if text is None and default is _REQUIRED:
             raise ManifestError(f"missing required key {key!r}", self.step.name, key)
@@ -117,8 +119,25 @@ class _Parse:
         text = self.value(key)
         items = list(filter(None, map(str.strip, text.replace(",", sep or " ").split(sep))))
         if not items:
-            raise self.bad(key, text, expected)
+            raise self.bad(key, text, f"expected {expected}")
         return tuple(self.parse(key, item, parse, expected) for item in items)
+
+    def checked(self, key: str, make, *args):
+        """``make(*args)``; its ``EstimationError`` makes the value given for ``key`` bad."""
+        try:
+            return make(*args)
+        except EstimationError as exc:
+            raise self.bad(key, self.step.options[key][0], str(exc)) from None
+
+    def claim(self, path: str, key: str, text: str) -> None:
+        """Note that the step writes ``path``; a file claimed before makes ``text`` bad."""
+        if path in self._writers:
+            first, named = self._writers[path]
+            where = ("reserved for the pipeline summary" if first is None else
+                     f"also written by plot {named!r}" if first == self.step.name else
+                     f"also written by step {first!r}")
+            raise self.bad(key, text, f"its file {path} is {where}")
+        self._writers[path] = self.step.name, text
 
     def integer(self, key: str, default=_REQUIRED, minimum: int | None = None) -> int:
         return self.value(key, *_number(int, minimum), default)
@@ -235,15 +254,16 @@ def _tsls(v: _Parse):
     labels = [t.rendered_label() for t in model.regressors]
     endogenous = v.items("endogenous", lambda label: labels[labels.index(label)],
                          f"regressor labels, each one of {', '.join(labels)}", ",")
-    return lambda dataset, results: tsls_fit(dataset, TslsSpec(model, endogenous, instruments))
+    spec = v.checked("instruments", TslsSpec, model, endogenous, instruments)
+    return lambda dataset, results: tsls_fit(dataset, spec)
 
 
 def _ar(v: _Parse):
     model, lags = v.model(), v.items("ar_lags", *_number(int, 1))
     iterations = v.integer("max_iterations", "20", minimum=1)
     tolerance = v.number("tolerance", "5e-5")
-    return lambda dataset, results: cochrane_orcutt_fit(
-        dataset, ArSpec(model, lags, iterations, tolerance))
+    spec = v.checked("ar_lags", ArSpec, model, lags, iterations, tolerance)
+    return lambda dataset, results: cochrane_orcutt_fit(dataset, spec)
 
 
 def _compare(v: _Parse):
@@ -253,6 +273,7 @@ def _compare(v: _Parse):
 
 def _coint(v: _Parse):
     model, lag = v.model(), v.integer("residual_lag", "1", minimum=0)
+    v.checked("regressors", relation_size, model)
     orders = None
     if v.choice("assume_i1", ("all",), None):
         orders = {t.rendered_label(): 1 for t in (model.dependent, *model.regressors)}
@@ -291,13 +312,10 @@ def _irf(v: _Parse):
         pair = tuple(label.strip() for label in text.partition("->")[::2])
         for label in pair:
             if label not in labels:
-                raise v.bad("plot", text, f"'shock -> response', each one of {', '.join(labels)}",
-                            label)
+                raise v.bad("plot", text, "expected 'shock -> response', each one of "
+                            + ", ".join(labels), label)
         name = f"{v.step.name}_{_slug(pair[0])}_to_{_slug(pair[1])}"
-        if name in v.plots:  # labels that slug alike would write one file
-            raise ManifestError(f"{text!r}; its file plots/{name}.svg is also written by plot "
-                                f"{' -> '.join(v.plots[name])!r}", v.step.name, "plot", text,
-                                "bad plot ")
+        v.claim(f"plots/{name}.svg", "plot", text)  # labels that slug alike write one file
         v.plots[name] = pair
     return lambda dataset, results: impulse_response(results[var], horizon)
 
@@ -319,6 +337,7 @@ def _simulate(v: _Parse):
     scenario = CapitalScenario(v.step.name, v.value("overrides", _overrides, (
         "YYYY:rate pairs, each year once and each rate a finite number > -1")))
     window, capital = v.window("window"), v.term("capital")
+    v.checked("overrides", scenario.check_window, window)
     amount = v.number("eap" if kind == "unemployment" else "terminal_actual_usd")
     label = v.value("capital_label", default="d_Ln(K)")
     log_growth = v.boolean("log_growth", "true")
@@ -353,16 +372,17 @@ OPS = {
 def _parse_steps(steps, dataset: Dataset, optional: tuple[str, ...]) -> list[_Parse]:
     """Parse every step, in order; the first bad value or unknown key raises ``ManifestError``.
 
-    A table name that an earlier step writes, or ``pipeline_summary``, is a bad value too.
+    A value naming a table or plot file that another step or plot writes, or
+    ``pipeline_summary``, is a bad value too.
     """
     terms: dict[str, Term] = {}
-    writers: dict[str, str | None] = {"pipeline_summary": None}  # table -> first step to write it
+    writers: dict[str, tuple[str | None, str]] = {"tables/pipeline_summary.txt": (None, "")}
     earlier: dict[str, tuple[str, str | None, tuple[str, ...]]] = {}
     plan = []
     for step in steps:
         if step.op not in OPS:
             raise ManifestError(f"unknown op {step.op!r}", step.name, "op", step.op)
-        v = _Parse(step, dataset, optional, terms, earlier)
+        v = _Parse(step, dataset, optional, terms, earlier, writers)
         for text in v.all("requires"):
             v.need("requires", *filter(None, map(str.strip, text.split(","))))
         v.run = OPS[step.op][0](v)
@@ -371,12 +391,7 @@ def _parse_steps(steps, dataset: Dataset, optional: tuple[str, ...]) -> list[_Pa
             raise ManifestError(f"unknown key {unknown[0]!r} for op {step.op!r}", step.name,
                                 unknown[0])
         for table, (key, text) in v.tables.items():
-            first = writers.setdefault(table, step.name)
-            if first != step.name:
-                where = ("reserved for the pipeline summary" if first is None
-                         else f"also written by step {first!r}")
-                raise ManifestError(f"{text!r}; its file tables/{table}.txt is {where}",
-                                    step.name, key, text, f"bad {key} ")
+            v.claim(f"tables/{table}.txt", key, text)
         earlier[step.name] = step.op, v.missing, v.labels
         plan.append(v)
     return plan

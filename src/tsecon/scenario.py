@@ -36,6 +36,15 @@ class CapitalScenario:
         applicable = [y for y in self.overrides if y <= year]
         return self.overrides[max(applicable)] if applicable else None
 
+    def check_window(self, window: tuple[int, int]) -> None:
+        """Refuse an empty ``(first, last)`` window or an override year outside it."""
+        lo, hi = window
+        if lo > hi:
+            raise EstimationError("empty simulation window")
+        outside = [y for y in self.overrides if not lo <= y <= hi]
+        if outside:
+            raise EstimationError(f"override years {outside} lie outside the window {lo}-{hi}")
+
 
 @record
 class ScenarioResult:
@@ -70,12 +79,8 @@ def _simulate(
     _coeff(fit, "const")
     beta_k = _coeff(fit, capital_label)
     ar1, ar2 = (_coeff(fit, f"{fit.dep_label}(-{lag})") for lag in (1, 2))
+    scenario.check_window(window)
     lo, hi = window
-    if lo > hi:
-        raise EstimationError("empty simulation window")
-    outside = [y for y in scenario.overrides if not lo <= y <= hi]
-    if outside:
-        raise EstimationError(f"override years {outside} lie outside the window {lo}-{hi}")
     for s in (actual, capital_growth):
         if lo < s.start_year or hi > s.end_year:
             raise EstimationError(

@@ -21,7 +21,7 @@ from tsecon.dataset import (
     DatasetError,
     Term,
     TermError,
-    _parse_series_csv,
+    _parse_csv,
     align,
     apply_term,
 )
@@ -200,6 +200,12 @@ def reference_parse(text: str, origin: str) -> AnnualSeries:
     return AnnualSeries(name, years[0], tuple(v for _, v in rows), unit)
 
 
+def parse_series(text: str, origin: str) -> AnnualSeries:
+    """The loader's parser on a series file, which holds one series."""
+    [series] = _parse_csv(text, origin, wide=False)
+    return series
+
+
 def outcome(parse, text):
     try:
         s = parse(text, "s.csv")
@@ -226,15 +232,15 @@ class TestParseErrorParity:
     def test_error_text(self, body, message):
         text = "year,s\n" + body
         with pytest.raises(DatasetError) as err:
-            _parse_series_csv(text, "s.csv")
+            parse_series(text, "s.csv")
         assert str(err.value) == message
         assert outcome(reference_parse, text) == message
 
     def test_unit_lines_between_rows(self):
         text = "year,s\n# unit: kg\n1970,1\n# a note\n1971,2.5\n# unit: t\n1972,3\n"
-        s = _parse_series_csv(text, "s.csv")
+        s = parse_series(text, "s.csv")
         assert (s.start_year, s.values, s.unit) == (1970, (1.0, 2.5, 3.0), "t")
-        assert outcome(_parse_series_csv, text) == outcome(reference_parse, text)
+        assert outcome(parse_series, text) == outcome(reference_parse, text)
 
     @given(
         st.lists(
@@ -252,4 +258,4 @@ class TestParseErrorParity:
             rows.append(shape.format(y=year, v=f"{year / 7:.4f}"))
             year += step
         text = "year,s\n" + "\n".join(rows) + "\n"
-        assert outcome(_parse_series_csv, text) == outcome(reference_parse, text)
+        assert outcome(parse_series, text) == outcome(reference_parse, text)

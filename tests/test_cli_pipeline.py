@@ -439,6 +439,27 @@ class TestCli:
         ("[step pipeline_summary]\nop = ols\ndependent = ln(GDP)\nregressors = ln(Exports)\n",
          "name", "'pipeline_summary'; its file tables/pipeline_summary.txt is reserved for the "
          "pipeline summary"),
+        # so is a plot file written by two steps
+        ("[step v]\nop = var\nvariables = dln(GDP) as a_b, dln(Exports) as c, dln(Credit) as b\n"
+         "lags = 1\n[step i]\nop = irf\nvar = v\nplot = a_b -> c\n"
+         "[step i_a]\nop = irf\nvar = v\nplot = b -> c\n", "plot",
+         "'b -> c'; its file plots/i_a_b_to_c.svg is also written by step 'i'"),
+        # values that only an engine spec or check refuses are refused before any step runs
+        ("[step r]\nop = ar\ndependent = ln(GDP)\nregressors = ln(Exports)\nar_lags = 2 1\n",
+         "ar_lags", "'2 1'; AR lag list must be strictly increasing"),
+        ("[step t]\nop = tsls\ndependent = ln(Exports)\nregressors = dln(GDP), ln(Exports)@1\n"
+         "endogenous = d_Ln(GDP), Ln(Exports)(-1)\ninstruments = dln(GDP)@1\n", "instruments",
+         "'dln(GDP)@1'; order condition violated: need at least as many instruments as "
+         "endogenous regressors"),
+        ("[step c]\nop = coint\ndependent = ln(Industrial Investment)\nregressors = ln(GDP), "
+         "ln(Credit), ln(Exports), ln(CPI), ln(Public investment), ln(Total investment)\n",
+         "regressors", "'ln(GDP), ln(Credit), ln(Exports), ln(CPI), ln(Public investment), "
+         "ln(Total investment)'; the MacKinnon response surfaces cover at most 6 variables; "
+         "the long-run relation has 7"),
+        (SCENARIO_FIT + "[step s]\nop = simulate_exports\nfit = m\noverrides = 1990:0.1\n"
+         "window = 2000:2010\nterminal_actual_usd = 1\nexports = Exports\n"
+         "capital = dln(Total investment)\n",
+         "overrides", "'1990:0.1'; override years [1990] lie outside the window 2000-2010"),
     ])
     def test_bad_step_value_is_manifest_error_naming_the_key(self, tmp_path, step, key, value):
         manifest = tmp_path / "m.ini"
@@ -560,6 +581,13 @@ class TestCli:
           "--endogenous", "", "--instruments", "dln(GDP)@1"], "--endogenous"),
         (["fit-tsls", "--dependent", "ln(Exports)", "--regressors", "dln(GDP), ln(Exports)@1",
           "--endogenous", "nope", "--instruments", "dln(GDP)@1"], "--endogenous"),
+        # values that only an engine spec or check refuses are refused before any step runs
+        (["fit-ar", "--dependent", "ln(GDP)", "--regressors", "ln(Exports)", "--ar-lags", "1 1"],
+         "--ar-lags"),
+        (["fit-tsls", "--dependent", "ln(Exports)", "--regressors", "dln(GDP), ln(Exports)@1",
+          "--endogenous", "d_Ln(GDP), Ln(Exports)(-1)", "--instruments", "dln(GDP)@1"],
+         "--instruments"),
+        (["simulate", "--kind", "exports", "--overrides", "1990:0.1"], "--overrides"),
     ])
     def test_bad_flag_value_is_usage_error_naming_the_flag(self, argv, flag):
         r = run_cli(argv)
@@ -611,12 +639,14 @@ class TestCli:
         assert f"manifest error: step 'g': unknown key {key!r}" in r.output
         assert not (tmp_path / "out").exists()
 
-    def test_coint_beyond_the_response_surfaces_is_estimation_error(self):
+    def test_coint_beyond_the_response_surfaces_is_usage_error_naming_the_flag(self):
         r = run_cli([
             "coint", "--dependent", "ln(Industrial Investment)", "--regressors",
             "ln(GDP),ln(Credit),ln(Exports),ln(CPI),ln(Public investment),ln(Total investment)"])
-        assert r.exit_code == 4, r.output
-        assert "cover at most 6 variables; the long-run relation has 7" in r.output
+        assert r.exit_code == 2, r.output
+        assert ("Invalid value for '--regressors': 'ln(GDP),ln(Credit),ln(Exports),ln(CPI),"
+                "ln(Public investment),ln(Total investment)'; the MacKinnon response surfaces "
+                "cover at most 6 variables; the long-run relation has 7") in r.output
 
     def test_coint_subcommand(self):
         r = run_cli([

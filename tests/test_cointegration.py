@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tsecon.cointegration import engle_granger
-from tsecon.dataset import AnnualSeries, Term
+from tsecon.dataset import AnnualSeries, Dataset, Term
 from tsecon.regress import EstimationError, ModelSpec
 
 from conftest import make_dataset
@@ -62,7 +62,7 @@ class TestEngleGranger:
         ds = cointegrated_pair(4)
         rng = np.random.default_rng(99)
         z = np.cumsum(rng.normal(size=200))
-        ds = ds.with_series(AnnualSeries("z", 1800, tuple(z)))
+        ds = Dataset({**ds.series, "z": AnnualSeries("z", 1800, tuple(z))})
         spec_a = ModelSpec(Term("y"), (Term("x"), Term("z")), include_constant=True)
         spec_b = ModelSpec(Term("y"), (Term("z"), Term("x")), include_constant=True)
         flags = {"y": 1, "x": 1, "z": 1}

@@ -38,10 +38,15 @@ class TestLoad:
         assert dataset.checksum == BUNDLE_CHECKSUM
 
     @pytest.mark.parametrize("extended", [False, True])
-    def test_checksum_is_sha256_of_the_canonical_files(self, dataset, extended):
+    def test_checksum_is_sha256_of_the_canonical_files(self, dataset, extended, tmp_path):
         # hashlib is the reference the built-in SHA-256 module must agree with
-        if extended:
-            dataset = dataset.with_series(AnnualSeries("Extra, unit", 1950, (1.5, -2.0, 1e17)))
+        if extended:  # the comma in a series file's header belongs to the one name
+            extra = AnnualSeries("Extra, unit", 1950, (1.5, -2.0, 1e17))
+            for fname, payload in serialize_dataset(
+                    Dataset({**dataset.series, extra.name: extra})).items():
+                (tmp_path / fname).write_bytes(payload)
+            dataset = load_dataset(tmp_path)
+            assert dataset.get(extra.name) == extra
         h = hashlib.sha256()
         for fname, payload in sorted(serialize_dataset(dataset).items()):
             h.update(fname.encode("utf-8"))
@@ -116,6 +121,29 @@ class TestLoad:
         ds = load_dataset(tmp_path / "wide.csv")
         assert ds.get("a").values == (1.0, 2.0)
         assert ds.get("b").value_in(1971) == 20.0
+
+    @pytest.mark.parametrize("content, message", [
+        ("", "first row must be 'year,<series-name>'"),
+        ("# a note\n\n# unit: t\n", "first row must be 'year,<series-name>'"),
+        ("year,,b\n1970,1,2\n", "missing series name in header"),
+        ("year,a,\n1970,1,2\n", "missing series name in header"),
+        ("year,a,b\n1970,1,2\n1971,3\n", "malformed row '1971,3'"),
+        ("year,a,b\n1970,1,2\n1971,3,x\n", "non-numeric cell in row '1971,3,x'"),
+        ("year,a,b\n1970,1,2\n1972,3,4\n", "non-contiguous years 1970 -> 1972 in series 'a', 'b'"),
+    ], ids=["empty", "comment-only", "empty-name", "empty-last-name", "short-row",
+            "non-numeric", "non-contiguous"])
+    def test_bad_wide_file_is_dataset_error_naming_it(self, tmp_path, content, message):
+        (tmp_path / "wide.csv").write_text(content)
+        with pytest.raises(DatasetError) as err:
+            load_dataset(tmp_path / "wide.csv")
+        assert str(err.value) == f"wide.csv: {message}"
+
+    @pytest.mark.parametrize("wide", [True, False], ids=["wide", "series"])
+    def test_comments_before_the_header_and_a_unit_line(self, tmp_path, wide):
+        (tmp_path / "s.csv").write_text("# compiled from the records\n\nyear,a\n# unit: t\n"
+                                        "1970,1\n1971,2\n")
+        ds = load_dataset(tmp_path / "s.csv" if wide else tmp_path)
+        assert ds.get("a") == AnnualSeries("a", 1970, (1.0, 2.0), "t")
 
     def test_provenance_notes(self, dataset):
         notes = dataset.notes_for("Credit growth")
@@ -221,7 +249,3 @@ class TestInvariants:
     def test_empty_series_rejected(self):
         with pytest.raises(DatasetError):
             AnnualSeries("s", 2000, ())
-
-    def test_dataset_with_series_rejects_duplicates(self, dataset):
-        with pytest.raises(DatasetError, match="duplicate"):
-            dataset.with_series(AnnualSeries("GDP", 1970, (1.0,)))
