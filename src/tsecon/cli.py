@@ -13,6 +13,7 @@ error, 4 step error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import os
 import sys
@@ -253,11 +254,22 @@ def entry():
     cost a cold ``report`` about 30 ms and frees nothing that the end of the
     process does not.  Only a process that is about to end may freeze, so
     importing this module or calling ``main`` in process never does.
+
+    A reader that closes stdout early is an output error; stdout then points
+    at the null device (the Python docs' note on SIGPIPE), so that the final
+    flush of what is still buffered cannot raise again.
     """
     try:
-        sys.exit(main())
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with contextlib.suppress(OSError):
+            print(f"output error: cannot write to stdout: {exc}", file=sys.stderr)
+        code = EXIT_MANIFEST
     finally:
         gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

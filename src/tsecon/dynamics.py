@@ -116,9 +116,9 @@ def cochrane_orcutt_fit(dataset: Dataset, spec: ArSpec) -> ArFitResult:
     y, X, labels, years = build_design(dataset, spec.model)
     lags = spec.ar_lags
     if not lags:
-        beta, _ = least_squares(X, y)
+        beta, _, R = least_squares(X, y)
         fit = diagnostics(
-            y, X, beta, labels, years, spec.model.dependent.rendered_label(),
+            y, X, beta, R, labels, years, spec.model.dependent.rendered_label(),
             spec.model.include_constant, method="ar",
         )
         return ArFitResult(fit, (), (), 0, True, False)
@@ -127,30 +127,29 @@ def cochrane_orcutt_fit(dataset: Dataset, spec: ArSpec) -> ArFitResult:
     if n - m <= X.shape[1]:
         raise EstimationError("insufficient observations after AR-lag trimming")
 
-    beta, _ = least_squares(X, y)
+    beta, _, _ = least_squares(X, y)
     last_ssr = None
     converged = False
-    iterations = 0
-    final = None
     for iterations in range(1, spec.max_iterations + 1):
         # re-estimate the disturbance coefficients from current residuals
         e = y - X @ beta
         E = np.column_stack([e[m - k : n - k] for k in lags])
-        rho, _ = least_squares(
+        rho, _, _ = least_squares(
             E, e[m:], "lagged residuals in the AR disturbance regression are collinear")
         # quasi-difference and re-estimate the regression
         y_star = y[m:] - sum(r * y[m - k : n - k] for r, k in zip(rho, lags))
         X_star = X[m:] - sum(r * X[m - k : n - k] for r, k in zip(rho, lags))
-        beta, _ = least_squares(X_star, y_star)
-        final = diagnostics(
-            y_star, X_star, beta, labels, years[m:],
-            spec.model.dependent.rendered_label(), spec.model.include_constant,
-            method="ar",
-        )
-        if last_ssr is not None and abs(final.ssr - last_ssr) <= spec.convergence_rel_tol * last_ssr:
+        beta, e_star, R = least_squares(X_star, y_star)
+        ssr = float(e_star @ e_star)  # the SSR diagnostics reports, bit for bit
+        if last_ssr is not None and abs(ssr - last_ssr) <= spec.convergence_rel_tol * last_ssr:
             converged = True
             break
-        last_ssr = final.ssr
+        last_ssr = ssr
+    final = diagnostics(
+        y_star, X_star, beta, R, labels, years[m:],
+        spec.model.dependent.rendered_label(), spec.model.include_constant,
+        method="ar",
+    )
     diverged = not _ar_poly_stationary(rho, lags)
     return ArFitResult(final, tuple(float(r) for r in rho), lags, iterations, converged, diverged)
 
@@ -190,15 +189,14 @@ def _granger_one_direction(x: np.ndarray, y: np.ndarray, lags: int) -> tuple[flo
     k_u = 2 * lags + 1
     if rows - k_u <= 0:
         raise EstimationError("insufficient observations for the Granger regression")
-    Y = y[lags:]
-    own = [np.ones(rows)] + [y[lags - i : n - i] for i in range(1, lags + 1)]
-    Xr = np.column_stack(own)
-    Xu = np.column_stack(own + [x[lags - i : n - i] for i in range(1, lags + 1)])
-    what = "collinear lag block in the Granger regression"
-    _, er = least_squares(Xr, Y, what)
-    _, eu = least_squares(Xu, Y, what)
-    ssr_r, ssr_u = float(er @ er), float(eu @ eu)
-    f = ((ssr_r - ssr_u) / lags) / (ssr_u / (rows - k_u))
+    # x's lags go last: the restricted fit without them has an SSR larger by the squared
+    # tail of Q'y = R beta, and passes the rank rule whenever this fit does
+    X = np.column_stack([np.ones(rows)] + [y[lags - i : n - i] for i in range(1, lags + 1)]
+                        + [x[lags - i : n - i] for i in range(1, lags + 1)])
+    beta, e, R = least_squares(X, y[lags:], "collinear lag block in the Granger regression")
+    tail = R[lags + 1 :] @ beta
+    ssr_u = float(e @ e)
+    f = (float(tail @ tail) / lags) / (ssr_u / (rows - k_u))
     return float(f), f_pvalue(f, lags, rows - k_u), rows
 
 
@@ -244,7 +242,7 @@ def chow_test(dataset: Dataset, spec: ModelSpec, break_year: int) -> ChowResult:
         )
 
     def ssr(yy, XX):
-        _, r = least_squares(XX, yy)
+        _, r, _ = least_squares(XX, yy)
         return float(r @ r)
 
     ssr_p = ssr(y, X)

@@ -288,6 +288,8 @@ def _granger(v: _Parse):
 
 def _chow(v: _Parse):
     model, years = v.model(), v.items("break_years", *_number(int))
+    if len(set(years)) < len(years):
+        raise v.bad("break_years", v.step.options["break_years"][0], "a break year is repeated")
     v.tables = {f"{v.step.name}_{year}": ("break_years", str(year)) for year in years}
     return lambda dataset, results: {year: chow_test(dataset, model, year) for year in years}
 

@@ -122,41 +122,30 @@ def build_design(dataset: Dataset, spec: ModelSpec):
     return y, X, labels, years
 
 
-def _column_norms(X: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->j", X, X))
-
-
 def least_squares(
     X: np.ndarray, Y: np.ndarray, what: str = "design matrix is rank deficient"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients and residuals of the least-squares fit of ``Y`` on ``X``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients, residuals and R factor of the least-squares fit of ``Y`` on ``X``.
 
-    ``Y`` is one right-hand side (1-D) or several (2-D, one per column).  The
-    rank rule is scale-free: each column of ``X`` is divided by its norm, and
-    the design is rank deficient when the smallest singular value of that
-    unit-norm design is at most ``RANK_RTOL`` times the largest (an all-zero
-    column included).  Then ``EstimationError(what)`` is raised.
+    ``Y`` is one right-hand side (1-D) or several (2-D, one per column).  One
+    Householder QR of the unit-norm design with ``Y`` appended gives R and Q'Y;
+    ``lstsq`` on their p x p block gives the unit-norm coefficients and singular
+    values.  When the smallest is at most ``RANK_RTOL`` times the largest (an
+    all-zero column included), ``EstimationError(what)`` is raised.  The R
+    returned is ``X``'s own: R'R = X'X, R @ beta = Q'Y, and (X'X)^-1 = R^-1 R^-T
+    comes without forming X'X, whose condition number is the design's squared
+    (Golub & Van Loan, *Matrix Computations*, section 5.3).
     """
-    norms = _column_norms(X)
+    norms = np.sqrt(np.einsum("ij,ij->j", X, X))
     if not 0.0 < norms.min() <= norms.max() < math.inf:
         raise EstimationError(what)
-    B, _, _, sv = np.linalg.lstsq(X / norms, Y, rcond=None)
-    if len(sv) < X.shape[1] or not sv[-1] > RANK_RTOL * sv[0]:
+    p = X.shape[1]
+    F = np.linalg.qr(np.column_stack([X / norms, Y]), mode="r")
+    B, _, _, sv = np.linalg.lstsq(F[:p, :p], F[:p, p:] if Y.ndim > 1 else F[:p, p], rcond=None)
+    if len(sv) < p or not sv[-1] > RANK_RTOL * sv[0]:
         raise EstimationError(what)
     beta = B / (norms if B.ndim == 1 else norms[:, None])
-    return beta, Y - X @ beta
-
-
-def unscaled_covariance(X: np.ndarray) -> np.ndarray:
-    """(X'X)^-1 of a design that ``least_squares`` accepted.
-
-    Formed as D^-1 R^-1 R^-T D^-1 from the R of the unit-norm design X D^-1
-    (Golub & Van Loan, *Matrix Computations*, section 5.3), never from X'X,
-    whose condition number is the square of the design's.
-    """
-    norms = _column_norms(X)
-    R_inv = np.linalg.inv(np.linalg.qr(X / norms, mode="r"))
-    return (R_inv @ R_inv.T) / np.outer(norms, norms)
+    return beta, Y - X @ beta, F[:p, :p] * norms
 
 
 def f_pvalue(f: float, dfn: float, dfd: float) -> float:
@@ -173,27 +162,27 @@ def diagnostics(
     y: np.ndarray,
     X: np.ndarray,
     beta: np.ndarray,
+    R: np.ndarray,
     labels: list[str],
     years: np.ndarray,
     dep_label: str,
     include_constant: bool,
     *,
-    se_from: np.ndarray | None = None,
     p_dist: str = "t",
     method: str = "ols",
 ) -> FitResult:
     """Assemble a FitResult from a solved regression.
 
-    ``se_from`` overrides the moment matrix used for coefficient covariance
-    (two-stage least squares passes the projected design); ``p_dist`` selects
-    Student-t or standard-normal coefficient p-values.
+    ``R`` is the fit's triangular factor from ``least_squares`` (two-stage least
+    squares passes the projected design's); ``p_dist`` selects Student-t or
+    standard-normal coefficient p-values.
     """
     n, p = X.shape
     e = y - X @ beta
     ssr = float(e @ e)
     df = n - p
     s2 = ssr / df
-    se = np.sqrt(s2 * np.diag(unscaled_covariance(X if se_from is None else se_from)))
+    se = np.sqrt(s2 * np.square(np.linalg.inv(R)).sum(axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
         tvals = np.where(se > 0, beta / np.where(se > 0, se, 1.0), np.inf * np.sign(beta))
     if p_dist == "t":
@@ -250,8 +239,8 @@ def diagnostics(
 def ols_fit(dataset: Dataset, spec: ModelSpec) -> FitResult:
     """Ordinary least squares over the spec's realized sample."""
     y, X, labels, years = build_design(dataset, spec)
-    beta, _ = least_squares(X, y)
+    beta, _, R = least_squares(X, y)
     return diagnostics(
-        y, X, beta, labels, years, spec.dependent.rendered_label(), spec.include_constant
+        y, X, beta, R, labels, years, spec.dependent.rendered_label(), spec.include_constant
     )
 

@@ -15,7 +15,7 @@ import numpy as np
 from ._record import record
 from ._tails import norm_cdf
 from .dataset import AnnualSeries
-from .regress import EstimationError, _column_norms, least_squares
+from .regress import EstimationError, least_squares
 
 __all__ = ["AdfBattery", "AdfResult", "AdfSpec", "adf_test", "df_residual_test", "mackinnon_pvalue"]
 
@@ -148,9 +148,8 @@ def _adf_regression(values: np.ndarray, spec: AdfSpec) -> tuple[float, float, in
         raise EstimationError("cannot run a unit-root test on a constant series")
     dy = np.diff(values)
     Y = dy[k:]
-    # the lagged level goes last: with R from the QR of the unit-norm design,
-    # its entry of (X'X)^-1 is then 1 / (R[-1, -1] * norm)^2, and no other
-    # entry of the covariance is needed
+    # the lagged level goes last: its entry of (X'X)^-1 = R^-1 R^-T is then
+    # 1 / R[-1, -1]^2, and no other entry of the covariance is needed
     cols = []
     if n_det >= 1:
         cols.append(np.ones(rows))
@@ -160,15 +159,13 @@ def _adf_regression(values: np.ndarray, spec: AdfSpec) -> tuple[float, float, in
         cols.append(dy[k - i : len(dy) - i])
     cols.append(values[k:-1])
     X = np.column_stack(cols)
-    beta, e = least_squares(
+    beta, e, R = least_squares(
         X, Y,
         f"singular ADF design ({spec.deterministic}, {k} lags): the deterministic "
         "terms, lagged level and lagged differences are collinear",
     )
     s2 = float(e @ e) / (rows - X.shape[1])
-    norms = _column_norms(X)
-    r_level = np.linalg.qr(X / norms, mode="r")[-1, -1] * norms[-1]
-    se = math.sqrt(s2) / abs(float(r_level))
+    se = math.sqrt(s2) / abs(float(R[-1, -1]))
     return float(beta[-1] / se), float(beta[-1]), rows
 
 

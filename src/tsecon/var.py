@@ -85,7 +85,7 @@ def var_fit(
             "coefficients per equation"
         )
     X = np.column_stack([np.ones(rows)] + [Y[p - i : T - i] for i in range(1, p + 1)])
-    B, E = least_squares(X, Y[p:], "rank-deficient VAR design")
+    B, E, _ = least_squares(X, Y[p:], "rank-deficient VAR design")
     sigma = E.T @ E / (rows - ncoef)
     A = tuple(B[1 + i * k : 1 + (i + 1) * k].T for i in range(p))
     return VarModel(

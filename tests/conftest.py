@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import shutil
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import settings
 
 from tsecon.cli import main
-from tsecon.dataset import AnnualSeries, Dataset, load_dataset
+from tsecon.dataset import AnnualSeries, Dataset, bundled_dataset_path, load_dataset
 
 # on CI every property test replays the same examples, with no time limit,
 # so a slow runner or an unlucky draw cannot make a run flake
@@ -20,6 +21,22 @@ if os.environ.get("CI"):
 @pytest.fixture(scope="session")
 def dataset():
     return load_dataset()
+
+
+@pytest.fixture(scope="session")
+def benefit_dataset(tmp_path_factory):
+    """The bundled dataset plus a deterministic synthetic positive benefit series."""
+    root = tmp_path_factory.mktemp("benefit_dataset")
+    for f in bundled_dataset_path().iterdir():
+        if f.suffix in (".csv", ".txt") and f.name != "default_manifest.ini":
+            shutil.copy(f, root / f.name)
+    rows = ["year,Tax benefits", "# unit: thousands of 1983 pesos"]
+    value = 900.0
+    for year in range(1975, 2011):
+        value *= 1.0 + 0.05 * ((year % 7) - 3) / 3.0 + 0.03
+        rows.append(f"{year},{value!r}")
+    (root / "tax_benefits.csv").write_text("\n".join(rows) + "\n")
+    return load_dataset(root)
 
 
 def make_dataset(**series):

@@ -2,13 +2,14 @@ import contextlib
 import csv
 import hashlib
 import io
+import os
 import re
-import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from tsecon.dataset import bundled_dataset_path, load_dataset
 from tsecon.manifest import ManifestError, default_manifest_text, parse_manifest
 from tsecon.pipeline import run_pipeline
 
@@ -33,6 +34,7 @@ COMMAND_FLAGS = {
     "simulate": ["--kind", "--overrides", "--window", "--eap", "--terminal-actual-usd"],
     "report": ["--manifest", "--output"],
 }
+SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN_TABLES = Path(__file__).resolve().parent / "golden" / "default_bundle" / "tables"
 # a fit step for scenario steps that only need to parse
 SCENARIO_FIT = "[step m]\nop = ols\ndependent = Unemployment rate\nregressors = ln(GDP)\n"
@@ -57,21 +59,6 @@ def tree_digest(root: Path) -> str:
             h.update(str(f.relative_to(root)).encode())
             h.update(f.read_bytes())
     return h.hexdigest()
-
-
-@pytest.fixture
-def benefit_dataset(tmp_path):
-    """The bundled dataset plus a synthetic positive benefit series."""
-    for f in bundled_dataset_path().iterdir():
-        if f.suffix in (".csv", ".txt") and f.name != "default_manifest.ini":
-            shutil.copy(f, tmp_path / f.name)
-    rows = ["year,Tax benefits", "# unit: thousands of 1983 pesos"]
-    value = 900.0
-    for year in range(1975, 2011):
-        value *= 1.0 + 0.05 * ((year % 7) - 3) / 3.0 + 0.03
-        rows.append(f"{year},{value!r}")
-    (tmp_path / "tax_benefits.csv").write_text("\n".join(rows) + "\n")
-    return load_dataset(tmp_path)
 
 
 class TestManifestParsing:
@@ -227,6 +214,21 @@ class TestCli:
                      "--lags", "4", "--sample", "1976:2010"])
         assert r.exit_code == 0
         assert "5.40933" in r.output
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest"],
+        ["adf", "--series", "ln(GDP)"],
+        ["granger", "--x", "dln(GDP)", "--y", "dln(Exports)"],
+    ])
+    def test_closed_stdout_is_output_error(self, argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen([sys.executable, "-m", "tsecon.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # long before the child has imported enough to write
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 2, err
+        assert err.startswith("output error: cannot write to stdout: ") and err.count("\n") == 1
 
     def test_unknown_flag_exits_2(self):
         r = run_cli(["adf", "--nope", "x"])
@@ -444,6 +446,9 @@ class TestCli:
          "lags = 1\n[step i]\nop = irf\nvar = v\nplot = a_b -> c\n"
          "[step i_a]\nop = irf\nvar = v\nplot = b -> c\n", "plot",
          "'b -> c'; its file plots/i_a_b_to_c.svg is also written by step 'i'"),
+        # a repeated break year would otherwise write one table for both
+        ("[step c]\nop = chow\ndependent = ln(GDP)\nregressors = ln(Exports)\n"
+         "break_years = 1990 1990\n", "break_years", "'1990 1990'; a break year is repeated"),
         # values that only an engine spec or check refuses are refused before any step runs
         ("[step r]\nop = ar\ndependent = ln(GDP)\nregressors = ln(Exports)\nar_lags = 2 1\n",
          "ar_lags", "'2 1'; AR lag list must be strictly increasing"),
@@ -575,6 +580,7 @@ class TestCli:
           "--response", "d_Ln(Exports)", "--horizon", "0"], "--horizon"),
         (["chow", "--break", "1998 199x"], "--break"),
         (["chow", "--break", ""], "--break"),
+        (["chow", "--break", "1990 1990"], "--break"),
         (["fit-ar", "--dependent", "ln(GDP)", "--regressors", "ln(Exports)", "--ar-lags", ""],
          "--ar-lags"),
         (["fit-tsls", "--dependent", "ln(Exports)", "--regressors", "dln(GDP), ln(Exports)@1",

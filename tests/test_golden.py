@@ -6,6 +6,11 @@ match byte for byte; every number in a CSV table must match to 1e-10 relative,
 and every other CSV cell exactly.  Refresh the snapshot only for a change that
 is meant to alter the bundle, with ``tsecon report --output
 tests/golden/default_bundle``, and say so in the change.
+
+The bundled study lacks the optional benefit series, so its bundle skips the
+Granger, Engle-Granger and AR steps that need it.  ``tests/golden/benefit_bundle``
+pins those steps' tables, plus the two tables whose text changes when they run,
+from the default manifest on the ``benefit_dataset`` fixture, by the same rules.
 """
 from __future__ import annotations
 
@@ -25,6 +30,13 @@ from tsecon.pipeline import run_pipeline
 GOLDEN = Path(__file__).resolve().parent / "golden" / "default_bundle"
 SRC = Path(__file__).resolve().parents[1] / "src"
 RTOL = 1e-10
+BENEFIT = GOLDEN.parent / "benefit_bundle"
+BENEFIT_FILES = sorted(
+    f"tables/{step}.{ext}"
+    for step in ("granger_benefits", "coint_long_run", "ar_full", "ar_restricted",
+                 "ar_comparison", "adf_battery", "pipeline_summary")
+    for ext in ("txt", "csv")
+)
 GOLDEN_FILES = sorted(p.relative_to(GOLDEN).as_posix() for p in GOLDEN.rglob("*") if p.is_file())
 
 
@@ -66,6 +78,26 @@ def test_csv_numbers_match(bundle, name):
     assert_csv_matches(bundle, name)
 
 
+@pytest.fixture(scope="module")
+def benefit_bundle(benefit_dataset, tmp_path_factory):
+    out = tmp_path_factory.mktemp("benefit_bundle")
+    run_pipeline(parse_manifest(default_manifest_text()), benefit_dataset).write(out)
+    return out
+
+
+def test_benefit_snapshot_file_set():
+    pinned = sorted(p.relative_to(BENEFIT).as_posix() for p in BENEFIT.rglob("*") if p.is_file())
+    assert pinned == BENEFIT_FILES
+
+
+@pytest.mark.parametrize("name", BENEFIT_FILES)
+def test_benefit_steps_match(benefit_bundle, name):
+    if name.endswith(".csv"):
+        assert_csv_matches(benefit_bundle, name, BENEFIT)
+    else:
+        assert (benefit_bundle / name).read_bytes() == (BENEFIT / name).read_bytes()
+
+
 def test_fresh_cli_process_writes_the_golden_bundle(tmp_path):
     # ``python -m tsecon.cli`` exits through the entry that freezes the heap:
     # stdout must still be flushed and every file whole
@@ -86,9 +118,9 @@ def test_fresh_cli_process_writes_the_golden_bundle(tmp_path):
             assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
-def assert_csv_matches(bundle: Path, name: str) -> None:
+def assert_csv_matches(bundle: Path, name: str, golden: Path = GOLDEN) -> None:
     got = list(csv.reader(io.StringIO((bundle / name).read_text("utf-8"))))
-    want = list(csv.reader(io.StringIO((GOLDEN / name).read_text("utf-8"))))
+    want = list(csv.reader(io.StringIO((golden / name).read_text("utf-8"))))
     assert [len(r) for r in got] == [len(r) for r in want]
     bad = [
         (i, j, g, w)

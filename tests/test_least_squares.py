@@ -103,11 +103,29 @@ class TestKernel:
         rng = np.random.default_rng(4)
         X = np.column_stack([np.ones(30), rng.normal(size=(30, 2))])
         Y = rng.normal(size=(30, 3))
-        B, E = least_squares(X, Y)
+        B, E, _ = least_squares(X, Y)
         for j in range(3):
-            b, e = least_squares(X, Y[:, j])
+            b, e, _ = least_squares(X, Y[:, j])
             np.testing.assert_allclose(B[:, j], b, rtol=1e-12, atol=1e-14)
             np.testing.assert_allclose(E[:, j], e, rtol=1e-12, atol=1e-14)
+
+    def test_factor_is_the_designs_own(self):
+        rng = np.random.default_rng(5)
+        X = np.column_stack([np.ones(30), 1e6 * rng.normal(size=30), rng.normal(size=30)])
+        _, _, R = least_squares(X, rng.normal(size=30))
+        XtX = X.T @ X
+        np.testing.assert_allclose(R.T @ R, XtX, rtol=0, atol=1e-12 * np.abs(XtX).max())
+        assert np.array_equal(R, np.triu(R))
+
+    def test_ols_standard_errors_match_the_normal_equations(self, toy_dataset):
+        # a well-conditioned design, where inverting X'X loses nothing that matters
+        spec = ModelSpec(Term("y"), (Term("x1"), Term("x2")))
+        fit = ols_fit(toy_dataset, spec)
+        X = np.column_stack([np.ones(40), toy_dataset.get("x1").values,
+                             toy_dataset.get("x2").values])
+        want = np.sqrt(fit.ssr / (40 - 3) * np.diag(np.linalg.inv(X.T @ X)))
+        got = [c.std_error for c in fit.coefficients]
+        np.testing.assert_allclose(got, want, rtol=1e-10)
 
     @pytest.mark.parametrize("column", [
         np.zeros(20),  # all zero
