@@ -1,8 +1,8 @@
 """Frozen record classes without generated source.
 
 ``record`` turns a class body of annotated fields into an immutable value
-type: ``__init__`` (positional or keyword arguments, defaults,
-``field(default_factory=...)``, then ``__post_init__`` if the class has one),
+type: ``__init__`` (positional or keyword arguments and defaults, then
+``__post_init__`` if the class has one),
 ``__repr__``, ``__eq__`` and ``__hash__`` over the fields in declaration
 order, and a ``__setattr__``/``__delattr__`` that refuse every change.
 ``__post_init__`` may still normalise a field with ``object.__setattr__``.
@@ -15,36 +15,18 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-__all__ = ["FrozenInstanceError", "field", "record"]
-
-_MISSING = object()
+__all__ = ["FrozenInstanceError", "record"]
 
 
 class FrozenInstanceError(AttributeError):
     """Raised on assignment to, or deletion of, an attribute of a record."""
 
 
-class field:
-    """A field default built per instance, e.g. ``field(default_factory=dict)``."""
-
-    __slots__ = ("default_factory",)
-
-    def __init__(self, *, default_factory):
-        self.default_factory = default_factory
-
-
 def record(cls):
     """Class decorator: make ``cls`` a frozen record of its annotated fields."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
     n = len(names)
-    defaults, factories = {}, {}
-    for name in names:
-        value = cls.__dict__.get(name, _MISSING)
-        if isinstance(value, field):
-            factories[name] = value.default_factory
-            delattr(cls, name)
-        elif value is not _MISSING:
-            defaults[name] = value
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     post_init = getattr(cls, "__post_init__", None)
     key = attrgetter(*names)
     qualname = cls.__qualname__
@@ -60,14 +42,10 @@ def record(cls):
         values.update(kwargs)
         if len(values) < n:
             for name in names:
-                if name in values:
-                    continue
-                if name in defaults:
+                if name not in values:
+                    if name not in defaults:
+                        raise TypeError(f"{qualname}() missing required argument {name!r}")
                     values[name] = defaults[name]
-                elif name in factories:
-                    values[name] = factories[name]()
-                else:
-                    raise TypeError(f"{qualname}() missing required argument {name!r}")
         if post_init is not None:
             post_init(self)
 

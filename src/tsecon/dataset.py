@@ -157,7 +157,7 @@ class Term:
         if self.transform not in _TRANSFORMS:
             raise TermError(f"unknown transform {self.transform!r}")
         if self.lag < 0:
-            raise TermError("lag order must be >= 1 when present")
+            raise TermError("lag must be >= 0")
 
     def rendered_label(self) -> str:
         if self.label:
@@ -172,7 +172,7 @@ class Term:
 
 
 _TERM_RE = re.compile(
-    r"^\s*(?:(?P<fn>ln|diff|dln)\s*\(\s*(?P<inner>ln\s*\(\s*(?P<nested>[^()@]+?)\s*\)|[^()@]+?)\s*\)|(?P<plain>[^()@]+?))"
+    r"^\s*(?:(?P<fn>ln|diff|dln)\s*\(\s*(?P<inner>[^()@]+?)\s*\)|(?P<plain>[^()@]+?))"
     r"\s*(?:@\s*(?P<lag>\d+))?\s*(?:\bas\s+(?P<label>.+?))?\s*$",
     re.IGNORECASE,
 )
@@ -181,7 +181,7 @@ _TERM_RE = re.compile(
 def parse_term(text: str) -> Term:
     """Parse the manifest term grammar.
 
-    Examples: ``Exports``, ``ln(Exports)``, ``dln(GDP)``, ``diff(ln(GDP))``,
+    Examples: ``Exports``, ``ln(Exports)``, ``diff(GDP)``, ``dln(GDP)``,
     ``ln(Exports)@1`` (one-year lag), ``dln(Total investment) as d_Ln(K)``.
     """
     m = _TERM_RE.match(text)
@@ -191,15 +191,8 @@ def parse_term(text: str) -> Term:
     label = m.group("label")
     if m.group("plain") is not None:
         return Term(m.group("plain").strip(), "level", lag, label)
-    fn = m.group("fn").lower()
-    inner = m.group("inner").strip()
-    nested = m.group("nested")
-    if nested is not None:
-        if fn != "diff":
-            raise TermError(f"cannot parse term {text!r}: only diff(ln(...)) may nest")
-        return Term(nested.strip(), "diff_ln", lag, label)
-    transform = {"ln": "ln", "diff": "diff", "dln": "diff_ln"}[fn]
-    return Term(inner, transform, lag, label)
+    transform = {"ln": "ln", "diff": "diff", "dln": "diff_ln"}[m.group("fn").lower()]
+    return Term(m.group("inner").strip(), transform, lag, label)
 
 
 def apply_term(dataset: Dataset, term: Term) -> AnnualSeries:

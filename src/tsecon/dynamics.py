@@ -35,7 +35,7 @@ __all__ = [
 class ArSpec:
     """A regression plus the lag structure of its disturbance process.
 
-    ``ar_lags`` lists the disturbance lags, e.g. ``(1, 3, 4)`` for
+    ``ar_lags`` lists one or more disturbance lags, e.g. ``(1, 3, 4)`` for
     u_t = p1 u_{t-1} + p3 u_{t-3} + p4 u_{t-4} + e_t.  Iterations stop when two
     successive residual sums of squares differ by no more than
     ``convergence_rel_tol`` (0.005 percent) or after ``max_iterations``.
@@ -47,6 +47,8 @@ class ArSpec:
     convergence_rel_tol: float = 5e-5
 
     def __post_init__(self):
+        if not self.ar_lags:
+            raise EstimationError("AR lag list must not be empty")
         if any(k <= 0 for k in self.ar_lags):
             raise EstimationError("AR lags must be positive")
         if any(b <= a for a, b in zip(self.ar_lags, self.ar_lags[1:])):
@@ -92,8 +94,6 @@ class ChowResult:
 
 def _ar_poly_stationary(rho: np.ndarray, lags: tuple[int, ...]) -> bool:
     """True when all roots of 1 - sum(rho_k z^k) lie outside the unit circle."""
-    if not lags:
-        return True
     order = max(lags)
     coeffs = np.zeros(order + 1)
     coeffs[0] = 1.0
@@ -115,13 +115,6 @@ def cochrane_orcutt_fit(dataset: Dataset, spec: ArSpec) -> ArFitResult:
     """
     y, X, labels, years = build_design(dataset, spec.model)
     lags = spec.ar_lags
-    if not lags:
-        beta, _, R = least_squares(X, y)
-        fit = diagnostics(
-            y, X, beta, R, labels, years, spec.model.dependent.rendered_label(),
-            spec.model.include_constant, method="ar",
-        )
-        return ArFitResult(fit, (), (), 0, True, False)
     m = max(lags)
     n = len(y)
     if n - m <= X.shape[1]:

@@ -219,10 +219,9 @@ def windowed_series(dataset: Dataset, term: Term, window: tuple[int, int] | None
 def _adf_battery(v: _Parse):
     def row(text: str):  # an absent optional series skips only its row
         term, det, lag = (part.strip() for part in text.split(";"))
-        if det not in DETERMINISTICS or int(lag) < 0:
-            raise ValueError(text)
+        spec = AdfSpec(det, int(lag))
         term = v.cached_term(term)
-        return term, det, int(lag), v.present("row", term.base)
+        return term, spec, v.present("row", term.base)
 
     expected = f"'term ; deterministic ; lag >= 0' with one of {', '.join(DETERMINISTICS)}"
     rows = [v.parse("row", text, row, expected) for text in v.all("row")]
@@ -230,9 +229,9 @@ def _adf_battery(v: _Parse):
 
     def run(dataset, results):
         return AdfBattery(window, tuple(
-            (term.rendered_label(), det, lag, adf_test(windowed_series(dataset, term, window),
-                                                       AdfSpec(det, lag)) if present else None)
-            for term, det, lag, present in rows))
+            (term.rendered_label(), spec.deterministic, spec.lag_order,
+             adf_test(windowed_series(dataset, term, window), spec) if present else None)
+            for term, spec, present in rows))
 
     return run
 
@@ -274,10 +273,8 @@ def _compare(v: _Parse):
 def _coint(v: _Parse):
     model, lag = v.model(), v.integer("residual_lag", "1", minimum=0)
     v.checked("regressors", relation_size, model)
-    orders = None
-    if v.choice("assume_i1", ("all",), None):
-        orders = {t.rendered_label(): 1 for t in (model.dependent, *model.regressors)}
-    return lambda dataset, results: engle_granger(dataset, model, lag, orders)
+    v.choice("assume_i1", ("all",), None)  # declares every input I(1), so nothing is left to check
+    return lambda dataset, results: engle_granger(dataset, model, lag)
 
 
 def _granger(v: _Parse):

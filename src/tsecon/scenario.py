@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from ._record import field, record
+from ._record import record
 from .dataset import AnnualSeries
 from .regress import EstimationError, FitResult
 
@@ -51,7 +51,7 @@ class ScenarioResult:
     baseline_path: AnnualSeries
     counterfactual_path: AnnualSeries
     terminal_delta: float
-    derived_quantities: dict[str, float] = field(default_factory=dict)
+    derived_quantities: dict[str, float]
 
 
 def _coeff(fit: FitResult, label: str) -> float:

@@ -99,14 +99,14 @@ def var_fit(
     )
 
 
-def _ma_matrices(model: VarModel, horizon: int) -> list[np.ndarray]:
-    k, p = model.k, model.p
-    psi = [np.eye(k)]
+def _ma_matrices(model: VarModel, horizon: int) -> np.ndarray:
+    """``psi[h]`` for h = 0..horizon: Psi_0 = I, Psi_h = A_1 Psi_{h-1} + ... + A_m Psi_{h-m}."""
+    A = np.array(model.coefficient_matrices)
+    psi = np.empty((horizon + 1, model.k, model.k))
+    psi[0] = np.eye(model.k)
     for h in range(1, horizon + 1):
-        M = np.zeros((k, k))
-        for i in range(1, min(h, p) + 1):
-            M = M + model.coefficient_matrices[i - 1] @ psi[h - i]
-        psi.append(M)
+        m = min(h, model.p)
+        psi[h] = (A[:m] @ psi[h - m : h][::-1]).sum(axis=0)
     return psi
 
 
@@ -127,27 +127,17 @@ def impulse_response(model: VarModel, horizon: int) -> IrfResult:
     if horizon < 0:
         raise EstimationError("horizon must be >= 0")
     P, failed = _factor(model.residual_cov)
-    psi = _ma_matrices(model, horizon)
-    k = model.k
-    responses = np.empty((k, k, horizon + 1))
-    for h, M in enumerate(psi):
-        theta = M @ P  # rows respond, columns shock
-        responses[:, :, h] = theta.T
+    # psi @ P is [step, respond, shock]
+    responses = (_ma_matrices(model, horizon) @ P).transpose(2, 1, 0)
     return IrfResult(horizon, responses, model.labels, failed)
 
 
 def variance_decomposition(model: VarModel, horizon: int) -> FevdResult:
     """Share of each variable's forecast-error variance due to each shock."""
     irf = impulse_response(model, horizon)
-    k = model.k
-    shares = np.empty((k, horizon + 1, k))
-    # cumulative squared responses over steps 0..h
-    sq = irf.responses**2  # [shock, respond, step]
-    cum = np.cumsum(sq, axis=2)
-    for j in range(k):  # responding variable
-        for h in range(horizon + 1):
-            total = cum[:, j, h].sum()
-            if total <= 0.0:
-                raise EstimationError("degenerate model: zero forecast-error variance")
-            shares[j, h, :] = cum[:, j, h] / total
-    return FevdResult(horizon, shares, model.labels)
+    # cumulative squared responses over steps 0..h, [shock, respond, step]
+    cum = np.cumsum(irf.responses**2, axis=2)
+    total = cum.sum(axis=0)
+    if not (total > 0.0).all():  # NaN fails too
+        raise EstimationError("degenerate model: zero forecast-error variance")
+    return FevdResult(horizon, (cum / total).transpose(1, 2, 0), model.labels)

@@ -391,6 +391,13 @@ class TestCli:
          "sample = 1976:2010\n", "lags", "'0'"),
         ("[step o]\nop = ols\ndependent = ln(GDP)\nregressors = lnx(Exports)\n",
          "regressors", "'lnx(Exports)'"),
+        ("[step a]\nop = adf\nseries = diff(ln(GDP))\n", "series", "'diff(ln(GDP))'"),
+        # a battery row's deterministic case and lag are checked by AdfSpec
+        ("[step b]\nop = adf_battery\nrow = ln(GDP) ; quadratic ; 1\n", "row",
+         "'ln(GDP) ; quadratic ; 1'; expected 'term ; deterministic ; lag >= 0' with one of "
+         "none, constant, constant_and_trend"),
+        ("[step b]\nop = adf_battery\nrow = ln(GDP) ; constant ; -1\n", "row",
+         "'ln(GDP) ; constant ; -1'; expected 'term ; deterministic ; lag >= 0'"),
         ("[step a]\nop = adf\nseries = ln(GDP)\ndeterministic = quadratic\n",
          "deterministic", "'quadratic'"),
         ("[step v]\nop = var\nvariables = dln(GDP), dln(Exports)\nlags = 1\n"

@@ -47,14 +47,6 @@ SPEC = ModelSpec(dependent=Term("y"), regressors=(Term("x"),), include_constant=
 
 
 class TestCochraneOrcutt:
-    def test_empty_lag_list_degenerates_to_ols(self):
-        ds = ar1_system(0)
-        res = cochrane_orcutt_fit(ds, ArSpec(SPEC, ()))
-        direct = ols_fit(ds, SPEC)
-        assert res.structural.estimates.tolist() == direct.estimates.tolist()
-        assert res.rho == ()
-        assert res.converged
-
     def test_no_autocorrelation_limit(self):
         # independent disturbances: rho ~ 0 and coefficients ~ plain OLS
         hits = 0
@@ -113,6 +105,8 @@ class TestCochraneOrcutt:
             ArSpec(SPEC, (2, 1))
         with pytest.raises(EstimationError, match="positive"):
             ArSpec(SPEC, (0,))
+        with pytest.raises(EstimationError, match="must not be empty"):
+            ArSpec(SPEC, ())
 
 
 class TestCompareModels:

@@ -1,9 +1,8 @@
 """The frozen record classes: construction, value semantics, immutability."""
 import pytest
 
-from tsecon._record import FrozenInstanceError, field, record
+from tsecon._record import FrozenInstanceError, record
 from tsecon.dataset import AnnualSeries, DatasetError, Term, TermError
-from tsecon.scenario import ScenarioResult
 from tsecon.unitroot import AdfSpec
 
 
@@ -11,11 +10,10 @@ from tsecon.unitroot import AdfSpec
 class Point:
     x: int
     y: int = 0
-    tags: dict = field(default_factory=dict)
 
 
 def test_positional_keyword_and_default_arguments():
-    assert Point(1, 2) == Point(x=1, y=2) == Point(1, y=2, tags={})
+    assert Point(1, 2) == Point(x=1, y=2) == Point(1, y=2)
     assert Point(1).y == 0
     assert AdfSpec() == AdfSpec("constant", 1)
     assert AdfSpec(lag_order=2) == AdfSpec("constant", 2)
@@ -24,8 +22,8 @@ def test_positional_keyword_and_default_arguments():
 def test_bad_arguments_are_type_errors():
     with pytest.raises(TypeError, match="missing required argument 'x'"):
         Point()
-    with pytest.raises(TypeError, match="takes 3 positional arguments"):
-        Point(1, 2, {}, 4)
+    with pytest.raises(TypeError, match="takes 2 positional arguments"):
+        Point(1, 2, 3)
     with pytest.raises(TypeError, match="'z'"):
         Point(1, z=3)
     with pytest.raises(TypeError, match="'x'"):
@@ -48,7 +46,7 @@ def test_equal_instances_hash_equal():
     assert a is not b and a == b and hash(a) == hash(b)
     assert a != Term("GDP", "ln", 2)
     assert AnnualSeries("s", 1970, (1.0, 2.0)) == AnnualSeries("s", 1970, (1, 2))
-    assert Point(1) != (1, 0, {})
+    assert Point(1) != (1, 0)
 
 
 def test_term_is_a_dict_key():
@@ -58,17 +56,11 @@ def test_term_is_a_dict_key():
     assert counts == {Term("GDP", "ln"): 2, Term("GDP", "diff_ln"): 1}
 
 
-def test_default_factory_gives_a_fresh_value_each_time():
-    a, b = Point(1), Point(1)
-    assert a.tags == {} and a.tags is not b.tags
-    s = AnnualSeries("s", 2000, (1.0,))
-    assert ScenarioResult(s, s, 0.0).derived_quantities is not ScenarioResult(s, s, 0.0).derived_quantities
-    assert "tags" not in vars(Point)
-
-
 def test_post_init_validates_and_normalises():
     with pytest.raises(TermError, match="unknown transform"):
         Term("GDP", "cube")
+    with pytest.raises(TermError, match="lag must be >= 0"):
+        Term("GDP", lag=-1)
     with pytest.raises(DatasetError, match="is empty"):
         AnnualSeries("s", 1970, ())
     with pytest.raises(ValueError, match="lag_order"):
@@ -77,5 +69,5 @@ def test_post_init_validates_and_normalises():
 
 
 def test_repr_lists_the_fields_in_order():
-    assert repr(Point(1, 2)) == "Point(x=1, y=2, tags={})"
+    assert repr(Point(1, 2)) == "Point(x=1, y=2)"
     assert repr(Term("GDP", "ln")) == "Term(base='GDP', transform='ln', lag=0, label=None)"

@@ -125,6 +125,20 @@ class TestImpulseResponse:
         for a, b in zip(psi1, psi2):
             assert np.allclose(a, b[np.ix_(perm, perm)], atol=1e-8)
 
+    def test_recursion_matches_the_loop_reference(self, dataset):
+        # Psi_h = A_1 Psi_{h-1} + ... + A_m Psi_{h-m}, summed in lag order: equal bit for bit
+        from tsecon.var import _ma_matrices
+
+        terms = (Term("Total investment", "ln"), Term("GDP", "ln"), Term("Real interest rate", "ln"))
+        model = var_fit(dataset, terms, 4, (1970, 2010))
+        psi = [np.eye(3)]
+        for h in range(1, 11):
+            M = np.zeros((3, 3))
+            for i in range(1, min(h, 4) + 1):
+                M = M + model.coefficient_matrices[i - 1] @ psi[h - i]
+            psi.append(M)
+        assert np.array_equal(_ma_matrices(model, 10), psi)
+
     def test_diagonal_cov_ordering_invariance(self):
         A = np.array([[0.5, 0.2], [-0.1, 0.4]])
         sigma = np.diag([1.0, 0.5])
@@ -174,3 +188,12 @@ class TestFevd:
                     [sum(theta[l][j, s] ** 2 for l in range(h + 1)) for s in range(2)]
                 )
                 assert np.allclose(fevd.shares[j, h, :], num / num.sum(), atol=1e-12)
+
+    def test_degenerate_variance_is_an_error(self):
+        zero = manual_model([np.zeros((2, 2))], np.zeros((2, 2)))  # no shock moves anything
+        with pytest.warns(UserWarning, match="not positive definite"):
+            with pytest.raises(EstimationError, match="zero forecast-error variance"):
+                variance_decomposition(zero, 3)
+        nan = manual_model([np.full((2, 2), np.nan)], np.eye(2))  # NaN responses from step 1 on
+        with pytest.raises(EstimationError, match="zero forecast-error variance"):
+            variance_decomposition(nan, 3)
