@@ -14,6 +14,7 @@ from .regress import (
     build_design,
     diagnostics,
     f_pvalue,
+    lagged,
     least_squares,
 )
 
@@ -116,23 +117,20 @@ def cochrane_orcutt_fit(dataset: Dataset, spec: ArSpec) -> ArFitResult:
     y, X, labels, years = build_design(dataset, spec.model)
     lags = spec.ar_lags
     m = max(lags)
-    n = len(y)
-    if n - m <= X.shape[1]:
-        raise EstimationError("insufficient observations after AR-lag trimming")
+    y0, *y_lags = lagged(y, (0, *lags), m)
+    X0, *X_lags = lagged(X, (0, *lags), m)
 
-    beta, _, _ = least_squares(X, y)
+    beta, _, _ = least_squares(X, y, "the OLS regression")
     last_ssr = None
     converged = False
     for iterations in range(1, spec.max_iterations + 1):
         # re-estimate the disturbance coefficients from current residuals
-        e = y - X @ beta
-        E = np.column_stack([e[m - k : n - k] for k in lags])
-        rho, _, _ = least_squares(
-            E, e[m:], "lagged residuals in the AR disturbance regression are collinear")
+        e0, *e_lags = lagged(y - X @ beta, (0, *lags), m)
+        rho, _, _ = least_squares(np.column_stack(e_lags), e0, "the AR disturbance regression")
         # quasi-difference and re-estimate the regression
-        y_star = y[m:] - sum(r * y[m - k : n - k] for r, k in zip(rho, lags))
-        X_star = X[m:] - sum(r * X[m - k : n - k] for r, k in zip(rho, lags))
-        beta, e_star, R = least_squares(X_star, y_star)
+        y_star = y0 - sum(r * v for r, v in zip(rho, y_lags))
+        X_star = X0 - sum(r * v for r, v in zip(rho, X_lags))
+        beta, e_star, R = least_squares(X_star, y_star, "the quasi-differenced AR regression")
         ssr = float(e_star @ e_star)  # the SSR diagnostics reports, bit for bit
         if last_ssr is not None and abs(ssr - last_ssr) <= spec.convergence_rel_tol * last_ssr:
             converged = True
@@ -177,20 +175,15 @@ def compare_models(a: ArFitResult, b: ArFitResult) -> ModelComparison:
 
 
 def _granger_one_direction(x: np.ndarray, y: np.ndarray, lags: int) -> tuple[float, float, int]:
-    n = len(y)
-    rows = n - lags
-    k_u = 2 * lags + 1
-    if rows - k_u <= 0:
-        raise EstimationError("insufficient observations for the Granger regression")
+    y0, *y_lags = lagged(y, range(lags + 1), lags)
     # x's lags go last: the restricted fit without them has an SSR larger by the squared
     # tail of Q'y = R beta, and passes the rank rule whenever this fit does
-    X = np.column_stack([np.ones(rows)] + [y[lags - i : n - i] for i in range(1, lags + 1)]
-                        + [x[lags - i : n - i] for i in range(1, lags + 1)])
-    beta, e, R = least_squares(X, y[lags:], "collinear lag block in the Granger regression")
+    X = np.column_stack([np.ones(len(y0)), *y_lags, *lagged(x, range(1, lags + 1), lags)])
+    beta, e, R = least_squares(X, y0, "the Granger regression")
     tail = R[lags + 1 :] @ beta
-    ssr_u = float(e @ e)
-    f = (float(tail @ tail) / lags) / (ssr_u / (rows - k_u))
-    return float(f), f_pvalue(f, lags, rows - k_u), rows
+    df = len(e) - X.shape[1]
+    f = (float(tail @ tail) / lags) / (float(e @ e) / df)
+    return float(f), f_pvalue(f, lags, df), len(e)
 
 
 def granger_causality(
@@ -228,19 +221,14 @@ def chow_test(dataset: Dataset, spec: ModelSpec, break_year: int) -> ChowResult:
     y, X, labels, years = build_design(dataset, spec)
     n, p = X.shape
     mask = years < break_year
-    n1, n2 = int(mask.sum()), int((~mask).sum())
-    if n1 <= p or n2 <= p:
-        raise EstimationError(
-            f"sub-sample too short for a {p}-parameter model at break {break_year}"
-        )
 
-    def ssr(yy, XX):
-        _, r, _ = least_squares(XX, yy)
+    def ssr(yy, XX, what):
+        _, r, _ = least_squares(XX, yy, what)
         return float(r @ r)
 
-    ssr_p = ssr(y, X)
-    ssr_1 = ssr(y[mask], X[mask])
-    ssr_2 = ssr(y[~mask], X[~mask])
+    ssr_p = ssr(y, X, "the Chow pooled regression")
+    ssr_1 = ssr(y[mask], X[mask], f"the Chow sub-sample before {break_year}")
+    ssr_2 = ssr(y[~mask], X[~mask], f"the Chow sub-sample from {break_year}")
     f = ((ssr_p - ssr_1 - ssr_2) / p) / ((ssr_1 + ssr_2) / (n - 2 * p))
     pval = f_pvalue(f, p, n - 2 * p)
     return ChowResult(break_year, float(f), (p, n - 2 * p), pval, pval < 0.05)

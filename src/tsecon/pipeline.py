@@ -20,8 +20,7 @@ from __future__ import annotations
 import math
 
 from .cointegration import engle_granger, relation_size
-from .dataset import (Dataset, DatasetError, Term, TermError, _slug, apply_term, load_dataset,
-                      parse_term)
+from .dataset import Dataset, Term, TermError, _slug, apply_term, load_dataset, parse_term
 from .dynamics import ArSpec, chow_test, cochrane_orcutt_fit, compare_models, granger_causality
 from .manifest import ManifestError, PipelineManifest, Step, StepError
 from .regress import EstimationError, ModelSpec, ols_fit
@@ -413,8 +412,6 @@ def run_steps(steps, dataset: Dataset, bundle: ReportBundle,
                 bundle.tables[table] = render_table(result, OPS[op][1].format(name=name, key=key))
             for plot, (shock, response) in v.plots.items():
                 bundle.plots[plot] = render_irf_plot(out, shock, response)
-        except (ManifestError, DatasetError):
-            raise
         except Exception as exc:
             raise StepError(name, exc) from exc
         summary.append([name, op, "ok"])

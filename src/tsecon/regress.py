@@ -114,36 +114,46 @@ def build_design(dataset: Dataset, spec: ModelSpec):
         raise EstimationError("empty model: no regressors and no constant")
     if len(set(labels)) != len(labels):
         raise EstimationError("regressor labels must be unique")
-    X = np.column_stack(cols)
-    if len(y) <= X.shape[1]:
-        raise EstimationError(
-            f"observations ({len(y)}) must exceed parameters ({X.shape[1]})"
-        )
-    return y, X, labels, years
+    return y, np.column_stack(cols), labels, years
+
+
+def lagged(x: np.ndarray, lags, first: int) -> list[np.ndarray]:
+    """``x[first - k : n - k]`` for each ``k`` in ``lags``: the rows from ``first`` on, lagged.
+
+    ``x`` is one series (1-D) or several (2-D, one per column).  A sample of no
+    more than ``first`` rows gives every lag zero rows, so a design built from
+    the slices meets the sample rule of ``least_squares``.
+    """
+    n = max(len(x), first)
+    return [x[first - k : n - k] for k in lags]
 
 
 def least_squares(
-    X: np.ndarray, Y: np.ndarray, what: str = "design matrix is rank deficient"
+    X: np.ndarray, Y: np.ndarray, what: str = "the regression"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coefficients, residuals and R factor of the least-squares fit of ``Y`` on ``X``.
 
-    ``Y`` is one right-hand side (1-D) or several (2-D, one per column).  One
-    Householder QR of the unit-norm design with ``Y`` appended gives R and Q'Y;
-    ``lstsq`` on their p x p block gives the unit-norm coefficients and singular
-    values.  When the smallest is at most ``RANK_RTOL`` times the largest (an
-    all-zero column included), ``EstimationError(what)`` is raised.  The R
-    returned is ``X``'s own: R'R = X'X, R @ beta = Q'Y, and (X'X)^-1 = R^-1 R^-T
-    comes without forming X'X, whose condition number is the design's squared
-    (Golub & Van Loan, *Matrix Computations*, section 5.3).
+    ``Y`` is one right-hand side (1-D) or several (2-D, one per column).  A
+    design with no more rows than columns is refused with ``EstimationError``
+    "{what} has n observations for p parameters".  One Householder QR of the
+    unit-norm design with ``Y`` appended gives R and Q'Y; ``lstsq`` on their
+    p x p block gives the unit-norm coefficients and singular values.  When the
+    smallest is at most ``RANK_RTOL`` times the largest (an all-zero column
+    included), "{what} is rank deficient" is raised.  ``what`` names the fit.
+    The R returned is ``X``'s own: R'R = X'X, R @ beta = Q'Y, and
+    (X'X)^-1 = R^-1 R^-T comes without forming X'X, whose condition number is
+    the design's squared (Golub & Van Loan, *Matrix Computations*, section 5.3).
     """
+    n, p = X.shape
+    if n <= p:
+        raise EstimationError(f"{what} has {n} observations for {p} parameters")
     norms = np.sqrt(np.einsum("ij,ij->j", X, X))
     if not 0.0 < norms.min() <= norms.max() < math.inf:
-        raise EstimationError(what)
-    p = X.shape[1]
+        raise EstimationError(f"{what} is rank deficient")
     F = np.linalg.qr(np.column_stack([X / norms, Y]), mode="r")
     B, _, _, sv = np.linalg.lstsq(F[:p, :p], F[:p, p:] if Y.ndim > 1 else F[:p, p], rcond=None)
     if len(sv) < p or not sv[-1] > RANK_RTOL * sv[0]:
-        raise EstimationError(what)
+        raise EstimationError(f"{what} is rank deficient")
     beta = B / (norms if B.ndim == 1 else norms[:, None])
     return beta, Y - X @ beta, F[:p, :p] * norms
 
@@ -168,14 +178,13 @@ def diagnostics(
     dep_label: str,
     include_constant: bool,
     *,
-    p_dist: str = "t",
     method: str = "ols",
 ) -> FitResult:
     """Assemble a FitResult from a solved regression.
 
     ``R`` is the fit's triangular factor from ``least_squares`` (two-stage least
-    squares passes the projected design's); ``p_dist`` selects Student-t or
-    standard-normal coefficient p-values.
+    squares passes the projected design's).  Coefficient p-values are
+    standard-normal for ``method == "tsls"`` and Student-t otherwise.
     """
     n, p = X.shape
     e = y - X @ beta
@@ -185,10 +194,10 @@ def diagnostics(
     se = np.sqrt(s2 * np.square(np.linalg.inv(R)).sum(axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
         tvals = np.where(se > 0, beta / np.where(se > 0, se, 1.0), np.inf * np.sign(beta))
-    if p_dist == "t":
-        pvals = [t_two_sided(t, df) for t in tvals.tolist()]
-    else:
+    if method == "tsls":
         pvals = [2.0 * norm_cdf(-abs(t)) for t in tvals.tolist()]
+    else:
+        pvals = [t_two_sided(t, df) for t in tvals.tolist()]
     coeffs = tuple(
         Coefficient(lbl, float(b), float(s), float(t), float(pv))
         for lbl, b, s, t, pv in zip(labels, beta, se, tvals, pvals)
@@ -208,8 +217,9 @@ def diagnostics(
         else -0.5 * n * (1.0 + math.log(2.0 * math.pi) + math.log(ssr / n))
     )
     dw = float(np.sum(np.diff(e) ** 2) / ssr) if ssr > 0 else float("nan")
-    denom = float(np.sum(e[:-1] ** 2))
-    rho1 = float(np.sum(e[1:] * e[:-1]) / denom) if denom > 0 else float("nan")
+    e0, e1 = lagged(e, (0, 1), 1)
+    denom = float(np.sum(e1**2))
+    rho1 = float(np.sum(e0 * e1) / denom) if denom > 0 else float("nan")
     return FitResult(
         coefficients=coeffs,
         n_obs=n,
@@ -239,7 +249,7 @@ def diagnostics(
 def ols_fit(dataset: Dataset, spec: ModelSpec) -> FitResult:
     """Ordinary least squares over the spec's realized sample."""
     y, X, labels, years = build_design(dataset, spec)
-    beta, _, R = least_squares(X, y)
+    beta, _, R = least_squares(X, y, "the OLS regression")
     return diagnostics(
         y, X, beta, R, labels, years, spec.dependent.rendered_label(), spec.include_constant
     )

@@ -59,11 +59,11 @@ def tsls_fit(dataset: Dataset, spec: TslsSpec) -> FitResult:
             ) from exc
     Z = np.column_stack([X[:, exo_idx]] + inst_cols) if exo_idx else np.column_stack(inst_cols)
     # stage 1: fitted values of every endogenous column from one fit
-    gamma, _, _ = least_squares(Z, X[:, endo_idx], "first-stage instrument matrix is rank deficient")
+    gamma, _, _ = least_squares(Z, X[:, endo_idx], "the 2SLS first stage")
     X_hat = X.copy()
     X_hat[:, endo_idx] = Z @ gamma
     # stage 2: OLS on the projected design; residuals from the original design
-    beta, _, R = least_squares(X_hat, y)
+    beta, _, R = least_squares(X_hat, y, "the 2SLS second stage")
     return diagnostics(
         y,
         X,
@@ -73,6 +73,5 @@ def tsls_fit(dataset: Dataset, spec: TslsSpec) -> FitResult:
         years,
         spec.model.dependent.rendered_label(),
         spec.model.include_constant,
-        p_dist="normal",
         method="tsls",
     )

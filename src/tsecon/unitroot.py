@@ -15,7 +15,7 @@ import numpy as np
 from ._record import record
 from ._tails import norm_cdf
 from .dataset import AnnualSeries
-from .regress import EstimationError, least_squares
+from .regress import EstimationError, lagged, least_squares
 
 __all__ = ["AdfBattery", "AdfResult", "AdfSpec", "adf_test", "df_residual_test", "mackinnon_pvalue"]
 
@@ -139,31 +139,19 @@ class AdfBattery:
 
 def _adf_regression(values: np.ndarray, spec: AdfSpec) -> tuple[float, float, int]:
     k = spec.lag_order
-    n = len(values)
-    rows = n - 1 - k
-    n_det = {"none": 0, "constant": 1, "constant_and_trend": 2}[spec.deterministic]
-    if rows - (n_det + 1 + k) < 1:
-        raise EstimationError("series too short for the requested ADF specification")
     if np.ptp(values) == 0.0:
         raise EstimationError("cannot run a unit-root test on a constant series")
-    dy = np.diff(values)
-    Y = dy[k:]
+    Y, *dy_lags = lagged(np.diff(values), range(k + 1), k)
+    rows = len(Y)
     # the lagged level goes last: its entry of (X'X)^-1 = R^-1 R^-T is then
     # 1 / R[-1, -1]^2, and no other entry of the covariance is needed
     cols = []
-    if n_det >= 1:
+    if spec.deterministic != "none":
         cols.append(np.ones(rows))
-    if n_det == 2:
+    if spec.deterministic == "constant_and_trend":
         cols.append(np.arange(1.0, rows + 1.0))
-    for i in range(1, k + 1):
-        cols.append(dy[k - i : len(dy) - i])
-    cols.append(values[k:-1])
-    X = np.column_stack(cols)
-    beta, e, R = least_squares(
-        X, Y,
-        f"singular ADF design ({spec.deterministic}, {k} lags): the deterministic "
-        "terms, lagged level and lagged differences are collinear",
-    )
+    X = np.column_stack(cols + dy_lags + lagged(values, (1,), k + 1))
+    beta, e, R = least_squares(X, Y, f"the ADF design ({spec.deterministic}, {k} lags)")
     s2 = float(e @ e) / (rows - X.shape[1])
     se = math.sqrt(s2) / abs(float(R[-1, -1]))
     return float(beta[-1] / se), float(beta[-1]), rows

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._record import record
 from .dataset import Dataset, Term, align
-from .regress import EstimationError, least_squares
+from .regress import EstimationError, lagged, least_squares
 
 __all__ = ["FevdResult", "IrfResult", "VarModel", "impulse_response", "var_fit", "variance_decomposition"]
 
@@ -75,18 +75,11 @@ def var_fit(
     evaluated, window, columns = align(dataset, variables, sample)
     if not window:
         raise EstimationError("VAR variables do not share a sample window")
-    Y = np.column_stack(columns)
-    T, k = Y.shape
-    rows = T - p
-    ncoef = k * p + 1
-    if rows < ncoef + 1:
-        raise EstimationError(
-            f"insufficient sample: {rows} effective observations for {ncoef} "
-            "coefficients per equation"
-        )
-    X = np.column_stack([np.ones(rows)] + [Y[p - i : T - i] for i in range(1, p + 1)])
-    B, E, _ = least_squares(X, Y[p:], "rank-deficient VAR design")
-    sigma = E.T @ E / (rows - ncoef)
+    Y0, *Y_lags = lagged(np.column_stack(columns), range(p + 1), p)
+    rows, k = Y0.shape
+    X = np.column_stack([np.ones(rows), *Y_lags])
+    B, E, _ = least_squares(X, Y0, f"the VAR({p}) design")
+    sigma = E.T @ E / (rows - X.shape[1])
     A = tuple(B[1 + i * k : 1 + (i + 1) * k].T for i in range(p))
     return VarModel(
         labels=tuple(s.name for s in evaluated),
@@ -127,8 +120,11 @@ def impulse_response(model: VarModel, horizon: int) -> IrfResult:
     if horizon < 0:
         raise EstimationError("horizon must be >= 0")
     P, failed = _factor(model.residual_cov)
-    # psi @ P is [step, respond, shock]
-    responses = (_ma_matrices(model, horizon) @ P).transpose(2, 1, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # psi @ P is [step, respond, shock]
+        responses = (_ma_matrices(model, horizon) @ P).transpose(2, 1, 0)
+    if not np.isfinite(responses).all():
+        raise EstimationError(f"impulse responses are not finite within {horizon} steps")
     return IrfResult(horizon, responses, model.labels, failed)
 
 

@@ -349,6 +349,11 @@ class TestCli:
                      "--regressors", "ln(GDP), ln(GDP)"])
         assert r.exit_code == 4
 
+    def test_window_outside_the_data_exits_4(self):
+        r = run_cli(["adf", "--series", "ln(GDP)", "--window", "1900:1910"])
+        assert r.exit_code == 4, r.output
+        assert "step error: step 'adf' failed: series 'GDP': window 1900-1910" in r.output
+
     def test_report_runs_and_is_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
         r1 = run_cli(["report", "--output", str(out1)])

@@ -97,7 +97,8 @@ class TestCochraneOrcutt:
 
     def test_insufficient_sample_error(self):
         ds = ar1_system(0, n=4)
-        with pytest.raises(EstimationError, match="insufficient"):
+        with pytest.raises(EstimationError,
+                           match="^the AR disturbance regression has 2 observations for 2 parameters$"):
             cochrane_orcutt_fit(ds, ArSpec(SPEC, (1, 2)))
 
     def test_lag_list_validation(self):
@@ -207,7 +208,8 @@ class TestGranger:
 
     def test_insufficient_observations_error(self):
         ds = make_dataset(x=(1900, np.arange(6.0)), y=(1900, np.arange(6.0) ** 2))
-        with pytest.raises(EstimationError, match="insufficient"):
+        with pytest.raises(EstimationError,
+                           match="^the Granger regression has 3 observations for 7 parameters$"):
             granger_causality(ds, Term("x"), Term("y"), 3)
 
     def test_zero_lags_is_estimation_error(self):
@@ -263,5 +265,6 @@ class TestChow:
 
     def test_short_subsample_error(self):
         ds = make_dataset(y=(2000, np.arange(12.0) + 1), x=(2000, (np.arange(12.0) + 1) ** 1.5))
-        with pytest.raises(EstimationError, match="too short"):
+        with pytest.raises(EstimationError,
+                           match="^the Chow sub-sample before 2001 has 1 observations for 2 parameters$"):
             chow_test(ds, ModelSpec(Term("y"), (Term("x"),)), 2001)

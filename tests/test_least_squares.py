@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsecon.cointegration import engle_granger
 from tsecon.dataset import AnnualSeries, Term, parse_term
 from tsecon.dynamics import ArSpec, chow_test, cochrane_orcutt_fit, granger_causality
 from tsecon.pipeline import windowed_series
@@ -94,7 +95,8 @@ def test_t_statistics_do_not_depend_on_column_scale(toy_dataset, scale):
 def test_near_trend_adf_is_estimation_error():
     t = np.arange(40.0)
     values = 2.0 + 0.5 * t + 1e-9 * np.random.default_rng(2).normal(size=40)
-    with pytest.raises(EstimationError, match="singular ADF design"):
+    with pytest.raises(EstimationError,
+                       match=r"^the ADF design \(constant_and_trend, 1 lags\) is rank deficient$"):
         adf_test(AnnualSeries("s", 1970, tuple(values)), AdfSpec("constant_and_trend", 1))
 
 
@@ -134,12 +136,76 @@ class TestKernel:
     ])
     def test_rank_rule_names_the_caller(self, column):
         X = np.column_stack([np.ones(20), column, np.arange(20.0)])
-        with pytest.raises(EstimationError, match="^my design$"):
+        with pytest.raises(EstimationError, match="^my design is rank deficient$"):
             least_squares(X, np.arange(20.0) ** 2, "my design")
 
-    def test_more_columns_than_rows_is_rank_deficient(self):
-        with pytest.raises(EstimationError, match="rank deficient"):
+    def test_more_columns_than_rows_is_too_few_observations(self):
+        with pytest.raises(EstimationError, match="^the regression has 3 observations for 4 parameters$"):
             least_squares(np.eye(3, 4) + 1.0, np.ones(3))
+
+
+def short_dataset(n):
+    """Independent normal series y, x1-x3 and z1-z6 over ``n`` years from 2000."""
+    rng = np.random.default_rng(n)
+    names = ("y", "x1", "x2", "x3", "z1", "z2", "z3", "z4", "z5", "z6")
+    return make_dataset(**{name: (2000, rng.normal(size=n)) for name in names})
+
+
+def on_terms(*names):
+    return tuple(Term(name) for name in names)
+
+
+def model(*regressors):
+    return ModelSpec(Term("y"), on_terms(*regressors))
+
+
+def stage_one(n, instruments):
+    return tsls_fit(short_dataset(n), TslsSpec(model("x1"), ("x1",), on_terms(*instruments)))
+
+
+SHORT_FITS = {
+    "ols": (lambda: ols_fit(short_dataset(3), model("x1", "x2")),
+            "the OLS regression has 3 observations for 3 parameters"),
+    # the constant and five instruments fit the endogenous column exactly
+    "tsls_stage_one_exact": (lambda: stage_one(6, ("z1", "z2", "z3", "z4", "z5")),
+                             "the 2SLS first stage has 6 observations for 6 parameters"),
+    "tsls_stage_one_short": (lambda: stage_one(6, ("z1", "z2", "z3", "z4", "z5", "z6")),
+                             "the 2SLS first stage has 6 observations for 7 parameters"),
+    # five lags leave five rows for the disturbance regression's five coefficients
+    "ar_disturbance_exact": (
+        lambda: cochrane_orcutt_fit(short_dataset(10), ArSpec(model("x1"), (1, 2, 3, 4, 5))),
+        "the AR disturbance regression has 5 observations for 5 parameters"),
+    "ar_disturbance_short": (
+        lambda: cochrane_orcutt_fit(short_dataset(8), ArSpec(model("x1"), (1, 2, 3, 4, 5))),
+        "the AR disturbance regression has 3 observations for 5 parameters"),
+    "ar_disturbance_no_rows": (
+        lambda: cochrane_orcutt_fit(short_dataset(4), ArSpec(model("x1"), (5,))),
+        "the AR disturbance regression has 0 observations for 1 parameters"),
+    "ar_quasi_differenced": (
+        lambda: cochrane_orcutt_fit(short_dataset(6), ArSpec(model("x1", "x2", "x3", "z1"), (1,))),
+        "the quasi-differenced AR regression has 5 observations for 5 parameters"),
+    "chow_from": (lambda: chow_test(short_dataset(12), model("x1"), 2010),
+                  "the Chow sub-sample from 2010 has 2 observations for 2 parameters"),
+    "granger_no_rows": (lambda: granger_causality(short_dataset(3), Term("x1"), Term("y"), 4),
+                        "the Granger regression has 0 observations for 9 parameters"),
+    "var_no_rows": (lambda: var_fit(short_dataset(2), on_terms("y", "x1"), 3),
+                    "the VAR(3) design has 0 observations for 7 parameters"),
+    "adf_no_rows": (lambda: adf_test(short_dataset(3).get("y"), AdfSpec("constant", 4)),
+                    "the ADF design (constant, 4 lags) has 0 observations for 6 parameters"),
+    # the long-run fit has 7 rows for 2 coefficients; its residuals' test is too short
+    "engle_granger_residual_test": (
+        lambda: engle_granger(short_dataset(7), model("x1"), 3),
+        "the ADF design (none, 3 lags) has 3 observations for 4 parameters"),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fit", SHORT_FITS)
+def test_every_fit_refuses_no_more_observations_than_parameters(fit):
+    run, message = SHORT_FITS[fit]
+    with pytest.raises(EstimationError) as info:
+        run()
+    assert str(info.value) == message
 
 
 DEGENERATE = ("collinear", "near_collinear", "zero", "duplicate_constant")

@@ -70,7 +70,7 @@ class TestOlsCore:
 
     def test_too_few_observations_error(self):
         ds = make_dataset(y=(2000, [1.0, 2.0]), x=(2000, [1.0, 4.0]))
-        with pytest.raises(EstimationError, match="exceed"):
+        with pytest.raises(EstimationError, match="^the OLS regression has 2 observations for 2 parameters$"):
             ols_fit(ds, spec_for(["x"]))
 
     def test_sample_window_applied(self, toy_dataset):

@@ -80,7 +80,8 @@ class TestAdf:
 
     def test_too_short_error(self):
         s = AnnualSeries("s", 1990, (1.0, 2.0, 1.5, 2.5))
-        with pytest.raises(EstimationError, match="too short"):
+        with pytest.raises(EstimationError, match=r"^the ADF design \(constant_and_trend, 2 lags\) "
+                                                  "has 1 observations for 5 parameters$"):
             adf_test(s, AdfSpec("constant_and_trend", 2))
 
     def test_constant_series_error(self):
@@ -92,7 +93,8 @@ class TestAdf:
         # a deterministic trend makes the lagged level a combination of the
         # constant and trend columns, so the design is singular
         s = AnnualSeries("trend", 1970, tuple(float(v) for v in range(40)))
-        with pytest.raises(EstimationError, match="singular ADF design"):
+        with pytest.raises(EstimationError,
+                           match=r"^the ADF design \(constant_and_trend, 1 lags\) is rank deficient$"):
             adf_test(s, AdfSpec("constant_and_trend", 1))
 
     def test_conclusion_consistent_with_pvalue(self):

@@ -71,7 +71,7 @@ class TestVarFit:
 
     def test_insufficient_sample_error(self):
         ds = make_dataset(a=(2000, np.arange(6.0)), b=(2000, np.arange(6.0) ** 1.1))
-        with pytest.raises(EstimationError, match="insufficient"):
+        with pytest.raises(EstimationError, match=r"^the VAR\(2\) design has 4 observations for 5 parameters$"):
             var_fit(ds, (Term("a"), Term("b")), 2)
 
 
@@ -81,6 +81,14 @@ class TestImpulseResponse:
         irf = impulse_response(model, 5)
         assert np.allclose(irf.responses[:, :, 0], np.eye(2))
         assert np.allclose(irf.responses[:, :, 1:], 0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("analysis", [impulse_response, variance_decomposition])
+    def test_overflowing_responses_are_an_error(self, analysis):
+        # step 1 is 1e200; step 2 overflows, and inf times a zero entry is NaN
+        model = manual_model([np.array([[1e200, 0.0], [0.0, 0.5]])], np.eye(2))
+        with pytest.raises(EstimationError, match="^impulse responses are not finite within 3 steps$"):
+            analysis(model, 3)
 
     def test_matrix_power_oracle(self):
         A = np.array([[0.5, 0.2], [-0.1, 0.4]])
@@ -195,5 +203,5 @@ class TestFevd:
             with pytest.raises(EstimationError, match="zero forecast-error variance"):
                 variance_decomposition(zero, 3)
         nan = manual_model([np.full((2, 2), np.nan)], np.eye(2))  # NaN responses from step 1 on
-        with pytest.raises(EstimationError, match="zero forecast-error variance"):
+        with pytest.raises(EstimationError, match="^impulse responses are not finite within 3 steps$"):
             variance_decomposition(nan, 3)
