@@ -49,7 +49,7 @@ COMMANDS = {
                {**_MODEL, "--ar-lags": "ar_lags!"}, None),
     "coint": ("coint", "Engle-Granger two-step cointegration (inputs asserted I(1)).",
               {**_MODEL, "--residual-lag": "residual_lag"},
-              Step("coint", "coint", {"assume_i1": ["all"], "constant": ["false"]})),
+              Step("coint", "coint", {"constant": ["false"]})),
     "granger": ("granger", "Granger causality F tests, both directions.",
                 {"--x": "x!", "--y": "y!", "--lags": "lags", "--sample": "sample"}, None),
     "chow": ("chow", "Chow structural-break test (defaults to the bundled 41-obs model).",

@@ -2,9 +2,11 @@
 
 A manifest is a sequence of ``[step <name>]`` sections with ``key = value``
 entries, preceded by an optional ``[pipeline]`` section holding the dataset
-path, output directory and the list of optional series (other keys there,
-such as ``seed``, are accepted and ignored).  The bundled default manifest
-encodes the complete reproduction pipeline and doubles as executable
+path, output directory and the list of optional series; any other key there
+is a ``ManifestError``, as a key its op does not read is in a step.  Only
+``row``, ``plot`` and ``requires`` may be given more than once in a step
+(``one_value`` refuses a second value of any other key).  The bundled default
+manifest encodes the complete reproduction pipeline and doubles as executable
 documentation of it.
 """
 from __future__ import annotations
@@ -16,22 +18,24 @@ from ._record import record
 
 __all__ = [
     "ManifestError", "PipelineManifest", "Step", "StepError", "default_manifest_text",
-    "parse_manifest",
+    "one_value", "parse_manifest",
 ]
 
 
 class ManifestError(Exception):
     """Raised for manifest syntax, reference or step-value errors.
 
-    An error in a step's value names the step, the key and the value.  Its
-    message is the step, ``lead`` (the words naming the key) and ``reason``, so
-    a caller that set the key from a command-line flag can report ``reason``
-    under the flag's name.
+    An error in a key's value names the key's section (its step, or
+    ``[pipeline]`` when ``step`` is ``None``), the key and the value.  Its
+    message is the section, ``lead`` (the words naming the key) and
+    ``reason``, so a caller that set the key from a command-line flag can
+    report ``reason`` under the flag's name.
     """
 
     def __init__(self, reason: str, step: str | None = None, key: str | None = None,
                  value: str | None = None, lead: str = ""):
-        super().__init__(reason if step is None else f"step {step!r}: {lead}{reason}")
+        where = "[pipeline]" if step is None else f"step {step!r}"
+        super().__init__(reason if key is None else f"{where}: {lead}{reason}")
         self.reason, self.step, self.key, self.value = reason, step, key, value
 
 
@@ -68,69 +72,59 @@ class PipelineManifest:
 
 
 _SECTION_RE = re.compile(r"^\[(pipeline|step\s+(?P<name>[A-Za-z0-9_.-]+))\]\s*$")
+# each [pipeline] key and its default
+_PIPELINE = {"dataset": "bundled", "output": "reproduction", "optional": "Tax benefits"}
+
+
+def one_value(values: list[str], key: str, step: str | None, default=None):
+    """The one value given for ``key`` in ``step`` (``None``: ``[pipeline]``), or ``default``.
+
+    A second value is a ``ManifestError`` naming it and the first.
+    """
+    if len(values) > 1:
+        raise ManifestError(f"{values[1]!r}; expected one value, and {key} is already "
+                            f"{values[0]!r}", step, key, values[1], f"bad {key} ")
+    return values[0] if values else default
 
 
 def parse_manifest(text: str) -> PipelineManifest:
     """Parse manifest text; raises ManifestError on any syntax problem."""
-    pipeline_opts: dict[str, list[str]] = {}
-    steps: list[Step] = []
-    current: dict[str, list[str]] | None = None
-    current_name = ""
-    current_is_pipeline = False
-    seen_names: set[str] = set()
-
-    def close():
-        nonlocal current
-        if current is not None and not current_is_pipeline:
-            op = current.get("op")
-            if not op:
-                raise ManifestError(f"step {current_name!r}: missing 'op'")
-            if len(op) > 1:
-                raise ManifestError(f"step {current_name!r}: bad op {op[1]!r}; expected one "
-                                    f"value, and op is already {op[0]!r}")
-            steps.append(Step(current_name, op[0], {k: v for k, v in current.items() if k != "op"}))
-
+    pipeline: dict[str, list[str]] = {}
+    sections: dict[str, dict[str, list[str]]] = {}  # each step's keys, by step name
+    current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         m = _SECTION_RE.match(line)
         if m:
-            close()
-            if m.group(1) == "pipeline":
-                current = pipeline_opts
-                current_is_pipeline = True
-            else:
-                name = m.group("name")
-                if name in seen_names:
-                    raise ManifestError(f"line {lineno}: duplicate step name {name!r}")
-                seen_names.add(name)
-                current = {}
-                current_name = name
-                current_is_pipeline = False
-            continue
-        if "=" not in line:
+            name = m.group("name")
+            if name in sections:
+                raise ManifestError(f"line {lineno}: duplicate step name {name!r}")
+            current = pipeline if name is None else sections.setdefault(name, {})
+        elif "=" not in line:
             raise ManifestError(f"line {lineno}: expected 'key = value', got {line!r}")
-        if current is None:
+        elif current is None:
             raise ManifestError(f"line {lineno}: entry outside any section")
-        key, _, value = line.partition("=")
-        current.setdefault(key.strip(), []).append(value.strip())
-    close()
+        else:
+            key, _, value = line.partition("=")
+            current.setdefault(key.strip(), []).append(value.strip())
 
-    def first(key: str, default: str) -> str:
-        vals = pipeline_opts.get(key, [default])
-        if len(vals) > 1:
-            raise ManifestError(f"[pipeline]: bad {key} {vals[1]!r}; expected one value, "
-                                f"and {key} is already {vals[0]!r}")
-        return vals[0]
-
-    optional = tuple(
-        s.strip() for s in first("optional", "Tax benefits").split(",") if s.strip()
-    )
+    unknown = [key for key in pipeline if key not in _PIPELINE]
+    if unknown:
+        raise ManifestError(f"unknown key {unknown[0]!r}", None, unknown[0])
+    dataset, output, optional = (one_value(pipeline.get(key, []), key, None, default)
+                                 for key, default in _PIPELINE.items())
+    steps = []
+    for name, options in sections.items():
+        op = one_value(options.pop("op", []), "op", name)
+        if op is None:
+            raise ManifestError("missing 'op'", name, "op")
+        steps.append(Step(name, op, options))
     return PipelineManifest(
-        dataset_path=first("dataset", "bundled"),
-        output_dir=first("output", "reproduction"),
-        optional_series=optional,
+        dataset_path=dataset,
+        output_dir=output,
+        optional_series=tuple(s.strip() for s in optional.split(",") if s.strip()),
         steps=tuple(steps),
         source_text=text,
     )

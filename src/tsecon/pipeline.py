@@ -22,7 +22,7 @@ import math
 from .cointegration import engle_granger, relation_size
 from .dataset import Dataset, Term, TermError, _slug, apply_term, load_dataset, parse_term
 from .dynamics import ArSpec, chow_test, cochrane_orcutt_fit, compare_models, granger_causality
-from .manifest import ManifestError, PipelineManifest, Step, StepError
+from .manifest import ManifestError, PipelineManifest, Step, StepError, one_value
 from .regress import EstimationError, ModelSpec, ols_fit
 from .report import ReportBundle, _csv, render_irf_plot, render_table
 from .scenario import CapitalScenario, simulate_exports, simulate_unemployment
@@ -104,12 +104,8 @@ class _Parse:
 
     def value(self, key: str, parse=None, expected: str = "", default=_REQUIRED):
         """``key``'s one text through ``parse``; a missing key takes ``default``, parsed too."""
-        texts = self.all(key)
-        if len(texts) > 1:
-            raise self.bad(key, texts[1],
-                           f"expected one value, and {key} is already {texts[0]!r}")
-        text = next(iter(texts), None if default is _REQUIRED else default)
-        if text is None and default is _REQUIRED:
+        text = one_value(self.all(key), key, self.step.name, default)
+        if text is _REQUIRED:
             raise ManifestError(f"missing required key {key!r}", self.step.name, key)
         return text if text is None or parse is None else self.parse(key, text, parse, expected)
 
@@ -143,9 +139,6 @@ class _Parse:
 
     def number(self, key: str, default=_REQUIRED) -> float:
         return self.value(key, *_number(float), default)
-
-    def boolean(self, key: str, default: str) -> bool:
-        return self.value(key, lambda t: _BOOLEANS[t.lower()], "true or false", default)
 
     def choice(self, key: str, choices: tuple[str, ...], default=_REQUIRED) -> str:
         return self.value(key, lambda t: choices[choices.index(t)],
@@ -188,8 +181,9 @@ class _Parse:
         return self._terms[text]
 
     def model(self) -> ModelSpec:
-        return ModelSpec(self.term("dependent"), self.terms("regressors"),
-                         self.boolean("constant", "true"), self.window("sample", None))
+        dependent, regressors = self.term("dependent"), self.terms("regressors")
+        constant = self.value("constant", lambda t: _BOOLEANS[t.lower()], "true or false", "true")
+        return ModelSpec(dependent, regressors, constant, self.window("sample", None))
 
     def ref(self, key: str, *ops: str) -> str:
         """The earlier step that ``key`` names, of one of ``ops``; if it was skipped, so is this."""
@@ -337,13 +331,11 @@ def _simulate(v: _Parse):
     window, capital = v.window("window"), v.term("capital")
     v.checked("overrides", scenario.check_window, window)
     amount = v.number("eap" if kind == "unemployment" else "terminal_actual_usd")
-    label = v.value("capital_label", default="d_Ln(K)")
-    log_growth = v.boolean("log_growth", "true")
 
     def run(dataset, results):
         simulate = simulate_unemployment if kind == "unemployment" else simulate_exports
         return simulate(results[fit], scenario, window, amount, dataset.get(series),
-                        apply_term(dataset, capital), capital_label=label, as_log_growth=log_growth)
+                        apply_term(dataset, capital))
 
     return run
 

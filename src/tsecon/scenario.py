@@ -6,7 +6,8 @@ capital-growth rate and the actual one, with previously simulated deviations
 feeding the autoregressive lags.  The baseline is the actual data path, so a
 scenario that prescribes the actual growth rates reproduces the baseline
 exactly, while an early shock still moves every later year through the lag
-dynamics.
+dynamics.  The fit's capital-growth coefficient is the one named as the
+capital-growth series is (``d_Ln(K)`` in the bundled study).
 """
 from __future__ import annotations
 
@@ -67,17 +68,16 @@ def _simulate(
     window: tuple[int, int],
     actual: AnnualSeries,
     capital_growth: AnnualSeries,
-    capital_label: str,
     as_log_growth: bool,
 ) -> tuple[range, tuple[float, ...], list[float]]:
     """The window's years, the actual (baseline) path and the deviation in each year.
 
     ``fit`` must carry coefficients for the constant, the capital-growth
-    regressor (``capital_label``), and the first two lags of the dependent
-    variable; previously simulated deviations feed those lags.
+    regressor (named as ``capital_growth`` is), and the first two lags of the
+    dependent variable; previously simulated deviations feed those lags.
     """
     _coeff(fit, "const")
-    beta_k = _coeff(fit, capital_label)
+    beta_k = _coeff(fit, capital_growth.name)
     ar1, ar2 = (_coeff(fit, f"{fit.dep_label}(-{lag})") for lag in (1, 2))
     scenario.check_window(window)
     lo, hi = window
@@ -107,16 +107,13 @@ def simulate_unemployment(
     eap: float,
     unemployment: AnnualSeries,
     capital_growth: AnnualSeries,
-    capital_label: str = "d_Ln(K)",
     as_log_growth: bool = True,
 ) -> ScenarioResult:
     """Counterfactual unemployment path under a capital-growth schedule.
 
     Jobs created = (terminal actual - terminal simulated)/100 x eap.
     """
-    years, base, dev = _simulate(
-        fit, scenario, window, unemployment, capital_growth, capital_label, as_log_growth
-    )
+    years, base, dev = _simulate(fit, scenario, window, unemployment, capital_growth, as_log_growth)
     cf = tuple(b + d for b, d in zip(base, dev))
     terminal = cf[-1] - base[-1]
     jobs = (base[-1] - cf[-1]) / 100.0 * eap
@@ -135,7 +132,6 @@ def simulate_exports(
     terminal_actual_usd: float,
     exports: AnnualSeries,
     capital_growth: AnnualSeries,
-    capital_label: str = "d_Ln(K)",
     as_log_growth: bool = True,
 ) -> ScenarioResult:
     """Counterfactual export path; the equation is dynamic in log exports.
@@ -144,9 +140,7 @@ def simulate_exports(
     the terminal percentage delta converts to dollars against
     ``terminal_actual_usd``.
     """
-    years, base, dev = _simulate(
-        fit, scenario, window, exports, capital_growth, capital_label, as_log_growth
-    )
+    years, base, dev = _simulate(fit, scenario, window, exports, capital_growth, as_log_growth)
     cf = tuple(b * math.exp(d) for b, d in zip(base, dev))
     pct = cf[-1] / base[-1] - 1.0
     return ScenarioResult(

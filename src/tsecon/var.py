@@ -132,8 +132,11 @@ def variance_decomposition(model: VarModel, horizon: int) -> FevdResult:
     """Share of each variable's forecast-error variance due to each shock."""
     irf = impulse_response(model, horizon)
     # cumulative squared responses over steps 0..h, [shock, respond, step]
-    cum = np.cumsum(irf.responses**2, axis=2)
-    total = cum.sum(axis=0)
-    if not (total > 0.0).all():  # NaN fails too
+    with np.errstate(over="ignore"):
+        cum = np.cumsum(irf.responses**2, axis=2)
+        total = cum.sum(axis=0)
+    if not np.isfinite(total).all():
+        raise EstimationError(f"forecast-error variances are not finite within {horizon} steps")
+    if not (total > 0.0).all():
         raise EstimationError("degenerate model: zero forecast-error variance")
     return FevdResult(horizon, (cum / total).transpose(1, 2, 0), model.labels)

@@ -89,10 +89,9 @@ class TestManifestParsing:
                                                 rf"value, and {key} is already 'a'"):
             parse_manifest(f"[pipeline]\n{key} = a\n{key} = b\n")
 
-    def test_pipeline_seed_is_accepted_and_ignored(self):
-        m = parse_manifest("[pipeline]\nseed = not a number\noutput = out\n")
-        assert m.output_dir == "out"
-        assert not hasattr(m, "seed")
+    def test_pipeline_seed_is_manifest_error(self):
+        with pytest.raises(ManifestError, match=r"^\[pipeline\]: unknown key 'seed'$"):
+            parse_manifest("[pipeline]\nseed = 20181001\noutput = out\n")
 
     def test_empty_manifest_runs_to_empty_bundle(self):
         m = parse_manifest("[pipeline]\noutput = out\n")
@@ -649,13 +648,50 @@ class TestCli:
     @pytest.mark.parametrize("key", ["lag", "output", "dataset"])
     def test_unknown_step_key_is_manifest_error_naming_it(self, tmp_path, key):
         manifest = tmp_path / "m.ini"
-        manifest.write_text("[pipeline]\nseed = 20181001\n"
-                            f"[step g]\nop = granger\nx = dln(GDP)\ny = dln(Exports)\n{key} = 2\n")
+        manifest.write_text(f"[step g]\nop = granger\nx = dln(GDP)\ny = dln(Exports)\n{key} = 2\n")
         r = run_cli(["report", "--manifest", str(manifest),
                      "--output", str(tmp_path / "out")])
         assert r.exit_code == 2, r.output
         assert f"manifest error: step 'g': unknown key {key!r}" in r.output
         assert not (tmp_path / "out").exists()
+
+    def test_misspelled_pipeline_key_is_manifest_error_naming_it(self, tmp_path):
+        manifest = tmp_path / "m.ini"
+        manifest.write_text("[pipeline]\ndatset = /no/such/dir\n"
+                            "[step a]\nop = adf\nseries = ln(GDP)\n")
+        r = run_cli(["report", "--manifest", str(manifest),
+                     "--output", str(tmp_path / "out")])
+        assert r.exit_code == 2, r.output
+        assert "manifest error: [pipeline]: unknown key 'datset'" in r.output
+        assert not (tmp_path / "out").exists()
+
+    # the capital term's label names the fit's coefficient, and growth is always logged
+    @pytest.mark.parametrize("key", ["capital_label = d_Ln(K)", "log_growth = true"])
+    def test_former_scenario_keys_are_unknown(self, tmp_path, key):
+        manifest = tmp_path / "m.ini"
+        manifest.write_text(SCENARIO_FIT + "[step s]\nop = simulate_unemployment\nfit = m\n"
+                            "overrides = 2005:0.15\nwindow = 2000:2010\neap = 1\n"
+                            "unemployment = Unemployment rate\n"
+                            f"capital = dln(Total investment) as d_Ln(K)\n{key}\n")
+        r = run_cli(["report", "--manifest", str(manifest),
+                     "--output", str(tmp_path / "out")])
+        assert r.exit_code == 2, r.output
+        assert (f"manifest error: step 's': unknown key {key.split()[0]!r} "
+                "for op 'simulate_unemployment'") in r.output
+
+    def test_capital_label_that_is_no_regressor_of_the_fit_exits_4(self, tmp_path):
+        manifest = tmp_path / "m.ini"
+        manifest.write_text(
+            "[step m]\nop = ols\ndependent = Unemployment rate\nregressors = "
+            "dln(Total investment) as d_Ln(K), Unemployment rate@1, Unemployment rate@2\n"
+            "[step s]\nop = simulate_unemployment\nfit = m\noverrides = 2005:0.15\n"
+            "window = 2000:2010\neap = 1\nunemployment = Unemployment rate\n"
+            "capital = dln(Total investment)\n")
+        r = run_cli(["report", "--manifest", str(manifest),
+                     "--output", str(tmp_path / "out")])
+        assert r.exit_code == 4, r.output
+        assert ("step error: step 's' failed: fit is missing the required coefficient "
+                "'d_Ln(Total investment)'") in r.output
 
     def test_coint_beyond_the_response_surfaces_is_usage_error_naming_the_flag(self):
         r = run_cli([

@@ -26,7 +26,7 @@ def fake_fit(dep_label, const, beta_k, ar1, ar2):
 
 
 U = AnnualSeries("U", 2000, (10.0, 9.5, 9.0, 8.5, 8.0, 7.5, 7.0, 6.5, 6.0, 5.5, 5.0), "percent")
-G = AnnualSeries("g", 2000, (0.05, 0.04, 0.03, 0.05, 0.06, 0.05, 0.04, 0.05, 0.06, 0.05, 0.04))
+G = AnnualSeries("d_Ln(K)", 2000, (0.05, 0.04, 0.03, 0.05, 0.06, 0.05, 0.04, 0.05, 0.06, 0.05, 0.04))
 X = AnnualSeries("X", 2000, tuple(1000.0 * 1.05**i for i in range(11)), "thousands of USD")
 
 
@@ -85,10 +85,11 @@ class TestUnemploymentScenario:
 
     def test_missing_coefficient_error(self):
         fit = fake_fit("U", 1.0, -2.0, 0.5, 0.2)
-        with pytest.raises(EstimationError, match="missing the required coefficient"):
+        other = AnnualSeries("no such label", G.start_year, G.values)
+        with pytest.raises(EstimationError,
+                           match="missing the required coefficient 'no such label'"):
             simulate_unemployment(
-                fit, CapitalScenario("s", {2005: 0.1}), (2000, 2010), 1e6, U, G,
-                capital_label="no such label",
+                fit, CapitalScenario("s", {2005: 0.1}), (2000, 2010), 1e6, U, other,
             )
 
 

@@ -205,3 +205,11 @@ class TestFevd:
         nan = manual_model([np.full((2, 2), np.nan)], np.eye(2))  # NaN responses from step 1 on
         with pytest.raises(EstimationError, match="^impulse responses are not finite within 3 steps$"):
             variance_decomposition(nan, 3)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_squared_responses_are_an_error(self):
+        # the step-1 responses (up to 1e200) are finite, but their squares overflow
+        model = manual_model([np.array([[1e200, 0.0], [0.0, 0.5]])], np.eye(2))
+        with pytest.raises(EstimationError,
+                           match="^forecast-error variances are not finite within 1 steps$"):
+            variance_decomposition(model, 1)
