@@ -230,8 +230,9 @@ def align(
     """Evaluate ``terms`` on their common year window, clipped to ``sample``.
 
     Returns the evaluated series, the window's years and one column of values
-    per series.  When the window is empty the years and the columns are empty,
-    and the caller decides how to fail.
+    per series.  An empty window is zero years, and every column then has zero
+    values: a design built from them has no rows, which ``least_squares``
+    refuses.
     """
     evaluated = [apply_term(dataset, t) for t in terms]
     lo = max(s.start_year for s in evaluated)
@@ -239,7 +240,7 @@ def align(
     if sample is not None:
         lo, hi = max(lo, sample[0]), min(hi, sample[1])
     years = range(lo, hi + 1)
-    return evaluated, years, [s.slice(lo, hi) for s in evaluated] if years else []
+    return evaluated, years, [s.slice(lo, hi) if years else () for s in evaluated]
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ def cochrane_orcutt_fit(dataset: Dataset, spec: ArSpec) -> ArFitResult:
     coefficients by OLS of the residuals on their listed lags, until the
     transformed-regression SSR converges.
     """
-    y, X, labels, years = build_design(dataset, spec.model)
+    y, X, years = build_design(dataset, spec.model)
     lags = spec.ar_lags
     m = max(lags)
     y0, *y_lags = lagged(y, (0, *lags), m)
@@ -136,11 +136,7 @@ def cochrane_orcutt_fit(dataset: Dataset, spec: ArSpec) -> ArFitResult:
             converged = True
             break
         last_ssr = ssr
-    final = diagnostics(
-        y_star, X_star, beta, R, labels, years[m:],
-        spec.model.dependent.rendered_label(), spec.model.include_constant,
-        method="ar",
-    )
+    final = diagnostics(spec.model, y_star, X_star, beta, R, years[m:], method="ar")
     diverged = not _ar_poly_stationary(rho, lags)
     return ArFitResult(final, tuple(float(r) for r in rho), lags, iterations, converged, diverged)
 
@@ -201,9 +197,7 @@ def granger_causality(
     """
     if lags < 1:
         raise EstimationError("Granger lag order must be >= 1")
-    (sx, sy), window, columns = align(dataset, (x, y), sample)
-    if not window:
-        raise EstimationError("Granger series do not overlap")
+    (sx, sy), _, columns = align(dataset, (x, y), sample)
     ax, ay = map(np.array, columns)
     entries = []
     for cause, effect, cs, es in ((sx, sy, ax, ay), (sy, sx, ay, ax)):
@@ -218,7 +212,7 @@ def chow_test(dataset: Dataset, spec: ModelSpec, break_year: int) -> ChowResult:
     The sample splits into years before ``break_year`` and years from it on;
     F = [(SSR_pooled - SSR1 - SSR2)/p] / [(SSR1 + SSR2)/(n - 2p)].
     """
-    y, X, labels, years = build_design(dataset, spec)
+    y, X, years = build_design(dataset, spec)
     n, p = X.shape
     mask = years < break_year
 

@@ -102,6 +102,9 @@ def parse_manifest(text: str) -> PipelineManifest:
             if name in sections:
                 raise ManifestError(f"line {lineno}: duplicate step name {name!r}")
             current = pipeline if name is None else sections.setdefault(name, {})
+        elif line.startswith("["):
+            raise ManifestError(f"line {lineno}: bad section header {line!r}; "
+                                "expected [pipeline] or [step <name>]")
         elif "=" not in line:
             raise ManifestError(f"line {lineno}: expected 'key = value', got {line!r}")
         elif current is None:

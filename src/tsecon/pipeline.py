@@ -28,7 +28,7 @@ from .report import ReportBundle, _csv, render_irf_plot, render_table
 from .scenario import CapitalScenario, simulate_exports, simulate_unemployment
 from .tsls import TslsSpec, tsls_fit
 from .unitroot import DETERMINISTICS, AdfBattery, AdfSpec, adf_test
-from .var import impulse_response, var_fit, variance_decomposition
+from .var import impulse_response, var_fit, var_labels, variance_decomposition
 
 __all__ = ["OPS", "StepError", "run_pipeline", "run_steps", "windowed_series"]
 
@@ -183,7 +183,8 @@ class _Parse:
     def model(self) -> ModelSpec:
         dependent, regressors = self.term("dependent"), self.terms("regressors")
         constant = self.value("constant", lambda t: _BOOLEANS[t.lower()], "true or false", "true")
-        return ModelSpec(dependent, regressors, constant, self.window("sample", None))
+        return self.checked("regressors", ModelSpec, dependent, regressors, constant,
+                            self.window("sample", None))
 
     def ref(self, key: str, *ops: str) -> str:
         """The earlier step that ``key`` names, of one of ``ops``; if it was skipped, so is this."""
@@ -287,7 +288,7 @@ def _chow(v: _Parse):
 def _var(v: _Parse):
     variables, sample = v.terms("variables"), v.window("sample", None)
     lags = v.integer("lags", "4", minimum=1)
-    v.labels = tuple(t.rendered_label() for t in variables)
+    v.labels = v.checked("variables", var_labels, variables)
     return lambda dataset, results: var_fit(dataset, variables, lags, sample)
 
 

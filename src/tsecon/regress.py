@@ -35,14 +35,35 @@ class EstimationError(Exception):
     """Raised for rank deficiency, insufficient observations, or bad specs."""
 
 
+def unique_labels(labels: tuple[str, ...]) -> tuple[str, ...]:
+    """``labels``, unless one is repeated: then ``EstimationError`` names it."""
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise EstimationError(f"the label {label!r} is repeated")
+    return labels
+
+
 @record
 class ModelSpec:
-    """Declarative regression description evaluated against a dataset."""
+    """Declarative regression description evaluated against a dataset.
+
+    A model has at least one column, and no two of its columns share a label.
+    """
 
     dependent: Term
     regressors: tuple[Term, ...]
     include_constant: bool = True
     sample: tuple[int, int] | None = None
+
+    def __post_init__(self):
+        if not unique_labels(self.labels):
+            raise EstimationError("empty model: no regressors and no constant")
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """One label per design column: ``const`` first when the model has a constant."""
+        const = ("const",) if self.include_constant else ()
+        return const + tuple(t.rendered_label() for t in self.regressors)
 
 
 @record
@@ -93,28 +114,15 @@ class FitResult:
 
 
 def build_design(dataset: Dataset, spec: ModelSpec):
-    """Evaluate the spec's terms into (y, X, labels, years).
+    """Evaluate the spec's terms into (y, X, years), X's columns in ``spec.labels`` order.
 
     All terms are aligned on their common year window, clipped to the spec's
-    sample; the constant column (when present) comes first.
+    sample; an empty window gives zero rows, which the kernel refuses.
     """
     _, window, columns = align(dataset, (spec.dependent, *spec.regressors), spec.sample)
-    if not window:
-        raise EstimationError("empty estimation sample after term alignment")
     years = np.arange(window.start, window.stop)
-    y = np.array(columns[0])
-    cols, labels = [], []
-    if spec.include_constant:
-        cols.append(np.ones(len(years)))
-        labels.append("const")
-    for col, t in zip(columns[1:], spec.regressors):
-        cols.append(np.array(col))
-        labels.append(t.rendered_label())
-    if not cols:
-        raise EstimationError("empty model: no regressors and no constant")
-    if len(set(labels)) != len(labels):
-        raise EstimationError("regressor labels must be unique")
-    return y, np.column_stack(cols), labels, years
+    const = [np.ones(len(years))] if spec.include_constant else []
+    return np.array(columns[0]), np.column_stack(const + columns[1:]), years
 
 
 def lagged(x: np.ndarray, lags, first: int) -> list[np.ndarray]:
@@ -144,6 +152,7 @@ def least_squares(
     (X'X)^-1 = R^-1 R^-T comes without forming X'X, whose condition number is
     the design's squared (Golub & Van Loan, *Matrix Computations*, section 5.3).
     """
+    X = np.ascontiguousarray(X)  # the column norms round by memory layout
     n, p = X.shape
     if n <= p:
         raise EstimationError(f"{what} has {n} observations for {p} parameters")
@@ -169,18 +178,16 @@ def f_pvalue(f: float, dfn: float, dfd: float) -> float:
 
 
 def diagnostics(
+    spec: ModelSpec,
     y: np.ndarray,
     X: np.ndarray,
     beta: np.ndarray,
     R: np.ndarray,
-    labels: list[str],
     years: np.ndarray,
-    dep_label: str,
-    include_constant: bool,
     *,
     method: str = "ols",
 ) -> FitResult:
-    """Assemble a FitResult from a solved regression.
+    """Assemble a FitResult of ``spec`` from a solved regression.
 
     ``R`` is the fit's triangular factor from ``least_squares`` (two-stage least
     squares passes the projected design's).  Coefficient p-values are
@@ -200,12 +207,12 @@ def diagnostics(
         pvals = [t_two_sided(t, df) for t in tvals.tolist()]
     coeffs = tuple(
         Coefficient(lbl, float(b), float(s), float(t), float(pv))
-        for lbl, b, s, t, pv in zip(labels, beta, se, tvals, pvals)
+        for lbl, b, s, t, pv in zip(spec.labels, beta, se, tvals, pvals)
     )
-    tss = float(((y - y.mean()) ** 2).sum()) if include_constant else float(y @ y)
+    tss = float(((y - y.mean()) ** 2).sum()) if spec.include_constant else float(y @ y)
     r2 = 1.0 - ssr / tss if tss > 0 else float("nan")
     adj = 1.0 - (1.0 - r2) * (n - 1) / df
-    q = p - 1 if include_constant else p
+    q = p - 1 if spec.include_constant else p
     if q > 0 and r2 < 1.0:
         f = (r2 / q) / ((1.0 - r2) / df)
         f_p = f_pvalue(f, q, df)
@@ -240,17 +247,15 @@ def diagnostics(
         rho1=rho1,
         residuals=AnnualSeries("residuals", int(years[0]), tuple(e)),
         sample=(int(years[0]), int(years[-1])),
-        dep_label=dep_label,
+        dep_label=spec.dependent.rendered_label(),
         method=method,
-        include_constant=include_constant,
+        include_constant=spec.include_constant,
     )
 
 
 def ols_fit(dataset: Dataset, spec: ModelSpec) -> FitResult:
     """Ordinary least squares over the spec's realized sample."""
-    y, X, labels, years = build_design(dataset, spec)
+    y, X, years = build_design(dataset, spec)
     beta, _, R = least_squares(X, y, "the OLS regression")
-    return diagnostics(
-        y, X, beta, R, labels, years, spec.dependent.rendered_label(), spec.include_constant
-    )
+    return diagnostics(spec, y, X, beta, R, years)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._record import record
-from .dataset import Dataset, DatasetError, Term, apply_term
+from .dataset import Dataset, Term
 from .regress import (
     EstimationError, FitResult, ModelSpec, build_design, diagnostics, least_squares, ols_fit,
 )
@@ -37,41 +37,24 @@ class TslsSpec:
 
 
 def tsls_fit(dataset: Dataset, spec: TslsSpec) -> FitResult:
-    """Two-stage least squares over the model's realized sample."""
+    """Two-stage least squares over the realized sample of the model and its instruments."""
+    m = spec.model
     if not spec.endogenous:
-        return ols_fit(dataset, spec.model)
-    y, X, labels, years = build_design(dataset, spec.model)
+        return ols_fit(dataset, m)
+    labels = m.labels
     unknown = set(spec.endogenous) - set(labels)
     if unknown:
         raise EstimationError(f"endogenous labels not in model: {sorted(unknown)}")
     endo_idx = [labels.index(lbl) for lbl in spec.endogenous]
-    exo_idx = [j for j in range(X.shape[1]) if j not in endo_idx]
-
-    inst_cols = []
-    for t in spec.instruments:
-        s = apply_term(dataset, t)
-        try:
-            inst_cols.append(np.array(s.slice(years[0], years[-1])))
-        except DatasetError as exc:
-            raise EstimationError(
-                f"instrument {t.rendered_label()!r} does not cover the sample "
-                f"{years[0]}-{years[-1]}"
-            ) from exc
-    Z = np.column_stack([X[:, exo_idx]] + inst_cols) if exo_idx else np.column_stack(inst_cols)
+    # one design of the model with the instruments appended: they share its window
+    stages = ModelSpec(m.dependent, (*m.regressors, *spec.instruments), m.include_constant,
+                       m.sample)
+    y, D, years = build_design(dataset, stages)
+    X, Z = D[:, : len(labels)], np.delete(D, endo_idx, axis=1)
     # stage 1: fitted values of every endogenous column from one fit
     gamma, _, _ = least_squares(Z, X[:, endo_idx], "the 2SLS first stage")
     X_hat = X.copy()
     X_hat[:, endo_idx] = Z @ gamma
     # stage 2: OLS on the projected design; residuals from the original design
     beta, _, R = least_squares(X_hat, y, "the 2SLS second stage")
-    return diagnostics(
-        y,
-        X,
-        beta,
-        R,
-        labels,
-        years,
-        spec.model.dependent.rendered_label(),
-        spec.model.include_constant,
-        method="tsls",
-    )
+    return diagnostics(m, y, X, beta, R, years, method="tsls")

@@ -15,9 +15,10 @@ import numpy as np
 
 from ._record import record
 from .dataset import Dataset, Term, align
-from .regress import EstimationError, lagged, least_squares
+from .regress import EstimationError, lagged, least_squares, unique_labels
 
-__all__ = ["FevdResult", "IrfResult", "VarModel", "impulse_response", "var_fit", "variance_decomposition"]
+__all__ = ["FevdResult", "IrfResult", "VarModel", "impulse_response", "var_fit", "var_labels",
+           "variance_decomposition"]
 
 
 @record
@@ -63,6 +64,14 @@ class FevdResult:
     ordering: tuple[str, ...]
 
 
+def var_labels(variables: Sequence[Term]) -> tuple[str, ...]:
+    """The variables' labels, which name the responses; there is one or more, each given once."""
+    labels = unique_labels(tuple(t.rendered_label() for t in variables))
+    if not labels:
+        raise EstimationError("a VAR needs at least one variable")
+    return labels
+
+
 def var_fit(
     dataset: Dataset,
     variables: Sequence[Term],
@@ -70,11 +79,10 @@ def var_fit(
     sample: tuple[int, int] | None = None,
 ) -> VarModel:
     """Fit a VAR(p) by per-equation OLS over the common sample."""
+    labels = var_labels(variables)
     if p < 1:
         raise EstimationError("VAR lag order must be >= 1")
-    evaluated, window, columns = align(dataset, variables, sample)
-    if not window:
-        raise EstimationError("VAR variables do not share a sample window")
+    _, window, columns = align(dataset, variables, sample)
     Y0, *Y_lags = lagged(np.column_stack(columns), range(p + 1), p)
     rows, k = Y0.shape
     X = np.column_stack([np.ones(rows), *Y_lags])
@@ -82,7 +90,7 @@ def var_fit(
     sigma = E.T @ E / (rows - X.shape[1])
     A = tuple(B[1 + i * k : 1 + (i + 1) * k].T for i in range(p))
     return VarModel(
-        labels=tuple(s.name for s in evaluated),
+        labels=labels,
         p=p,
         intercepts=B[0].copy(),
         coefficient_matrices=A,

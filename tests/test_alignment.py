@@ -26,7 +26,7 @@ from tsecon.dataset import (
     apply_term,
 )
 from tsecon.dynamics import granger_causality
-from tsecon.regress import EstimationError, ModelSpec, build_design
+from tsecon.regress import EstimationError, ModelSpec, ols_fit
 from tsecon.var import var_fit
 
 from conftest import make_dataset
@@ -94,7 +94,7 @@ class TestAlignOracle:
             assert years == ref_years
             assert [bits(c) for c in columns] == [bits(c) for c in ref_columns]
         else:
-            assert not years and columns == []
+            assert not years and columns == [()] * len(terms)
 
     @pytest.mark.parametrize("transform", TRANSFORMS)
     @pytest.mark.parametrize("lag", [0, 1, 2, 3])
@@ -122,7 +122,7 @@ class TestAlignOracle:
 
 
 class TestEmptyWindowErrors:
-    """Each caller of ``align`` keeps its own message for an empty window."""
+    """An empty window gives a design of zero rows, which the kernel's sample rule refuses."""
 
     @pytest.fixture
     def ds(self):
@@ -131,15 +131,15 @@ class TestEmptyWindowErrors:
 
     def test_regression(self, ds):
         spec = ModelSpec(Term("a"), (Term("b"),), sample=(2050, 2060))
-        with pytest.raises(EstimationError, match="empty estimation sample"):
-            build_design(ds, spec)
+        with pytest.raises(EstimationError, match="^the OLS regression has 0 observations for 2 parameters$"):
+            ols_fit(ds, spec)
 
     def test_granger(self, ds):
-        with pytest.raises(EstimationError, match="do not overlap"):
+        with pytest.raises(EstimationError, match="^the Granger regression has 0 observations for 3 parameters$"):
             granger_causality(ds, Term("a"), Term("b"), 1, sample=(1900, 1960))
 
     def test_var(self, ds):
-        with pytest.raises(EstimationError, match="share a sample window"):
+        with pytest.raises(EstimationError, match=r"^the VAR\(1\) design has 0 observations for 3 parameters$"):
             var_fit(ds, [Term("a"), Term("b")], 1, sample=(2050, 2060))
 
 

@@ -89,6 +89,12 @@ class TestManifestParsing:
                                                 rf"value, and {key} is already 'a'"):
             parse_manifest(f"[pipeline]\n{key} = a\n{key} = b\n")
 
+    @pytest.mark.parametrize("header", ["[step a b]", "[Pipeline]", "[step]", "[step x"])
+    def test_bad_section_header_is_manifest_error_naming_it(self, header):
+        with pytest.raises(ManifestError, match=re.escape(
+                f"line 2: bad section header {header!r}; expected [pipeline] or [step <name>]")):
+            parse_manifest(f"# a study\n{header}\nop = ols\n")
+
     def test_pipeline_seed_is_manifest_error(self):
         with pytest.raises(ManifestError, match=r"^\[pipeline\]: unknown key 'seed'$"):
             parse_manifest("[pipeline]\nseed = 20181001\noutput = out\n")
@@ -345,7 +351,7 @@ class TestCli:
 
     def test_estimation_error_exits_4(self):
         r = run_cli(["fit-ols", "--dependent", "ln(Exports)",
-                     "--regressors", "ln(GDP), ln(GDP)"])
+                     "--regressors", "ln(GDP), ln(GDP) as G2"])
         assert r.exit_code == 4
 
     def test_window_outside_the_data_exits_4(self):
@@ -476,6 +482,12 @@ class TestCli:
          "window = 2000:2010\nterminal_actual_usd = 1\nexports = Exports\n"
          "capital = dln(Total investment)\n",
          "overrides", "'1990:0.1'; override years [1990] lie outside the window 2000-2010"),
+        ("[step o]\nop = ols\ndependent = ln(GDP)\nregressors = ln(Exports) as const\n",
+         "regressors", "'ln(Exports) as const'; the label 'const' is repeated"),
+        ("[step v]\nop = var\nvariables = ln(GDP) as A, ln(Exports) as A\nlags = 1\n",
+         "variables", "'ln(GDP) as A, ln(Exports) as A'; the label 'A' is repeated"),
+        ("[step v]\nop = var\nvariables = ,\nlags = 1\n",
+         "variables", "','; a VAR needs at least one variable"),
     ])
     def test_bad_step_value_is_manifest_error_naming_the_key(self, tmp_path, step, key, value):
         manifest = tmp_path / "m.ini"
@@ -605,6 +617,9 @@ class TestCli:
           "--endogenous", "d_Ln(GDP), Ln(Exports)(-1)", "--instruments", "dln(GDP)@1"],
          "--instruments"),
         (["simulate", "--kind", "exports", "--overrides", "1990:0.1"], "--overrides"),
+        (["fit-ols", "--dependent", "ln(Exports)", "--regressors", "ln(GDP), ln(GDP)"],
+         "--regressors"),
+        (["var", "--variables", "ln(GDP) as A, ln(Exports) as A", "--lags", "1"], "--variables"),
     ])
     def test_bad_flag_value_is_usage_error_naming_the_flag(self, argv, flag):
         r = run_cli(argv)
@@ -640,8 +655,8 @@ class TestCli:
     def test_empty_model_is_estimation_error_naming_it(self):
         r = run_cli(["fit-ols", "--dependent", "ln(GDP)", "--regressors", "",
                      "--no-constant"])
-        assert r.exit_code == 4, r.output
-        assert "empty model" in r.output
+        assert r.exit_code == 2, r.output
+        assert "Invalid value for '--regressors': ''; empty model" in r.output
         assert "concatenate" not in r.output
 
     # a step key spelt like a flag of report is still the manifest's, not the flag's

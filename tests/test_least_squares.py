@@ -139,6 +139,14 @@ class TestKernel:
         with pytest.raises(EstimationError, match="^my design is rank deficient$"):
             least_squares(X, np.arange(20.0) ** 2, "my design")
 
+    def test_result_does_not_depend_on_memory_layout(self):
+        # a design and its Fortran-ordered copy give the same bits
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            X, y = rng.normal(size=(40, 5)), rng.normal(size=40)
+            for got, want in zip(least_squares(np.asfortranarray(X), y), least_squares(X, y)):
+                assert np.array_equal(got, want), seed
+
     def test_more_columns_than_rows_is_too_few_observations(self):
         with pytest.raises(EstimationError, match="^the regression has 3 observations for 4 parameters$"):
             least_squares(np.eye(3, 4) + 1.0, np.ones(3))

@@ -45,7 +45,7 @@ class TestOlsCore:
 
     def test_residual_orthogonality_and_zero_sum(self, toy_dataset):
         fit = ols_fit(toy_dataset, spec_for(["x1", "x2"]))
-        y, X, _, _ = build_design(toy_dataset, spec_for(["x1", "x2"]))
+        y, X, _ = build_design(toy_dataset, spec_for(["x1", "x2"]))
         e = np.array(fit.residuals.values)
         scale = np.abs(X).max() * np.abs(e).max() * len(e)
         assert np.max(np.abs(X.T @ e)) <= 1e-8 * max(scale, 1.0)
@@ -67,6 +67,18 @@ class TestOlsCore:
     def test_empty_model_error(self, toy_dataset):
         with pytest.raises(EstimationError, match="empty model"):
             build_design(toy_dataset, spec_for([], constant=False))
+
+    @pytest.mark.parametrize("regressors, label", [
+        ((Term("x1"), Term("x2"), Term("x1")), "x1"),
+        ((Term("x1"), Term("x2", label="const")), "const"),
+    ])
+    def test_repeated_label_is_refused_naming_it(self, regressors, label):
+        with pytest.raises(EstimationError, match=f"^the label '{label}' is repeated$"):
+            ModelSpec(Term("y"), regressors)
+
+    def test_labels_put_the_constant_first(self):
+        assert spec_for(["x1", "x2"]).labels == ("const", "x1", "x2")
+        assert spec_for(["x1"], constant=False).labels == ("x1",)
 
     def test_too_few_observations_error(self):
         ds = make_dataset(y=(2000, [1.0, 2.0]), x=(2000, [1.0, 4.0]))
@@ -94,7 +106,7 @@ class TestDiagnostics:
 
     def test_f_matches_restricted_unrestricted_form(self, toy_dataset):
         fit = ols_fit(toy_dataset, spec_for(["x1", "x2"]))
-        y, X, _, _ = build_design(toy_dataset, spec_for(["x1", "x2"]))
+        y, X, _ = build_design(toy_dataset, spec_for(["x1", "x2"]))
         ssr_r = float(((y - y.mean()) ** 2).sum())  # constant-only restriction
         q, df = fit.f_df
         expect = ((ssr_r - fit.ssr) / q) / (fit.ssr / df)
@@ -102,7 +114,7 @@ class TestDiagnostics:
 
     def test_f_matches_restricted_form_without_constant(self, toy_dataset):
         fit = ols_fit(toy_dataset, spec_for(["x1", "x2"], constant=False))
-        y, X, _, _ = build_design(toy_dataset, spec_for(["x1", "x2"], constant=False))
+        y, X, _ = build_design(toy_dataset, spec_for(["x1", "x2"], constant=False))
         ssr_r = float(y @ y)  # zero-model restriction
         q, df = fit.f_df
         expect = ((ssr_r - fit.ssr) / q) / (fit.ssr / df)

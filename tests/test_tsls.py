@@ -101,19 +101,23 @@ class TestTsls:
     def test_weak_first_stage_rank_error(self):
         ds = iv_system()
         spec = TslsSpec(
-            model=model_spec(ds), endogenous=("x",), instruments=(Term("w"),)
+            model=model_spec(ds), endogenous=("x",), instruments=(Term("w", label="w2"),)
         )  # duplicates an exogenous column
         with pytest.raises(EstimationError, match="rank deficient"):
             tsls_fit(ds, spec)
 
-    def test_instrument_not_covering_sample_error(self):
+    def test_instrument_window_clips_the_sample(self):
+        # the instruments share the model's window, as a regressor does
         ds = iv_system(seed=8)
         spec = TslsSpec(
             model=model_spec(ds), endogenous=("x",),
             instruments=(Term("z1", lag=5),),  # lag shifts coverage past 1900
         )
-        with pytest.raises(EstimationError, match="does not cover"):
-            tsls_fit(ds, spec)
+        fit = tsls_fit(ds, spec)
+        assert fit.sample == (1905, 1959) and fit.n_obs == 55
+        clipped = ModelSpec(Term("y"), (Term("x"), Term("w")), sample=(1905, 1959))
+        want = tsls_fit(ds, TslsSpec(clipped, ("x",), (Term("z1", lag=5),)))
+        assert fit.estimates.tolist() == want.estimates.tolist()
 
     def test_normal_p_values(self):
         from scipy import stats

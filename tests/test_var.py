@@ -75,6 +75,17 @@ class TestVarFit:
             var_fit(ds, (Term("a"), Term("b")), 2)
 
 
+    @pytest.mark.parametrize("variables, message", [
+        ((Term("a", label="A"), Term("b", label="A")), "the label 'A' is repeated"),
+        ((), "a VAR needs at least one variable"),
+    ])
+    def test_labels_are_one_or_more_each_given_once(self, variables, message):
+        # responses are looked up by label, so a repeated one would hide a variable's
+        ds = make_dataset(a=(2000, np.arange(1.0, 21.0)), b=(2000, np.arange(1.0, 21.0) ** 1.5))
+        with pytest.raises(EstimationError, match=f"^{message}$"):
+            var_fit(ds, variables, 1)
+
+
 class TestImpulseResponse:
     def test_no_dynamics_case(self):
         model = manual_model([np.zeros((2, 2))], np.eye(2))
