@@ -5,7 +5,8 @@ type: ``__init__`` (positional or keyword arguments and defaults, then
 ``__post_init__`` if the class has one),
 ``__repr__``, ``__eq__`` and ``__hash__`` over the fields in declaration
 order, and a ``__setattr__``/``__delattr__`` that refuse every change.
-``__post_init__`` may still normalise a field with ``object.__setattr__``.
+``__post_init__`` may still normalise a field, or set an attribute derived from
+the fields, with ``object.__setattr__``.
 
 The methods are closures over the field names, built once per class.
 ``dataclasses`` writes the same methods as source text and ``exec``s it for

@@ -261,8 +261,18 @@ def _serialize_series(s: AnnualSeries) -> bytes:
 
 
 def serialize_dataset(dataset: Dataset) -> dict[str, bytes]:
-    """Canonical CSV bytes per series file (the checksum fixed point)."""
-    return {f"{_slug(name)}.csv": _serialize_series(s) for name, s in sorted(dataset.series.items())}
+    """Canonical CSV bytes per series file (the checksum fixed point).
+
+    Two series whose names slug alike would share one file, so they are refused.
+    """
+    files, names = {}, {}
+    for name, s in sorted(dataset.series.items()):
+        fname = f"{_slug(name)}.csv"
+        if fname in names:
+            raise DatasetError(f"series {names[fname]!r} and {name!r} would both be "
+                               f"written to {fname}")
+        names[fname], files[fname] = name, _serialize_series(s)
+    return files
 
 
 def _checksum(series: dict[str, AnnualSeries]) -> str:

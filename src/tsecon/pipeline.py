@@ -69,13 +69,13 @@ class _Parse:
     the step reads goes through ``present``: ``missing`` is the first absent
     one, or the reason a step this one references was skipped, and skips the
     step.  ``terms`` caches parsed term texts across the manifest; ``earlier``
-    maps each earlier step's name to its op, missing series and VAR labels (it
+    maps each earlier step's name to its op, missing series and ``shared`` (it
     holds no ``_Parse``, so a parse leaves no reference cycle) and ``writers``
     each claimed bundle file to its step and value text.  ``run`` is the step's
-    run function, ``labels`` its variables' labels (``var``), ``plots`` maps
-    each plot's file name to its shock and response (``irf``) and ``tables``
-    maps each table name the step writes to the key and value text that name it
-    (the step's name, or a Chow break year).
+    run function, ``shared`` what later steps read of it (a fit's ``ModelSpec``,
+    a VAR's labels), ``plots`` maps each plot's file name to its shock and
+    response (``irf``) and ``tables`` maps each table name the step writes to
+    the key and value text that name it (the step's name, or a Chow break year).
     """
 
     def __init__(self, step: Step, dataset: Dataset, optional: tuple[str, ...],
@@ -84,7 +84,7 @@ class _Parse:
         self._terms, self.earlier, self._writers = terms, earlier, writers
         self.read: set[str] = set()
         self.missing: str | None = None
-        self.run, self.labels, self.plots = None, (), {}
+        self.run, self.shared, self.plots = None, None, {}
         self.tables = {step.name: ("name", step.name)}
 
     def all(self, key: str) -> list[str]:
@@ -189,7 +189,7 @@ class _Parse:
     def ref(self, key: str, *ops: str) -> str:
         """The earlier step that ``key`` names, of one of ``ops``; if it was skipped, so is this."""
         name = self.value(key)
-        op, missing, _ = self.earlier.get(name, (None, None, ()))
+        op, missing, _ = self.earlier.get(name, (None, None, None))
         if op in ops:
             self.missing = self.missing or missing
             return name
@@ -238,12 +238,13 @@ def _adf(v: _Parse):
 
 
 def _ols(v: _Parse):
-    model = v.model()
+    model = v.shared = v.model()
     return lambda dataset, results: ols_fit(dataset, model)
 
 
 def _tsls(v: _Parse):
-    model, instruments = v.model(), v.terms("instruments")
+    model = v.shared = v.model()
+    instruments = v.terms("instruments")
     labels = [t.rendered_label() for t in model.regressors]
     endogenous = v.items("endogenous", lambda label: labels[labels.index(label)],
                          f"regressor labels, each one of {', '.join(labels)}", ",")
@@ -288,7 +289,7 @@ def _chow(v: _Parse):
 def _var(v: _Parse):
     variables, sample = v.terms("variables"), v.window("sample", None)
     lags = v.integer("lags", "4", minimum=1)
-    v.labels = v.checked("variables", var_labels, variables)
+    v.shared = v.checked("variables", var_labels, variables)
     return lambda dataset, results: var_fit(dataset, variables, lags, sample)
 
 
@@ -324,19 +325,21 @@ def _overrides(text: str) -> dict[int, float]:
 
 
 def _simulate(v: _Parse):
-    kind = v.step.op.partition("_")[2]  # kind is also the key naming the series
-    fit, series = v.ref("fit", "ols", "tsls"), v.value(kind)
-    v.need(kind, series)
+    fit = v.ref("fit", "ols", "tsls")
     scenario = CapitalScenario(v.step.name, v.value("overrides", _overrides, (
         "YYYY:rate pairs, each year once and each rate a finite number > -1")))
-    window, capital = v.window("window"), v.term("capital")
+    window, model = v.window("window"), v.earlier[fit][2]  # the fit's ModelSpec
+    terms = {t.rendered_label(): t for t in model.regressors}
+    capital = v.value("capital", terms.__getitem__,
+                      f"a regressor label of step {fit!r}, one of {', '.join(terms)}")
     v.checked("overrides", scenario.check_window, window)
-    amount = v.number("eap" if kind == "unemployment" else "terminal_actual_usd")
+    unemployment = v.step.op == "simulate_unemployment"
+    amount = v.number("eap" if unemployment else "terminal_actual_usd")
 
-    def run(dataset, results):
-        simulate = simulate_unemployment if kind == "unemployment" else simulate_exports
-        return simulate(results[fit], scenario, window, amount, dataset.get(series),
-                        apply_term(dataset, capital))
+    def run(dataset, results):  # the simulated series is the fit's dependent's
+        simulate = simulate_unemployment if unemployment else simulate_exports
+        return simulate(results[fit], scenario, window, amount,
+                        dataset.get(model.dependent.base), apply_term(dataset, capital))
 
     return run
 
@@ -368,7 +371,7 @@ def _parse_steps(steps, dataset: Dataset, optional: tuple[str, ...]) -> list[_Pa
     """
     terms: dict[str, Term] = {}
     writers: dict[str, tuple[str | None, str]] = {"tables/pipeline_summary.txt": (None, "")}
-    earlier: dict[str, tuple[str, str | None, tuple[str, ...]]] = {}
+    earlier: dict[str, tuple[str, str | None, object]] = {}
     plan = []
     for step in steps:
         if step.op not in OPS:
@@ -383,7 +386,7 @@ def _parse_steps(steps, dataset: Dataset, optional: tuple[str, ...]) -> list[_Pa
                                 unknown[0])
         for table, (key, text) in v.tables.items():
             v.claim(f"tables/{table}.txt", key, text)
-        earlier[step.name] = step.op, v.missing, v.labels
+        earlier[step.name] = step.op, v.missing, v.shared
         plan.append(v)
     return plan
 

@@ -100,7 +100,6 @@ class FitResult:
     sample: tuple[int, int]
     dep_label: str
     method: str = "ols"
-    include_constant: bool = True
 
     def coefficient(self, label: str) -> Coefficient:
         for c in self.coefficients:
@@ -249,7 +248,6 @@ def diagnostics(
         sample=(int(years[0]), int(years[-1])),
         dep_label=spec.dependent.rendered_label(),
         method=method,
-        include_constant=spec.include_constant,
     )
 
 

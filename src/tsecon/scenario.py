@@ -7,7 +7,8 @@ feeding the autoregressive lags.  The baseline is the actual data path, so a
 scenario that prescribes the actual growth rates reproduces the baseline
 exactly, while an early shock still moves every later year through the lag
 dynamics.  The fit's capital-growth coefficient is the one named as the
-capital-growth series is (``d_Ln(K)`` in the bundled study).
+capital-growth series is (``d_Ln(K)`` in the bundled study); a pipeline reads
+that term, and the simulated series of the fit's dependent, from the fit.
 """
 from __future__ import annotations
 
@@ -75,19 +76,13 @@ def _simulate(
     ``fit`` must carry coefficients for the constant, the capital-growth
     regressor (named as ``capital_growth`` is), and the first two lags of the
     dependent variable; previously simulated deviations feed those lags.
+    ``actual`` needs every window year, ``capital_growth`` each from the first override.
     """
     _coeff(fit, "const")
     beta_k = _coeff(fit, capital_growth.name)
     ar1, ar2 = (_coeff(fit, f"{fit.dep_label}(-{lag})") for lag in (1, 2))
     scenario.check_window(window)
-    lo, hi = window
-    for s in (actual, capital_growth):
-        if lo < s.start_year or hi > s.end_year:
-            raise EstimationError(
-                f"window {lo}-{hi} outside the data range of {s.name!r} "
-                f"({s.start_year}-{s.end_year})"
-            )
-    years = range(lo, hi + 1)
+    years = range(window[0], window[1] + 1)
     dev: dict[int, float] = {}
     for y in years:
         rate = scenario.rate_for(y)

@@ -22,7 +22,12 @@ __all__ = ["TslsSpec", "tsls_fit"]
 
 @record
 class TslsSpec:
-    """A regression model plus which regressors are instrumented and by what."""
+    """A regression model plus which regressors are instrumented and by what.
+
+    With endogenous regressors, ``stages`` is the one design both stages share:
+    the model with the instruments appended, so they share its window, and an
+    instrument labelled as a regressor is refused here.
+    """
 
     model: ModelSpec
     endogenous: tuple[str, ...]
@@ -34,6 +39,10 @@ class TslsSpec:
                 "order condition violated: need at least as many instruments "
                 "as endogenous regressors"
             )
+        m = self.model
+        object.__setattr__(self, "stages", ModelSpec(
+            m.dependent, (*m.regressors, *self.instruments), m.include_constant, m.sample,
+        ) if self.endogenous else None)
 
 
 def tsls_fit(dataset: Dataset, spec: TslsSpec) -> FitResult:
@@ -46,10 +55,7 @@ def tsls_fit(dataset: Dataset, spec: TslsSpec) -> FitResult:
     if unknown:
         raise EstimationError(f"endogenous labels not in model: {sorted(unknown)}")
     endo_idx = [labels.index(lbl) for lbl in spec.endogenous]
-    # one design of the model with the instruments appended: they share its window
-    stages = ModelSpec(m.dependent, (*m.regressors, *spec.instruments), m.include_constant,
-                       m.sample)
-    y, D, years = build_design(dataset, stages)
+    y, D, years = build_design(dataset, spec.stages)
     X, Z = D[:, : len(labels)], np.delete(D, endo_idx, axis=1)
     # stage 1: fitted values of every endogenous column from one fit
     gamma, _, _ = least_squares(Z, X[:, endo_idx], "the 2SLS first stage")

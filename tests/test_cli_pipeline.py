@@ -161,10 +161,11 @@ class TestPipeline:
         ("[step v]\nop = var\nvariables = dln(GDP), dln(Tax benefits)\nlags = 1\n"
          "[step i]\nop = irf\nvar = v\nplot = d_Ln(GDP) -> d_Ln(Tax benefits)\n"
          "[step f]\nop = fevd\nvar = v\n", ["v", "i", "f"]),
-        (SCENARIO_FIT + "[step s]\nop = simulate_exports\nfit = m\noverrides = 2005:0.15\n"
-         "window = 2000:2010\nterminal_actual_usd = 1\nexports = Tax benefits\n"
-         "capital = dln(Total investment)\n", ["s"]),
-    ], ids=["term", "regressors", "compare", "irf-fevd", "series-name-key"])
+        # a scenario simulates its fit's dependent, so it is skipped with its fit
+        ("[step m]\nop = ols\ndependent = Tax benefits\nregressors = ln(GDP)\n"
+         "[step s]\nop = simulate_exports\nfit = m\noverrides = 2005:0.15\n"
+         "window = 2000:2010\nterminal_actual_usd = 1\ncapital = Ln(GDP)\n", ["m", "s"]),
+    ], ids=["term", "regressors", "compare", "irf-fevd", "scenario-fit"])
     def test_optional_series_read_without_requires_is_skipped(self, dataset, manifest, skipped):
         bundle = run_pipeline(parse_manifest(manifest), dataset)
         rows = list(csv.reader(bundle.tables["pipeline_summary"][1].splitlines()))[1:]
@@ -354,10 +355,20 @@ class TestCli:
                      "--regressors", "ln(GDP), ln(GDP) as G2"])
         assert r.exit_code == 4
 
-    def test_window_outside_the_data_exits_4(self):
-        r = run_cli(["adf", "--series", "ln(GDP)", "--window", "1900:1910"])
+    @pytest.mark.parametrize("argv, message", [
+        (["adf", "--series", "ln(GDP)", "--window", "1900:1910"],
+         "step 'adf' failed: series 'GDP': window 1900-1910"),
+        # a scenario's capital growth must cover every year from its first override
+        (["simulate", "--kind", "unemployment", "--overrides", "2005:0.15",
+          "--window", "2000:2011"],
+         "step 'simulate' failed: series 'd_Ln(K)' has no value for 2011"),
+        (["simulate", "--kind", "exports", "--overrides", "2005:0.15", "--window", "1960:2010"],
+         "step 'simulate' failed: series 'Exports' has no value for 1960"),
+    ], ids=["adf", "simulate-capital", "simulate-baseline"])
+    def test_window_outside_the_data_exits_4(self, argv, message):
+        r = run_cli(argv)
         assert r.exit_code == 4, r.output
-        assert "step error: step 'adf' failed: series 'GDP': window 1900-1910" in r.output
+        assert f"step error: {message}" in r.output
 
     def test_report_runs_and_is_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
@@ -423,14 +434,13 @@ class TestCli:
         ("[step r]\nop = ar\ndependent = ln(GDP)\nregressors = ln(Exports)\nar_lags = 1\n"
          "tolerance = nan\n", "tolerance", "'nan'"),
         (SCENARIO_FIT + "[step s]\nop = simulate_unemployment\nfit = m\noverrides = 2005:0.15\n"
-         "window = 2000:2010\neap = nan\nunemployment = Unemployment rate\n"
-         "capital = dln(Total investment)\n", "eap", "'nan'"),
+         "window = 2000:2010\neap = nan\ncapital = Ln(GDP)\n", "eap", "'nan'"),
         (SCENARIO_FIT + "[step s]\nop = simulate_exports\nfit = m\noverrides = 2005:0.15\n"
-         "window = 2000:2010\nterminal_actual_usd = -inf\nexports = Exports\n"
-         "capital = dln(Total investment)\n", "terminal_actual_usd", "'-inf'"),
+         "window = 2000:2010\nterminal_actual_usd = -inf\ncapital = Ln(GDP)\n",
+         "terminal_actual_usd", "'-inf'"),
         (SCENARIO_FIT + "[step s]\nop = simulate_exports\nfit = m\n"
          "overrides = 2005:0.15 2005:0.9\nwindow = 2000:2010\nterminal_actual_usd = 1\n"
-         "exports = Exports\ncapital = dln(Total investment)\n",
+         "capital = Ln(GDP)\n",
          "overrides", "'2005:0.15 2005:0.9'"),
         # an empty list or an unknown choice would otherwise change the estimator
         ("[step r]\nop = ar\ndependent = ln(GDP)\nregressors = ln(Exports)\nar_lags =\n",
@@ -479,9 +489,12 @@ class TestCli:
          "ln(Total investment)'; the MacKinnon response surfaces cover at most 6 variables; "
          "the long-run relation has 7"),
         (SCENARIO_FIT + "[step s]\nop = simulate_exports\nfit = m\noverrides = 1990:0.1\n"
-         "window = 2000:2010\nterminal_actual_usd = 1\nexports = Exports\n"
-         "capital = dln(Total investment)\n",
+         "window = 2000:2010\nterminal_actual_usd = 1\ncapital = Ln(GDP)\n",
          "overrides", "'1990:0.1'; override years [1990] lie outside the window 2000-2010"),
+        # a scenario's capital term is one of its fit's regressors, named by its label
+        (SCENARIO_FIT + "[step s]\nop = simulate_exports\nfit = m\noverrides = 2005:0.15\n"
+         "window = 2000:2010\nterminal_actual_usd = 1\ncapital = d_Ln(K)\n", "capital",
+         "'d_Ln(K)'; expected a regressor label of step 'm', one of Ln(GDP)"),
         ("[step o]\nop = ols\ndependent = ln(GDP)\nregressors = ln(Exports) as const\n",
          "regressors", "'ln(Exports) as const'; the label 'const' is repeated"),
         ("[step v]\nop = var\nvariables = ln(GDP) as A, ln(Exports) as A\nlags = 1\n",
@@ -520,10 +533,7 @@ class TestCli:
          "regressors", "Nope"),
         ("[step o]\nop = ols\nrequires = Nope\ndependent = ln(GDP)\nregressors = ln(Exports)\n",
          "requires", "Nope"),
-        (SCENARIO_FIT + "[step s]\nop = simulate_exports\nfit = m\noverrides = 2005:0.15\n"
-         "window = 2000:2010\nterminal_actual_usd = 1\nexports = Export\n"
-         "capital = dln(Total investment)\n", "exports", "Export"),
-    ], ids=["battery-row", "term", "after-an-optional-one", "requires", "series-name-key"])
+    ], ids=["battery-row", "term", "after-an-optional-one", "requires"])
     def test_unknown_series_is_manifest_error_naming_the_key(self, tmp_path, step, key, series):
         manifest = tmp_path / "m.ini"
         manifest.write_text("[pipeline]\noptional = Tax benefits\n" + step)
@@ -540,7 +550,7 @@ class TestCli:
         ("[step i]\nop = irf\nvar = o\n", "var", "= o names a step of op 'ols'; expected op 'var'"),
         ("[step f]\nop = fevd\nvar = nope\n", "var", "= nope names a step that did not run"),
         ("[step s]\nop = simulate_exports\nfit = v\noverrides = 2005:0.15\n"
-         "window = 2000:2010\ncapital = dln(Total investment)\nexports = Exports\n"
+         "window = 2000:2010\ncapital = d_Ln(K)\n"
          "terminal_actual_usd = 6762000000\n", "fit", "= v names a step of op 'var'; expected op 'ols' or 'tsls'"),
     ])
     def test_reference_to_a_step_of_the_wrong_kind_is_manifest_error(
@@ -616,6 +626,9 @@ class TestCli:
         (["fit-tsls", "--dependent", "ln(Exports)", "--regressors", "dln(GDP), ln(Exports)@1",
           "--endogenous", "d_Ln(GDP), Ln(Exports)(-1)", "--instruments", "dln(GDP)@1"],
          "--instruments"),
+        (["fit-tsls", "--dependent", "ln(Exports)", "--regressors",
+          "dln(Total investment) as d_Ln(K), ln(GDP)", "--endogenous", "d_Ln(K)",
+          "--instruments", "ln(GDP), dln(GDP)@1"], "--instruments"),
         (["simulate", "--kind", "exports", "--overrides", "1990:0.1"], "--overrides"),
         (["fit-ols", "--dependent", "ln(Exports)", "--regressors", "ln(GDP), ln(GDP)"],
          "--regressors"),
@@ -680,33 +693,44 @@ class TestCli:
         assert "manifest error: [pipeline]: unknown key 'datset'" in r.output
         assert not (tmp_path / "out").exists()
 
-    # the capital term's label names the fit's coefficient, and growth is always logged
-    @pytest.mark.parametrize("key", ["capital_label = d_Ln(K)", "log_growth = true"])
+    # the capital label names the fit's coefficient, growth is always logged and the
+    # simulated series is the fit's dependent's
+    @pytest.mark.parametrize("key", ["capital_label = d_Ln(K)", "log_growth = true",
+                                     "unemployment = Unemployment rate", "exports = Exports"])
     def test_former_scenario_keys_are_unknown(self, tmp_path, key):
         manifest = tmp_path / "m.ini"
         manifest.write_text(SCENARIO_FIT + "[step s]\nop = simulate_unemployment\nfit = m\n"
                             "overrides = 2005:0.15\nwindow = 2000:2010\neap = 1\n"
-                            "unemployment = Unemployment rate\n"
-                            f"capital = dln(Total investment) as d_Ln(K)\n{key}\n")
+                            f"capital = Ln(GDP)\n{key}\n")
         r = run_cli(["report", "--manifest", str(manifest),
                      "--output", str(tmp_path / "out")])
         assert r.exit_code == 2, r.output
         assert (f"manifest error: step 's': unknown key {key.split()[0]!r} "
                 "for op 'simulate_unemployment'") in r.output
 
-    def test_capital_label_that_is_no_regressor_of_the_fit_exits_4(self, tmp_path):
+    # a scenario replays its fit's equation: its capital is a label of the fit's regressors,
+    # and the series it simulates is the fit's dependent's (keys naming others are unknown)
+    @pytest.mark.parametrize("regressor, scenario", [
+        ("dln(Total investment) as d_Ln(K)", "capital = dln(Total investment)\n"),
+        ("dln(Private investment) as d_Ln(K)",
+         "capital = dln(Total investment) as d_Ln(K)\nunemployment = Inflation\n"),
+    ], ids=["no-regressor-label", "another-series-under-the-label"])
+    def test_capital_that_is_no_regressor_label_of_the_fit_exits_2(
+            self, tmp_path, regressor, scenario):
         manifest = tmp_path / "m.ini"
         manifest.write_text(
-            "[step m]\nop = ols\ndependent = Unemployment rate\nregressors = "
-            "dln(Total investment) as d_Ln(K), Unemployment rate@1, Unemployment rate@2\n"
+            f"[step m]\nop = ols\ndependent = Unemployment rate\nregressors = {regressor}, "
+            "Unemployment rate@1, Unemployment rate@2\n"
             "[step s]\nop = simulate_unemployment\nfit = m\noverrides = 2005:0.15\n"
-            "window = 2000:2010\neap = 1\nunemployment = Unemployment rate\n"
-            "capital = dln(Total investment)\n")
+            "window = 2000:2010\neap = 1\n" + scenario)
         r = run_cli(["report", "--manifest", str(manifest),
                      "--output", str(tmp_path / "out")])
-        assert r.exit_code == 4, r.output
-        assert ("step error: step 's' failed: fit is missing the required coefficient "
-                "'d_Ln(Total investment)'") in r.output
+        assert r.exit_code == 2, r.output
+        capital = scenario.split("\n")[0].partition(" = ")[2]
+        assert (f"manifest error: step 's': bad capital {capital!r}; expected a regressor "
+                "label of step 'm', one of d_Ln(K), Unemployment rate(-1), "
+                "Unemployment rate(-2)") in r.output
+        assert not (tmp_path / "out").exists()
 
     def test_coint_beyond_the_response_surfaces_is_usage_error_naming_the_flag(self):
         r = run_cli([

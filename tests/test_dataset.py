@@ -88,6 +88,18 @@ class TestLoad:
         with pytest.raises(DatasetError, match="duplicate"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("files", [
+        {"wide.csv": "year,GDP,gdp\n1970,1,2\n"},
+        {"a.csv": "year,GDP\n1970,1\n", "b.csv": "year,gdp\n1970,2\n"},
+    ], ids=["wide", "bundle"])
+    def test_series_whose_names_share_a_file_are_refused(self, tmp_path, files):
+        # the checksum keys each series by its file name, so it would cover only one
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        with pytest.raises(DatasetError, match="series 'GDP' and 'gdp' would both be "
+                                               r"written to gdp\.csv"):
+            load_dataset(tmp_path / "wide.csv" if len(files) == 1 else tmp_path)
+
     def test_missing_path_error(self, tmp_path):
         with pytest.raises(DatasetError, match="does not exist"):
             load_dataset(tmp_path / "nope")

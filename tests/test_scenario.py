@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from tsecon.dataset import AnnualSeries
+from tsecon.dataset import AnnualSeries, DatasetError
 from tsecon.regress import Coefficient, EstimationError, FitResult
 from tsecon.scenario import CapitalScenario, simulate_exports, simulate_unemployment
 
@@ -75,8 +75,18 @@ class TestUnemploymentScenario:
 
     def test_window_outside_data_error(self):
         fit = fake_fit("U", 1.0, -2.0, 0.5, 0.2)
-        with pytest.raises(EstimationError, match="outside the data range"):
+        with pytest.raises(DatasetError, match=r"series 'd_Ln\(K\)' has no value for 1999"):
             simulate_unemployment(fit, CapitalScenario("s", {1999: 0.1}), (1995, 2010), 1e6, U, G)
+
+    def test_capital_growth_needs_only_the_years_from_the_first_override(self):
+        fit = fake_fit("U", 1.0, -2.0, 0.5, 0.25)
+        late = AnnualSeries(G.name, 2008, G.values[8:])
+        scenario = CapitalScenario("s", {2008: 0.10})
+        res = simulate_unemployment(fit, scenario, (2006, 2010), 1e6, U, late)
+        assert res == simulate_unemployment(fit, scenario, (2006, 2010), 1e6, U, G)
+        with pytest.raises(DatasetError, match="series 'U' has no value for 2011"):
+            simulate_unemployment(fit, scenario, (2006, 2011), 1e6, U,
+                                  AnnualSeries(G.name, 2000, (*G.values, 0.05)))
 
     def test_override_outside_window_error(self):
         fit = fake_fit("U", 1.0, -2.0, 0.5, 0.2)

@@ -92,6 +92,13 @@ class TestTsls:
         with pytest.raises(EstimationError, match="order condition"):
             TslsSpec(model=model_spec(ds), endogenous=("x", "w"), instruments=(Term("z1"),))
 
+    def test_instrument_repeating_a_regressor_label_is_refused_at_construction(self):
+        ds = iv_system()
+        with pytest.raises(EstimationError, match="the label 'w' is repeated"):
+            TslsSpec(model_spec(ds), ("x",), (Term("w"), Term("z1")))
+        # with nothing instrumented there are no stages, and the spec is OLS
+        TslsSpec(model_spec(ds), (), (Term("w"),))
+
     def test_unknown_endogenous_label_error(self):
         ds = iv_system()
         spec = TslsSpec(model=model_spec(ds), endogenous=("nope",), instruments=(Term("z1"),))
