@@ -17,7 +17,7 @@ _EXPORTS = {
             "load_dataset", "parse_term",
         ),
         "dynamics": (
-            "ArFitResult", "ArSpec", "ChowResult", "GrangerResult", "chow_test",
+            "ArFitResult", "ArSpec", "ChowResult", "GrangerResult", "GrangerSpec", "chow_test",
             "cochrane_orcutt_fit", "compare_models", "granger_causality",
         ),
         "manifest": ("PipelineManifest", "default_manifest_text", "parse_manifest"),
@@ -27,7 +27,7 @@ _EXPORTS = {
         "scenario": ("CapitalScenario", "ScenarioResult", "simulate_exports", "simulate_unemployment"),
         "tsls": ("TslsSpec", "tsls_fit"),
         "unitroot": ("AdfResult", "AdfSpec", "adf_test", "df_residual_test"),
-        "var": ("VarModel", "impulse_response", "var_fit", "variance_decomposition"),
+        "var": ("VarModel", "VarSpec", "impulse_response", "var_fit", "variance_decomposition"),
     }.items()
     for name in names
 }

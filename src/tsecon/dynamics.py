@@ -24,11 +24,13 @@ __all__ = [
     "ChowResult",
     "GrangerEntry",
     "GrangerResult",
+    "GrangerSpec",
     "ModelComparison",
     "chow_test",
     "cochrane_orcutt_fit",
     "compare_models",
     "granger_causality",
+    "same_dependent",
 ]
 
 
@@ -49,13 +51,13 @@ class ArSpec:
 
     def __post_init__(self):
         if not self.ar_lags:
-            raise EstimationError("AR lag list must not be empty")
+            raise EstimationError("AR lag list must not be empty", "ar_lags")
         if any(k <= 0 for k in self.ar_lags):
-            raise EstimationError("AR lags must be positive")
+            raise EstimationError("AR lags must be positive", "ar_lags")
         if any(b <= a for a, b in zip(self.ar_lags, self.ar_lags[1:])):
-            raise EstimationError("AR lag list must be strictly increasing")
+            raise EstimationError("AR lag list must be strictly increasing", "ar_lags")
         if self.max_iterations < 1:
-            raise EstimationError("max_iterations must be >= 1")
+            raise EstimationError("the iteration limit must be >= 1", "max_iterations")
 
 
 @record
@@ -66,6 +68,20 @@ class ArFitResult:
     iterations_used: int
     converged: bool
     divergence_flag: bool
+
+
+@record
+class GrangerSpec:
+    """Granger F tests between ``x`` and ``y`` at ``lags`` lags, within ``sample`` if given."""
+
+    x: Term
+    y: Term
+    lags: int = 4
+    sample: tuple[int, int] | None = None
+
+    def __post_init__(self):
+        if self.lags < 1:
+            raise EstimationError("Granger lag order must be >= 1", "lags")
 
 
 @record
@@ -151,11 +167,16 @@ class ModelComparison:
     improved: dict[str, bool]
 
 
+def same_dependent(a: str, b: str) -> None:
+    """Refuse to compare a fit of the dependent labelled ``a`` with one of ``b``, another."""
+    if a != b:
+        raise EstimationError("model comparison requires the same dependent variable", "b")
+
+
 def compare_models(a: ArFitResult, b: ArFitResult) -> ModelComparison:
     """Selection table between two AR fits; ``improved`` flags where b beats a."""
     fa, fb = a.structural, b.structural
-    if fa.dep_label != fb.dep_label:
-        raise EstimationError("model comparison requires the same dependent variable")
+    same_dependent(fa.dep_label, fb.dep_label)
     if fa.sample != fb.sample:
         raise EstimationError("model comparison requires identical samples")
     return ModelComparison(
@@ -182,27 +203,18 @@ def _granger_one_direction(x: np.ndarray, y: np.ndarray, lags: int) -> tuple[flo
     return float(f), f_pvalue(f, lags, df), len(e)
 
 
-def granger_causality(
-    dataset: Dataset,
-    x: Term,
-    y: Term,
-    lags: int,
-    sample: tuple[int, int] | None = None,
-) -> GrangerResult:
+def granger_causality(dataset: Dataset, spec: GrangerSpec) -> GrangerResult:
     """F tests of Granger non-causality in both directions.
 
     Stationarity of the two series is the caller's responsibility (the
-    pipeline feeds first differences of I(1) variables).  ``sample`` clips the
-    common window of the two evaluated series.
+    pipeline feeds first differences of I(1) variables).
     """
-    if lags < 1:
-        raise EstimationError("Granger lag order must be >= 1")
-    (sx, sy), _, columns = align(dataset, (x, y), sample)
+    (sx, sy), _, columns = align(dataset, (spec.x, spec.y), spec.sample)
     ax, ay = map(np.array, columns)
     entries = []
     for cause, effect, cs, es in ((sx, sy, ax, ay), (sy, sx, ay, ax)):
-        f, p, rows = _granger_one_direction(cs, es, lags)
-        entries.append(GrangerEntry(cause.name, effect.name, lags, rows, f, p, p < 0.05))
+        f, p, rows = _granger_one_direction(cs, es, spec.lags)
+        entries.append(GrangerEntry(cause.name, effect.name, spec.lags, rows, f, p, p < 0.05))
     return GrangerResult(tuple(entries))
 
 

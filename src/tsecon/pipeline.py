@@ -2,15 +2,15 @@
 
 ``OPS`` maps each op to its parse function and its table title.  A parse
 function reads every value of a step through one parse context, by its kind,
-and returns the step's run function, which calls the engine on the parsed
-values.  ``run_steps`` parses every step before it runs any, so a bad value
-anywhere in a manifest is a ``ManifestError`` naming the step, the key and the
-value.  Each result is kept by step name for later steps (model comparisons,
-impulse responses, scenario simulations) and rendered into the bundle.  A
-series a step reads that the dataset lacks is a ``ManifestError`` unless
-``[pipeline] optional`` lists it; then the step (for the unit-root battery, the
-row), and every step that references it, is recorded as skipped, never
-silently dropped.
+builds the spec its engine takes (whose constructor refuses what needs no
+data) and returns the step's run function.  ``run_steps`` parses every step
+before it runs any, so a bad value anywhere in a manifest is a
+``ManifestError`` naming the step, the key and the value.  Each result is kept
+by step name for later steps (model comparisons, impulse responses, scenario
+simulations) and rendered into the bundle.  A series a step reads that the
+dataset lacks is a ``ManifestError`` unless ``[pipeline] optional`` lists it;
+then the step (for the unit-root battery, the row), and every step that
+references it, is recorded as skipped, never silently dropped.
 
 The run functions look the engine up through this module's global names when
 they run, so a tracer that patches those names sees every engine call.
@@ -21,14 +21,15 @@ import math
 
 from .cointegration import engle_granger, relation_size
 from .dataset import Dataset, Term, TermError, _slug, apply_term, load_dataset, parse_term
-from .dynamics import ArSpec, chow_test, cochrane_orcutt_fit, compare_models, granger_causality
+from .dynamics import ArSpec, GrangerSpec, chow_test, cochrane_orcutt_fit, compare_models
+from .dynamics import granger_causality, same_dependent
 from .manifest import ManifestError, PipelineManifest, Step, StepError, one_value
 from .regress import EstimationError, ModelSpec, ols_fit
 from .report import ReportBundle, _csv, render_irf_plot, render_table
 from .scenario import CapitalScenario, simulate_exports, simulate_unemployment
 from .tsls import TslsSpec, tsls_fit
 from .unitroot import DETERMINISTICS, AdfBattery, AdfSpec, adf_test
-from .var import impulse_response, var_fit, var_labels, variance_decomposition
+from .var import VarSpec, impulse_response, response_horizon, var_fit, variance_decomposition
 
 __all__ = ["OPS", "StepError", "run_pipeline", "run_steps", "windowed_series"]
 
@@ -64,18 +65,19 @@ class _Parse:
     """One step being parsed: every reader of its values, and what its parse yields.
 
     Each reader notes the key it reads in ``read``, gives a missing key its
-    default text (or fails when there is none) and raises ``ManifestError``
-    naming the step, the key and the value when a value is bad.  Every series
-    the step reads goes through ``present``: ``missing`` is the first absent
-    one, or the reason a step this one references was skipped, and skips the
-    step.  ``terms`` caches parsed term texts across the manifest; ``earlier``
-    maps each earlier step's name to its op, missing series and ``shared`` (it
-    holds no ``_Parse``, so a parse leaves no reference cycle) and ``writers``
-    each claimed bundle file to its step and value text.  ``run`` is the step's
-    run function, ``shared`` what later steps read of it (a fit's ``ModelSpec``,
-    a VAR's labels), ``plots`` maps each plot's file name to its shock and
-    response (``irf``) and ``tables`` maps each table name the step writes to
-    the key and value text that name it (the step's name, or a Chow break year).
+    default text (``None`` leaves it to the spec; without one it fails) and
+    raises ``ManifestError`` naming the step, the key and the value when a value
+    is bad.  Every series the step reads goes through ``present``: ``missing`` is
+    the first absent one, or the reason a step this one references was skipped,
+    and skips the step.  ``terms`` caches parsed term texts across the manifest;
+    ``earlier`` maps each earlier step's name to its op, missing series and
+    ``shared`` (it holds no ``_Parse``, so a parse leaves no reference cycle)
+    and ``writers`` each claimed bundle file to its step and value text.  ``run``
+    is the step's run function, ``shared`` what later steps read of it (a fit's
+    ``ModelSpec`` or ``ArSpec``, a VAR's ``VarSpec``), ``plots`` maps each
+    plot's file name to its shock and response (``irf``) and ``tables`` maps
+    each table name the step writes to the key and value text that name it (the
+    step's name, or a Chow break year).
     """
 
     def __init__(self, step: Step, dataset: Dataset, optional: tuple[str, ...],
@@ -96,10 +98,10 @@ class _Parse:
                              text if value is None else value, f"bad {key} ")
 
     def parse(self, key: str, text: str, parse, expected: str):
-        """``parse(text)`` for a value of ``key``; a ``ValueError`` from it means a bad value."""
+        """``parse(text)`` for a value of ``key``; a value, term or spec error means a bad value."""
         try:
             return parse(text)
-        except (ValueError, LookupError, TermError):
+        except (ValueError, LookupError, TermError, EstimationError):
             raise self.bad(key, text, f"expected {expected}") from None
 
     def value(self, key: str, parse=None, expected: str = "", default=_REQUIRED):
@@ -117,12 +119,15 @@ class _Parse:
             raise self.bad(key, text, f"expected {expected}")
         return tuple(self.parse(key, item, parse, expected) for item in items)
 
-    def checked(self, key: str, make, *args):
-        """``make(*args)``; its ``EstimationError`` makes the value given for ``key`` bad."""
+    def checked(self, make, *args, **given):
+        """``make(*args, **given)``, each ``None`` given left to ``make``'s default.
+
+        Its ``EstimationError`` makes the value of the key that the error names bad.
+        """
         try:
-            return make(*args)
+            return make(*args, **{name: x for name, x in given.items() if x is not None})
         except EstimationError as exc:
-            raise self.bad(key, self.step.options[key][0], str(exc)) from None
+            raise self.bad(exc.key, self.step.options[exc.key][0], str(exc)) from None
 
     def claim(self, path: str, key: str, text: str) -> None:
         """Note that the step writes ``path``; a file claimed before makes ``text`` bad."""
@@ -183,8 +188,7 @@ class _Parse:
     def model(self) -> ModelSpec:
         dependent, regressors = self.term("dependent"), self.terms("regressors")
         constant = self.value("constant", lambda t: _BOOLEANS[t.lower()], "true or false", "true")
-        return self.checked("regressors", ModelSpec, dependent, regressors, constant,
-                            self.window("sample", None))
+        return self.checked(ModelSpec, dependent, regressors, constant, self.window("sample", None))
 
     def ref(self, key: str, *ops: str) -> str:
         """The earlier step that ``key`` names, of one of ``ops``; if it was skipped, so is this."""
@@ -232,8 +236,8 @@ def _adf_battery(v: _Parse):
 
 def _adf(v: _Parse):
     series, window = v.term("series"), v.window("window", None)
-    spec = AdfSpec(v.choice("deterministic", DETERMINISTICS, "constant"),
-                   v.integer("lag_order", "1", minimum=0))
+    spec = v.checked(AdfSpec, deterministic=v.value("deterministic", default=None),
+                     lag_order=v.integer("lag_order", None))
     return lambda dataset, results: adf_test(windowed_series(dataset, series, window), spec)
 
 
@@ -244,38 +248,35 @@ def _ols(v: _Parse):
 
 def _tsls(v: _Parse):
     model = v.shared = v.model()
-    instruments = v.terms("instruments")
-    labels = [t.rendered_label() for t in model.regressors]
-    endogenous = v.items("endogenous", lambda label: labels[labels.index(label)],
-                         f"regressor labels, each one of {', '.join(labels)}", ",")
-    spec = v.checked("instruments", TslsSpec, model, endogenous, instruments)
+    endogenous = v.items("endogenous", str, "one or more regressor labels", ",")
+    spec = v.checked(TslsSpec, model, endogenous, v.terms("instruments"))
     return lambda dataset, results: tsls_fit(dataset, spec)
 
 
 def _ar(v: _Parse):
-    model, lags = v.model(), v.items("ar_lags", *_number(int, 1))
-    iterations = v.integer("max_iterations", "20", minimum=1)
-    tolerance = v.number("tolerance", "5e-5")
-    spec = v.checked("ar_lags", ArSpec, model, lags, iterations, tolerance)
+    spec = v.shared = v.checked(ArSpec, v.model(), v.items("ar_lags", *_number(int)),
+                                max_iterations=v.integer("max_iterations", None),
+                                convergence_rel_tol=v.number("tolerance", None))
     return lambda dataset, results: cochrane_orcutt_fit(dataset, spec)
 
 
 def _compare(v: _Parse):
     a, b = v.ref("a", "ar"), v.ref("b", "ar")
+    v.checked(same_dependent, *(v.earlier[s][2].model.dependent.rendered_label() for s in (a, b)))
     return lambda dataset, results: compare_models(results[a], results[b])
 
 
 def _coint(v: _Parse):
     model, lag = v.model(), v.integer("residual_lag", "1", minimum=0)
-    v.checked("regressors", relation_size, model)
+    v.checked(relation_size, model)
     v.choice("assume_i1", ("all",), None)  # declares every input I(1), so nothing is left to check
     return lambda dataset, results: engle_granger(dataset, model, lag)
 
 
 def _granger(v: _Parse):
-    x, y, sample = v.term("x"), v.term("y"), v.window("sample", None)
-    lags = v.integer("lags", "4", minimum=1)
-    return lambda dataset, results: granger_causality(dataset, x, y, lags, sample=sample)
+    spec = v.checked(GrangerSpec, v.term("x"), v.term("y"), lags=v.integer("lags", None),
+                     sample=v.window("sample", None))
+    return lambda dataset, results: granger_causality(dataset, spec)
 
 
 def _chow(v: _Parse):
@@ -287,21 +288,20 @@ def _chow(v: _Parse):
 
 
 def _var(v: _Parse):
-    variables, sample = v.terms("variables"), v.window("sample", None)
-    lags = v.integer("lags", "4", minimum=1)
-    v.shared = v.checked("variables", var_labels, variables)
-    return lambda dataset, results: var_fit(dataset, variables, lags, sample)
+    spec = v.shared = v.checked(VarSpec, v.terms("variables"), lags=v.integer("lags", None),
+                                sample=v.window("sample", None))
+    return lambda dataset, results: var_fit(dataset, spec)
 
 
 def _fevd(v: _Parse):
-    var, horizon = v.ref("var", "var"), v.integer("horizon", "10", minimum=0)
+    var, horizon = v.ref("var", "var"), v.checked(response_horizon, v.integer("horizon", "10"))
     return lambda dataset, results: variance_decomposition(results[var], horizon)
 
 
 def _irf(v: _Parse):
-    var, plots = v.ref("var", "var"), v.all("plot")
-    horizon = v.integer("horizon", "10", minimum=1 if plots else 0)  # a plot needs 2 points
-    labels = v.earlier[var][2]
+    var, plots = v.ref("var", "var"), v.all("plot")  # a plot needs 2 points: a horizon >= 1
+    horizon = v.checked(response_horizon, v.integer("horizon", "10", minimum=1 if plots else None))
+    labels = v.earlier[var][2].labels
     for text in plots:
         pair = tuple(label.strip() for label in text.partition("->")[::2])
         for label in pair:
@@ -315,24 +315,21 @@ def _irf(v: _Parse):
 
 
 def _overrides(text: str) -> dict[int, float]:
-    overrides: dict[int, float] = {}
-    for year, rate in (chunk.split(":") for chunk in text.split()):
-        year, rate = int(year), float(rate)
-        if year in overrides or not -1.0 < rate < math.inf:  # NaN fails too
-            raise ValueError(text)
-        overrides[year] = rate
-    return overrides
+    pairs = [(int(year), float(rate)) for year, rate in (c.split(":") for c in text.split())]
+    if len(dict(pairs)) < len(pairs):  # a year given twice
+        raise ValueError(text)
+    return dict(pairs)
 
 
 def _simulate(v: _Parse):
     fit = v.ref("fit", "ols", "tsls")
-    scenario = CapitalScenario(v.step.name, v.value("overrides", _overrides, (
-        "YYYY:rate pairs, each year once and each rate a finite number > -1")))
+    scenario = v.checked(CapitalScenario, v.step.name, v.value(
+        "overrides", _overrides, "YYYY:rate pairs, each year once"))
     window, model = v.window("window"), v.earlier[fit][2]  # the fit's ModelSpec
     terms = {t.rendered_label(): t for t in model.regressors}
     capital = v.value("capital", terms.__getitem__,
                       f"a regressor label of step {fit!r}, one of {', '.join(terms)}")
-    v.checked("overrides", scenario.check_window, window)
+    v.checked(scenario.check_window, window)
     unemployment = v.step.op == "simulate_unemployment"
     amount = v.number("eap" if unemployment else "terminal_actual_usd")
 

@@ -32,14 +32,18 @@ RANK_RTOL = 1e-10
 
 
 class EstimationError(Exception):
-    """Raised for rank deficiency, insufficient observations, or bad specs."""
+    """Raised for rank deficiency, too few observations or a bad spec value, whose key it names."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
-def unique_labels(labels: tuple[str, ...]) -> tuple[str, ...]:
-    """``labels``, unless one is repeated: then ``EstimationError`` names it."""
+def unique_labels(labels: tuple[str, ...], key: str) -> tuple[str, ...]:
+    """``labels``, unless one is repeated: then ``EstimationError`` names it, and ``key``."""
     for i, label in enumerate(labels):
         if label in labels[:i]:
-            raise EstimationError(f"the label {label!r} is repeated")
+            raise EstimationError(f"the label {label!r} is repeated", key)
     return labels
 
 
@@ -56,8 +60,8 @@ class ModelSpec:
     sample: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if not unique_labels(self.labels):
-            raise EstimationError("empty model: no regressors and no constant")
+        if not unique_labels(self.labels, "regressors"):
+            raise EstimationError("empty model: no regressor and no constant", "regressors")
 
     @property
     def labels(self) -> tuple[str, ...]:

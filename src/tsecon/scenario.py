@@ -28,11 +28,15 @@ class CapitalScenario:
 
     ``overrides`` maps a year to a growth rate; each rate applies from its
     year until the next override year (the last one carries to the end of the
-    window).  Rates are plain growth fractions, e.g. 0.15 for 15% growth.
+    window).  Rates are finite growth fractions above -1, e.g. 0.15 for 15% growth.
     """
 
     name: str
     overrides: Mapping[int, float]
+
+    def __post_init__(self):
+        if not all(-1.0 < rate < math.inf for rate in self.overrides.values()):  # NaN fails too
+            raise EstimationError("each YYYY:rate override needs a finite rate > -1", "overrides")
 
     def rate_for(self, year: int) -> float | None:
         applicable = [y for y in self.overrides if y <= year]
@@ -42,10 +46,11 @@ class CapitalScenario:
         """Refuse an empty ``(first, last)`` window or an override year outside it."""
         lo, hi = window
         if lo > hi:
-            raise EstimationError("empty simulation window")
+            raise EstimationError("empty simulation window", "window")
         outside = [y for y in self.overrides if not lo <= y <= hi]
         if outside:
-            raise EstimationError(f"override years {outside} lie outside the window {lo}-{hi}")
+            raise EstimationError(f"override years {outside} lie outside the window {lo}-{hi}",
+                                  "overrides")
 
 
 @record

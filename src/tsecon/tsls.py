@@ -15,6 +15,7 @@ from ._record import record
 from .dataset import Dataset, Term
 from .regress import (
     EstimationError, FitResult, ModelSpec, build_design, diagnostics, least_squares, ols_fit,
+    unique_labels,
 )
 
 __all__ = ["TslsSpec", "tsls_fit"]
@@ -24,9 +25,9 @@ __all__ = ["TslsSpec", "tsls_fit"]
 class TslsSpec:
     """A regression model plus which regressors are instrumented and by what.
 
-    With endogenous regressors, ``stages`` is the one design both stages share:
-    the model with the instruments appended, so they share its window, and an
-    instrument labelled as a regressor is refused here.
+    Each endogenous label names a regressor, once.  With endogenous regressors,
+    ``stages`` is the one design both stages share: the model with the
+    instruments appended, so they share its window.
     """
 
     model: ModelSpec
@@ -34,12 +35,17 @@ class TslsSpec:
     instruments: tuple[Term, ...]
 
     def __post_init__(self):
-        if len(self.instruments) < len(self.endogenous):
-            raise EstimationError(
-                "order condition violated: need at least as many instruments "
-                "as endogenous regressors"
-            )
         m = self.model
+        labels = [t.rendered_label() for t in m.regressors]
+        if not set(unique_labels(self.endogenous, "endogenous")) <= set(labels):
+            raise EstimationError(f"expected regressor labels, each one of {', '.join(labels)}",
+                                  "endogenous")
+        if len(self.instruments) < len(self.endogenous):
+            raise EstimationError("order condition violated: need at least as many instruments "
+                                  "as endogenous regressors", "instruments")
+        if self.endogenous:  # an instrument labelled as a regressor is refused here
+            unique_labels(m.labels + tuple(t.rendered_label() for t in self.instruments),
+                          "instruments")
         object.__setattr__(self, "stages", ModelSpec(
             m.dependent, (*m.regressors, *self.instruments), m.include_constant, m.sample,
         ) if self.endogenous else None)
@@ -51,9 +57,6 @@ def tsls_fit(dataset: Dataset, spec: TslsSpec) -> FitResult:
     if not spec.endogenous:
         return ols_fit(dataset, m)
     labels = m.labels
-    unknown = set(spec.endogenous) - set(labels)
-    if unknown:
-        raise EstimationError(f"endogenous labels not in model: {sorted(unknown)}")
     endo_idx = [labels.index(lbl) for lbl in spec.endogenous]
     y, D, years = build_design(dataset, spec.stages)
     X, Z = D[:, : len(labels)], np.delete(D, endo_idx, axis=1)

@@ -77,23 +77,25 @@ _TAU_MAX = {
 }
 
 
+def surface_row(deterministic: str, n_vars: int = 1) -> int:
+    """The row of ``deterministic``'s response surfaces for ``n_vars`` series, which they cover."""
+    if deterministic not in DETERMINISTICS:
+        raise EstimationError(f"expected one of {', '.join(DETERMINISTICS)}", "deterministic")
+    if not 1 <= n_vars <= MACKINNON_MAX_VARS:
+        raise EstimationError(f"the MacKinnon response surfaces cover at most {MACKINNON_MAX_VARS} "
+                              f"variables; the long-run relation has {n_vars}", "regressors")
+    return n_vars - 1
+
+
 def mackinnon_pvalue(tau: float, deterministic: str, n_vars: int = 1) -> float:
     """Asymptotic p-value for a (residual) Dickey-Fuller tau statistic."""
-    if deterministic not in DETERMINISTICS:
-        raise ValueError(f"unknown deterministic case {deterministic!r}")
-    if not 1 <= n_vars <= MACKINNON_MAX_VARS:
-        raise ValueError(f"n_vars must be between 1 and {MACKINNON_MAX_VARS}")
-    i = n_vars - 1
+    i = surface_row(deterministic, n_vars)
     if tau <= _TAU_MIN[deterministic][i]:
         return 0.0
     if tau >= _TAU_MAX[deterministic][i]:
         return 1.0
-    coeffs = (
-        _SMALLP[deterministic][i]
-        if tau <= _TAU_STAR[deterministic][i]
-        else _LARGEP[deterministic][i]
-    )
-    poly = sum(c * tau**k for k, c in enumerate(coeffs))
+    table = _SMALLP if tau <= _TAU_STAR[deterministic][i] else _LARGEP
+    poly = sum(c * tau**k for k, c in enumerate(table[deterministic][i]))
     return norm_cdf(float(poly))
 
 
@@ -103,10 +105,9 @@ class AdfSpec:
     lag_order: int = 1
 
     def __post_init__(self):
-        if self.deterministic not in DETERMINISTICS:
-            raise ValueError(f"unknown deterministic case {self.deterministic!r}")
+        surface_row(self.deterministic)
         if self.lag_order < 0:
-            raise ValueError("lag_order must be >= 0")
+            raise EstimationError("the lag order must be >= 0", "lag_order")
 
 
 @record

@@ -9,7 +9,6 @@ the residual covariance; the variable ordering is the Cholesky ordering.
 from __future__ import annotations
 
 import warnings
-from typing import Sequence
 
 import numpy as np
 
@@ -17,8 +16,8 @@ from ._record import record
 from .dataset import Dataset, Term, align
 from .regress import EstimationError, lagged, least_squares, unique_labels
 
-__all__ = ["FevdResult", "IrfResult", "VarModel", "impulse_response", "var_fit", "var_labels",
-           "variance_decomposition"]
+__all__ = ["FevdResult", "IrfResult", "VarModel", "VarSpec", "impulse_response", "response_horizon",
+           "var_fit", "variance_decomposition"]
 
 
 @record
@@ -64,25 +63,34 @@ class FevdResult:
     ordering: tuple[str, ...]
 
 
-def var_labels(variables: Sequence[Term]) -> tuple[str, ...]:
-    """The variables' labels, which name the responses; there is one or more, each given once."""
-    labels = unique_labels(tuple(t.rendered_label() for t in variables))
-    if not labels:
-        raise EstimationError("a VAR needs at least one variable")
-    return labels
+@record
+class VarSpec:
+    """A VAR(``lags``) of one or more ``variables``, whose ``labels`` (each once) name responses."""
+
+    variables: tuple[Term, ...]
+    lags: int = 4
+    sample: tuple[int, int] | None = None
+
+    def __post_init__(self):
+        labels = unique_labels(tuple(t.rendered_label() for t in self.variables), "variables")
+        if not labels:
+            raise EstimationError("a VAR needs at least one variable", "variables")
+        if self.lags < 1:
+            raise EstimationError("VAR lag order must be >= 1", "lags")
+        object.__setattr__(self, "labels", labels)
 
 
-def var_fit(
-    dataset: Dataset,
-    variables: Sequence[Term],
-    p: int,
-    sample: tuple[int, int] | None = None,
-) -> VarModel:
+def response_horizon(horizon: int) -> int:
+    """``horizon``, the steps after impact that responses cover, unless it is negative."""
+    if horizon < 0:
+        raise EstimationError("expected 0 or more steps after impact", "horizon")
+    return horizon
+
+
+def var_fit(dataset: Dataset, spec: VarSpec) -> VarModel:
     """Fit a VAR(p) by per-equation OLS over the common sample."""
-    labels = var_labels(variables)
-    if p < 1:
-        raise EstimationError("VAR lag order must be >= 1")
-    _, window, columns = align(dataset, variables, sample)
+    p = spec.lags
+    _, window, columns = align(dataset, spec.variables, spec.sample)
     Y0, *Y_lags = lagged(np.column_stack(columns), range(p + 1), p)
     rows, k = Y0.shape
     X = np.column_stack([np.ones(rows), *Y_lags])
@@ -90,7 +98,7 @@ def var_fit(
     sigma = E.T @ E / (rows - X.shape[1])
     A = tuple(B[1 + i * k : 1 + (i + 1) * k].T for i in range(p))
     return VarModel(
-        labels=labels,
+        labels=spec.labels,
         p=p,
         intercepts=B[0].copy(),
         coefficient_matrices=A,
@@ -125,8 +133,7 @@ def _factor(cov: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def impulse_response(model: VarModel, horizon: int) -> IrfResult:
     """Orthogonalized impulse responses out to ``horizon`` steps."""
-    if horizon < 0:
-        raise EstimationError("horizon must be >= 0")
+    response_horizon(horizon)
     P, failed = _factor(model.residual_cov)
     with np.errstate(over="ignore", invalid="ignore"):
         # psi @ P is [step, respond, shock]

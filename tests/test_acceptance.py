@@ -256,8 +256,8 @@ class TestCriterion5:
     @pytest.mark.parametrize("cause,effect,f_target,p_target", GRANGER_TARGETS,
                              ids=[f"{c}->{e}" for c, e, _, _ in GRANGER_TARGETS])
     def test_pair(self, ds, cause, effect, f_target, p_target):
-        res = t.granger_causality(ds, t.parse_term(cause), t.parse_term(effect), 4,
-                                  sample=(1976, 2010))
+        res = t.granger_causality(ds, t.GrangerSpec(t.parse_term(cause), t.parse_term(effect), 4,
+                                                    sample=(1976, 2010)))
         entry = next(e for e in res.pairs if e.cause == t.parse_term(cause).rendered_label())
         assert entry.n_obs == 31
         ok = line(5, f"Granger {cause}->{effect} F", stat_ok(entry.f_stat, f_target, rel=0.02),
@@ -275,15 +275,17 @@ class TestCriterion5:
         "0.1%, pointing at integer print-rounding of the credit growth column",
     )
     def test_invind_to_credit(self, ds):
-        res = t.granger_causality(ds, t.parse_term("dln(Industrial Investment)"),
-                                  t.parse_term("dln(Credit)"), 4, sample=(1976, 2010))
+        res = t.granger_causality(ds, t.GrangerSpec(t.parse_term("dln(Industrial Investment)"),
+                                                    t.parse_term("dln(Credit)"), 4,
+                                                    sample=(1976, 2010)))
         entry = next(e for e in res.pairs if "Industrial" in e.cause)
         assert line(5, "Granger dln(InvInd)->dln(Credit) F",
                     stat_ok(entry.f_stat, 1.89825, rel=0.02), entry.f_stat, 1.89825)
 
     def test_invind_to_credit_decision(self, ds):
-        res = t.granger_causality(ds, t.parse_term("dln(Industrial Investment)"),
-                                  t.parse_term("dln(Credit)"), 4, sample=(1976, 2010))
+        res = t.granger_causality(ds, t.GrangerSpec(t.parse_term("dln(Industrial Investment)"),
+                                                    t.parse_term("dln(Credit)"), 4,
+                                                    sample=(1976, 2010)))
         entry = next(e for e in res.pairs if "Industrial" in e.cause)
         assert line(5, "Granger dln(InvInd)->dln(Credit) decision", entry.reject_5pct is False,
                     entry.reject_5pct, False)
@@ -353,14 +355,14 @@ class TestCriterion7:
         assert ok
 
     def test_engle_granger_classification_rates(self):
-        from test_cointegration import SPEC, I1_FLAGS, cointegrated_pair, independent_walks
+        from test_cointegration import SPEC, cointegrated_pair, independent_walks
 
         true_hits = sum(
-            t.engle_granger(cointegrated_pair(seed), SPEC, 1, I1_FLAGS).cointegrated
+            t.engle_granger(cointegrated_pair(seed), SPEC, 1).cointegrated
             for seed in range(100)
         )
         false_hits = sum(
-            t.engle_granger(independent_walks(seed), SPEC, 1, I1_FLAGS).cointegrated
+            t.engle_granger(independent_walks(seed), SPEC, 1).cointegrated
             for seed in range(100)
         )
         ok = line(7, "EG cointegrated pairs detected /100", true_hits >= 95, true_hits, 95)
@@ -379,7 +381,7 @@ class TestCriterion7:
              t.parse_term("ln(Credit)"), t.parse_term("ln(Tax benefits)")),
             include_constant=False, sample=(1975, 2010),
         )
-        res = t.engle_granger(merged, spec, 1, None)
+        res = t.engle_granger(merged, spec, 1)
         targets = {"Ln(Public investment)": 0.690722, "Ln(GDP model base)": 0.48812,
                    "Ln(Credit)": -0.483606, "Ln(Tax benefits)": 0.198327}
         ok = True
@@ -405,12 +407,11 @@ class TestCriterion7:
 
 @pytest.fixture(scope="module")
 def uruguay_irf(ds):
-    model = t.var_fit(
-        ds,
+    model = t.var_fit(ds, t.VarSpec(
         (t.parse_term("ln(Total investment) as Ln(FBKF)"), t.parse_term("ln(GDP) as Ln(PIB)"),
          t.parse_term("ln(Real interest rate) as Ln(r)")),
         4, (1970, 2010),
-    )
+    ))
     return t.impulse_response(model, 10)
 
 
@@ -535,7 +536,7 @@ class TestCriterion10:
         for i in range(1, n):
             y[i] = 0.3 * y[i - 1] + 0.5 * x[i - 1] + rng.normal()
         dsx = make_dataset(x=(1900, x), y=(1900, y))
-        res = t.granger_causality(dsx, t.parse_term("x"), t.parse_term("y"), 3)
+        res = t.granger_causality(dsx, t.GrangerSpec(t.parse_term("x"), t.parse_term("y"), 3))
         entry = next(e for e in res.pairs if e.cause == "x")
         oracle = two_regression_granger_oracle(x, y, 3)
         dev = abs(entry.f_stat - oracle)
@@ -570,12 +571,11 @@ class TestCriterion10:
         assert line(10, "IRF vs matrix-power oracle", dev <= 1e-10, dev, 1e-10)
 
     def test_fevd_shares_normalized(self, ds):
-        model = t.var_fit(
-            ds,
+        model = t.var_fit(ds, t.VarSpec(
             (t.parse_term("ln(Total investment)"), t.parse_term("ln(GDP)"),
              t.parse_term("ln(Real interest rate)")),
             4, (1970, 2010),
-        )
+        ))
         fevd = t.variance_decomposition(model, 10)
         dev = float(np.max(np.abs(fevd.shares.sum(axis=2) - 1.0)))
         assert line(10, "FEVD shares sum to one", dev <= 1e-10, dev, 1e-10)

@@ -25,9 +25,9 @@ from tsecon.dataset import (
     align,
     apply_term,
 )
-from tsecon.dynamics import granger_causality
+from tsecon.dynamics import GrangerSpec, granger_causality
 from tsecon.regress import EstimationError, ModelSpec, ols_fit
-from tsecon.var import var_fit
+from tsecon.var import VarSpec, var_fit
 
 from conftest import make_dataset
 
@@ -136,11 +136,11 @@ class TestEmptyWindowErrors:
 
     def test_granger(self, ds):
         with pytest.raises(EstimationError, match="^the Granger regression has 0 observations for 3 parameters$"):
-            granger_causality(ds, Term("a"), Term("b"), 1, sample=(1900, 1960))
+            granger_causality(ds, GrangerSpec(Term("a"), Term("b"), 1, sample=(1900, 1960)))
 
     def test_var(self, ds):
         with pytest.raises(EstimationError, match=r"^the VAR\(1\) design has 0 observations for 3 parameters$"):
-            var_fit(ds, [Term("a"), Term("b")], 1, sample=(2050, 2060))
+            var_fit(ds, VarSpec([Term("a"), Term("b")], 1, sample=(2050, 2060)))
 
 
 class TestAnnualSeriesValidation:

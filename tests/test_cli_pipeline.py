@@ -448,7 +448,8 @@ class TestCli:
         ("[step t]\nop = tsls\ndependent = ln(Exports)\nregressors = dln(GDP), ln(Exports)@1\n"
          "endogenous =\ninstruments = dln(GDP)@1\n", "endogenous", "''"),
         ("[step t]\nop = tsls\ndependent = ln(Exports)\nregressors = dln(GDP), ln(Exports)@1\n"
-         "endogenous = d_Ln(GDP), nope\ninstruments = dln(GDP)@1\n", "endogenous", "'nope'"),
+         "endogenous = d_Ln(GDP), nope\ninstruments = dln(GDP)@1\n", "endogenous",
+         "'d_Ln(GDP), nope'; expected regressor labels, each one of d_Ln(GDP), Ln(Exports)(-1)"),
         ("[step c]\nop = coint\ndependent = ln(GDP)\nregressors = ln(Exports)\n"
          "assume_i1 = none\n", "assume_i1", "'none'"),
         ("[step c]\nop = chow\ndependent = ln(GDP)\nregressors = ln(Exports)\nbreak_years =\n",
@@ -510,6 +511,85 @@ class TestCli:
         assert r.exit_code == 2, r.output
         name = step.split("[step ")[-1].split("]")[0]
         assert f"manifest error: step {name!r}: bad {key} {value}" in r.output
+        assert not (tmp_path / "out").exists()
+
+    # each data-free rule is its spec's, refused at parse time under the key it is about;
+    # an AR step's spec is shared, so a comparison of two dependents is refused there too
+    @pytest.mark.parametrize("step, key, reason", [
+        ("[step o]\nop = ols\ndependent = ln(GDP)\nregressors =\nconstant = false\n",
+         "regressors", "empty model: no regressor and no constant"),
+        ("[step o]\nop = ols\ndependent = ln(GDP)\nregressors = ln(Exports), ln(Exports)\n",
+         "regressors", "the label 'Ln(Exports)' is repeated"),
+        ("[step t]\nop = tsls\ndependent = ln(Exports)\nregressors = dln(GDP), ln(Exports)@1\n"
+         "endogenous = nope\ninstruments = dln(GDP)@1\n", "endogenous",
+         "expected regressor labels, each one of d_Ln(GDP), Ln(Exports)(-1)"),
+        ("[step t]\nop = tsls\ndependent = ln(Exports)\nregressors = dln(GDP), ln(Exports)@1\n"
+         "endogenous = d_Ln(GDP), d_Ln(GDP)\ninstruments = dln(GDP)@1, dln(Credit)\n", "endogenous",
+         "the label 'd_Ln(GDP)' is repeated"),
+        ("[step t]\nop = tsls\ndependent = ln(Exports)\nregressors = dln(GDP), ln(GDP)\n"
+         "endogenous = d_Ln(GDP)\ninstruments = ln(GDP)\n", "instruments",
+         "the label 'Ln(GDP)' is repeated"),
+        ("[step r]\nop = ar\ndependent = ln(GDP)\nregressors = ln(Exports)\nar_lags = 0 1\n",
+         "ar_lags", "AR lags must be positive"),
+        ("[step r]\nop = ar\ndependent = ln(GDP)\nregressors = ln(Exports)\nar_lags = 1\n"
+         "max_iterations = 0\n", "max_iterations", "the iteration limit must be >= 1"),
+        ("[step r1]\nop = ar\ndependent = ln(GDP)\nregressors = ln(Exports)\nar_lags = 1\n"
+         "[step r2]\nop = ar\ndependent = ln(Exports)\nregressors = ln(GDP)\nar_lags = 1\n"
+         "[step c]\nop = compare\na = r1\nb = r2\n", "b",
+         "model comparison requires the same dependent variable"),
+        ("[step g]\nop = granger\nx = dln(GDP)\ny = dln(Exports)\nlags = 0\n", "lags",
+         "Granger lag order must be >= 1"),
+        ("[step v]\nop = var\nvariables = dln(GDP), dln(Exports)\nlags = 0\n", "lags",
+         "VAR lag order must be >= 1"),
+        ("[step v]\nop = var\nvariables = ,\n", "variables", "a VAR needs at least one variable"),
+        ("[step v]\nop = var\nvariables = dln(GDP), dln(Exports)\n"
+         "[step i]\nop = irf\nvar = v\nhorizon = -1\n", "horizon",
+         "expected 0 or more steps after impact"),
+        ("[step v]\nop = var\nvariables = dln(GDP), dln(Exports)\n"
+         "[step f]\nop = fevd\nvar = v\nhorizon = -1\n", "horizon",
+         "expected 0 or more steps after impact"),
+        ("[step a]\nop = adf\nseries = ln(GDP)\ndeterministic = trend\n", "deterministic",
+         "expected one of none, constant, constant_and_trend"),
+        ("[step a]\nop = adf\nseries = ln(GDP)\nlag_order = -1\n", "lag_order",
+         "the lag order must be >= 0"),
+        ("[step c]\nop = coint\ndependent = ln(Industrial Investment)\nregressors = ln(GDP), "
+         "ln(Credit), ln(Exports), ln(CPI), ln(Public investment), ln(Total investment)\n",
+         "regressors", "the MacKinnon response surfaces cover at most 6 variables"),
+        (SCENARIO_FIT + "[step s]\nop = simulate_exports\nfit = m\noverrides = 2005:-1\n"
+         "window = 2000:2010\nterminal_actual_usd = 1\ncapital = Ln(GDP)\n", "overrides",
+         "each YYYY:rate override needs a finite rate > -1"),
+        (SCENARIO_FIT + "[step s]\nop = simulate_unemployment\nfit = m\noverrides = 2005:nan\n"
+         "window = 2000:2010\neap = 1\ncapital = Ln(GDP)\n", "overrides",
+         "each YYYY:rate override needs a finite rate > -1"),
+        (SCENARIO_FIT + "[step s]\nop = simulate_exports\nfit = m\noverrides = 2011:0.1\n"
+         "window = 2000:2010\nterminal_actual_usd = 1\ncapital = Ln(GDP)\n", "overrides",
+         "override years [2011] lie outside the window 2000-2010"),
+    ], ids=["empty-model", "model-label-twice", "tsls-endogenous", "tsls-endogenous-twice",
+            "tsls-instrument-label",
+            "ar-lags", "ar-iterations", "compare-dependents", "granger-lags", "var-lags",
+            "var-variables", "irf-horizon", "fevd-horizon", "adf-deterministic", "adf-lag",
+            "coint-reach", "scenario-rate", "scenario-nan-rate", "scenario-window"])
+    def test_spec_refusal_exits_2_naming_its_key_before_any_engine_runs(
+            self, tmp_path, monkeypatch, step, key, reason):
+        import tsecon.pipeline
+
+        def engine(*args):
+            raise AssertionError("an engine ran")
+
+        for name in ("adf_test", "ols_fit", "tsls_fit", "cochrane_orcutt_fit", "compare_models",
+                     "engle_granger", "granger_causality", "chow_test", "var_fit",
+                     "impulse_response", "variance_decomposition", "simulate_unemployment",
+                     "simulate_exports"):
+            monkeypatch.setattr(tsecon.pipeline, name, engine)
+        manifest = tmp_path / "m.ini"
+        manifest.write_text(step)
+        r = run_cli(["report", "--manifest", str(manifest), "--output", str(tmp_path / "out")])
+        assert r.exit_code == 2, r.output
+        name, *lines = step.split("[step ")[-1].splitlines()
+        value = dict(map(str.strip, line.partition("=")[::2]) for line in lines)[key]
+        assert f"manifest error: step {name[:-1]!r}: bad {key} {value!r}; {reason}" in r.output
+        # a flag that sets the key reports the reason under the flag's name
+        assert not re.search(rf"\b{key}\b", reason)
         assert not (tmp_path / "out").exists()
 
     def test_plots_whose_file_names_collide_are_manifest_error(self, tmp_path):

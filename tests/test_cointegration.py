@@ -28,14 +28,13 @@ def independent_walks(seed, n=200):
 
 
 SPEC = ModelSpec(dependent=Term("y"), regressors=(Term("x"),), include_constant=True)
-I1_FLAGS = {"y": 1, "x": 1}
 
 
 class TestEngleGranger:
     def test_cointegrated_by_construction(self):
         hits, slopes = 0, []
         for seed in range(20):
-            res = engle_granger(cointegrated_pair(seed), SPEC, 1, I1_FLAGS)
+            res = engle_granger(cointegrated_pair(seed), SPEC, 1)
             hits += res.cointegrated
             slopes.append(res.long_run.coefficient("x").estimate)
         assert hits >= 19
@@ -43,14 +42,14 @@ class TestEngleGranger:
 
     def test_independent_walks_mostly_rejected(self):
         false_hits = sum(
-            engle_granger(independent_walks(seed), SPEC, 1, I1_FLAGS).cointegrated
+            engle_granger(independent_walks(seed), SPEC, 1).cointegrated
             for seed in range(20)
         )
         assert false_hits <= 2  # >= 90% classified non-cointegrated
 
     def test_residuals_passed_through_unchanged(self):
         ds = cointegrated_pair(0)
-        res = engle_granger(ds, SPEC, 1, I1_FLAGS)
+        res = engle_granger(ds, SPEC, 1)
         assert res.residual_test.series_name == res.long_run.residuals.name
         # re-running the residual test on the stored series reproduces it
         from tsecon.unitroot import df_residual_test
@@ -65,26 +64,15 @@ class TestEngleGranger:
         ds = Dataset({**ds.series, "z": AnnualSeries("z", 1800, tuple(z))})
         spec_a = ModelSpec(Term("y"), (Term("x"), Term("z")), include_constant=True)
         spec_b = ModelSpec(Term("y"), (Term("z"), Term("x")), include_constant=True)
-        flags = {"y": 1, "x": 1, "z": 1}
-        a = engle_granger(ds, spec_a, 1, flags)
-        b = engle_granger(ds, spec_b, 1, flags)
+        a = engle_granger(ds, spec_a, 1)
+        b = engle_granger(ds, spec_b, 1)
         assert np.allclose(a.long_run.residuals.values, b.long_run.residuals.values, atol=1e-10)
         assert a.cointegrated == b.cointegrated
         assert a.residual_test.t_stat == pytest.approx(b.residual_test.t_stat, abs=1e-10)
 
-    def test_i0_input_rejected(self):
-        ds = cointegrated_pair(1)
-        with pytest.raises(EstimationError, match=r"I\(0\)"):
-            engle_granger(ds, SPEC, 1, {"y": 1, "x": 0})
-
-    def test_missing_flag_rejected(self):
-        ds = cointegrated_pair(1)
-        with pytest.raises(EstimationError, match="no integration order"):
-            engle_granger(ds, SPEC, 1, {"y": 1})
-
     def test_residual_surface_uses_relation_size(self):
         ds = cointegrated_pair(2)
-        res = engle_granger(ds, SPEC, 1, I1_FLAGS)
+        res = engle_granger(ds, SPEC, 1)
         assert res.residual_test.n_vars == 2
 
 

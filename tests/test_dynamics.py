@@ -5,6 +5,7 @@ from scipy import stats
 from tsecon.dataset import Term
 from tsecon.dynamics import (
     ArSpec,
+    GrangerSpec,
     chow_test,
     cochrane_orcutt_fit,
     compare_models,
@@ -167,7 +168,7 @@ class TestGranger:
         for t in range(2, n):
             y[t] = 0.4 * y[t - 1] + 0.8 * x[t - 2] + rng.normal(0, 0.3)
         ds = make_dataset(x=(1900, x), y=(1900, y))
-        res = granger_causality(ds, Term("x"), Term("y"), 2)
+        res = granger_causality(ds, GrangerSpec(Term("x"), Term("y"), 2))
         fwd = next(e for e in res.pairs if e.cause == "x")
         assert fwd.f_stat == pytest.approx(two_regression_granger_oracle(x, y, 2), abs=1e-9)
         assert fwd.p_value == pytest.approx(
@@ -181,7 +182,7 @@ class TestGranger:
             x = rng.normal(size=300)
             y = rng.normal(size=300)
             ds = make_dataset(x=(1500, x), y=(1500, y))
-            res = granger_causality(ds, Term("x"), Term("y"), 4)
+            res = granger_causality(ds, GrangerSpec(Term("x"), Term("y"), 4))
             fwd = next(e for e in res.pairs if e.cause == "x")
             rejections += fwd.reject_5pct
         assert rejections <= 4  # p > 0.05 in >= 90% of replications
@@ -190,8 +191,8 @@ class TestGranger:
         ds = make_dataset(
             x=(1900, np.sin(np.arange(30.0))), y=(1900, np.cos(np.arange(30.0) / 2.0))
         )
-        a = granger_causality(ds, Term("x"), Term("y"), 2)
-        b = granger_causality(ds, Term("y"), Term("x"), 2)
+        a = granger_causality(ds, GrangerSpec(Term("x"), Term("y"), 2))
+        b = granger_causality(ds, GrangerSpec(Term("y"), Term("x"), 2))
         assert {(e.cause, e.effect, round(e.f_stat, 12)) for e in a.pairs} == {
             (e.cause, e.effect, round(e.f_stat, 12)) for e in b.pairs
         }
@@ -202,20 +203,20 @@ class TestGranger:
         y = rng.normal(size=40)
         ds1 = make_dataset(x=(1900, x), y=(1900, y))
         ds2 = make_dataset(x=(1900, 5.0 * x + 3.0), y=(1900, 0.25 * y - 7.0))
-        f1 = [e.f_stat for e in granger_causality(ds1, Term("x"), Term("y"), 3).pairs]
-        f2 = [e.f_stat for e in granger_causality(ds2, Term("x"), Term("y"), 3).pairs]
+        f1 = [e.f_stat for e in granger_causality(ds1, GrangerSpec(Term("x"), Term("y"), 3)).pairs]
+        f2 = [e.f_stat for e in granger_causality(ds2, GrangerSpec(Term("x"), Term("y"), 3)).pairs]
         assert f1 == pytest.approx(f2, rel=1e-9)
 
     def test_insufficient_observations_error(self):
         ds = make_dataset(x=(1900, np.arange(6.0)), y=(1900, np.arange(6.0) ** 2))
         with pytest.raises(EstimationError,
                            match="^the Granger regression has 3 observations for 7 parameters$"):
-            granger_causality(ds, Term("x"), Term("y"), 3)
+            granger_causality(ds, GrangerSpec(Term("x"), Term("y"), 3))
 
     def test_zero_lags_is_estimation_error(self):
         ds = make_dataset(x=(1900, np.sin(np.arange(30.0))), y=(1900, np.cos(np.arange(30.0))))
         with pytest.raises(EstimationError, match="lag order must be >= 1"):
-            granger_causality(ds, Term("x"), Term("y"), 0)
+            granger_causality(ds, GrangerSpec(Term("x"), Term("y"), 0))
 
 
 def three_fit_chow_oracle(y, X, mask, p):

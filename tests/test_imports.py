@@ -21,8 +21,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PUBLIC_NAMES = [
     "AdfResult", "AdfSpec", "AnnualSeries", "ArFitResult", "ArSpec", "CapitalScenario",
     "ChowResult", "CointegrationResult", "Dataset", "DatasetError", "EstimationError",
-    "FitResult", "GrangerResult", "ModelSpec", "PipelineManifest", "ReportBundle",
-    "ScenarioResult", "Term", "TermError", "TslsSpec", "VarModel", "adf_test", "apply_term",
+    "FitResult", "GrangerResult", "GrangerSpec", "ModelSpec", "PipelineManifest", "ReportBundle",
+    "ScenarioResult", "Term", "TermError", "TslsSpec", "VarModel", "VarSpec", "adf_test",
+    "apply_term",
     "chow_test", "cochrane_orcutt_fit", "compare_models", "default_manifest_text",
     "df_residual_test", "engle_granger", "granger_causality", "impulse_response",
     "load_dataset", "ols_fit", "parse_manifest", "parse_term", "render_irf_plot",

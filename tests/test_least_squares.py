@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from tsecon.cointegration import engle_granger
 from tsecon.dataset import AnnualSeries, Term, parse_term
-from tsecon.dynamics import ArSpec, chow_test, cochrane_orcutt_fit, granger_causality
+from tsecon.dynamics import ArSpec, GrangerSpec, chow_test, cochrane_orcutt_fit, granger_causality
 from tsecon.pipeline import windowed_series
 from tsecon.regress import EstimationError, ModelSpec, least_squares, ols_fit
 from tsecon.tsls import TslsSpec, tsls_fit
 from tsecon.unitroot import AdfSpec, adf_test
-from tsecon.var import var_fit
+from tsecon.var import VarSpec, var_fit
 
 from conftest import make_dataset
 
@@ -194,9 +194,10 @@ SHORT_FITS = {
         "the quasi-differenced AR regression has 5 observations for 5 parameters"),
     "chow_from": (lambda: chow_test(short_dataset(12), model("x1"), 2010),
                   "the Chow sub-sample from 2010 has 2 observations for 2 parameters"),
-    "granger_no_rows": (lambda: granger_causality(short_dataset(3), Term("x1"), Term("y"), 4),
-                        "the Granger regression has 0 observations for 9 parameters"),
-    "var_no_rows": (lambda: var_fit(short_dataset(2), on_terms("y", "x1"), 3),
+    "granger_no_rows": (
+        lambda: granger_causality(short_dataset(3), GrangerSpec(Term("x1"), Term("y"), 4)),
+        "the Granger regression has 0 observations for 9 parameters"),
+    "var_no_rows": (lambda: var_fit(short_dataset(2), VarSpec(on_terms("y", "x1"), 3)),
                     "the VAR(3) design has 0 observations for 7 parameters"),
     "adf_no_rows": (lambda: adf_test(short_dataset(3).get("y"), AdfSpec("constant", 4)),
                     "the ADF design (constant, 4 lags) has 0 observations for 6 parameters"),
@@ -255,10 +256,10 @@ def reported_numbers(estimator, ds, spec):
         res = chow_test(ds, spec, 1986)
         yield res.f_stat, res.p_value
     elif estimator == "granger":
-        for e in granger_causality(ds, Term("x2"), Term("x1"), 2).pairs:
+        for e in granger_causality(ds, GrangerSpec(Term("x2"), Term("x1"), 2)).pairs:
             yield e.f_stat, e.p_value
     elif estimator == "var":
-        model = var_fit(ds, (Term("x1"), Term("x2")), 1)
+        model = var_fit(ds, VarSpec((Term("x1"), Term("x2")), 1))
         yield from (model.intercepts, *model.coefficient_matrices, model.residual_cov)
     else:
         res = adf_test(ds.get("x2"), AdfSpec("constant", 1))

@@ -19,7 +19,7 @@ from scipy import special, stats
 import tsecon.unitroot as unitroot
 from tsecon._tails import _betai, f_sf, norm_cdf, t_two_sided
 from tsecon.dataset import parse_term
-from tsecon.dynamics import chow_test, granger_causality
+from tsecon.dynamics import GrangerSpec, chow_test, granger_causality
 from tsecon.regress import ModelSpec, f_pvalue, ols_fit
 from tsecon.tsls import TslsSpec, tsls_fit
 from tsecon.unitroot import DETERMINISTICS, AdfSpec, adf_test, mackinnon_pvalue
@@ -180,9 +180,9 @@ class TestPublicFits:
 
     @pytest.mark.parametrize("lags", [1, 2, 4])
     def test_granger_pvalues(self, dataset, lags):
-        res = granger_causality(dataset, parse_term("dln(GDP)"),
-                                parse_term("dln(Industrial Investment)"), lags,
-                                sample=(1976, 2010))
+        res = granger_causality(dataset, GrangerSpec(
+            parse_term("dln(GDP)"), parse_term("dln(Industrial Investment)"), lags,
+            sample=(1976, 2010)))
         for e in res.pairs:
             assert_close(e.p_value, stats.f.sf(e.f_stat, lags, e.n_obs - 2 * lags - 1))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tsecon.dataset import Term
-from tsecon.dynamics import chow_test, granger_causality
+from tsecon.dynamics import GrangerSpec, chow_test, granger_causality
 from tsecon.regress import ModelSpec, ols_fit
 from tsecon.report import _csv, render_irf_plot, render_table, significance_stars
 from tsecon.unitroot import AdfSpec, adf_test
@@ -56,10 +56,10 @@ class TestTableRoundTrip:
         assert render_table(fit) == render_table(fit)
 
     def test_other_result_types_render(self, dataset):
-        g = granger_causality(
-            dataset, Term("GDP", "diff_ln"), Term("Industrial Investment", "diff_ln"), 4,
+        g = granger_causality(dataset, GrangerSpec(
+            Term("GDP", "diff_ln"), Term("Industrial Investment", "diff_ln"), 4,
             sample=(1976, 2010),
-        )
+        ))
         text, csv = render_table(g)
         assert "Granger" in text and "f_stat" in csv
         spec = ModelSpec(

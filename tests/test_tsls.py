@@ -101,9 +101,8 @@ class TestTsls:
 
     def test_unknown_endogenous_label_error(self):
         ds = iv_system()
-        spec = TslsSpec(model=model_spec(ds), endogenous=("nope",), instruments=(Term("z1"),))
-        with pytest.raises(EstimationError, match="not in model"):
-            tsls_fit(ds, spec)
+        with pytest.raises(EstimationError, match="expected regressor labels, each one of x, w"):
+            TslsSpec(model=model_spec(ds), endogenous=("nope",), instruments=(Term("z1"),))
 
     def test_weak_first_stage_rank_error(self):
         ds = iv_system()

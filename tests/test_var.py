@@ -3,7 +3,7 @@ import pytest
 
 from tsecon.dataset import Term
 from tsecon.regress import EstimationError, ModelSpec, ols_fit
-from tsecon.var import VarModel, impulse_response, var_fit, variance_decomposition
+from tsecon.var import VarModel, VarSpec, impulse_response, var_fit, variance_decomposition
 
 from conftest import make_dataset
 
@@ -34,7 +34,7 @@ class TestVarFit:
     def test_equation_by_equation_oracle(self):
         Y = simulated_var1(4, 10, np.array([[0.5, 0.1], [-0.2, 0.3]]))
         ds = make_dataset(a=(2000, Y[:, 0]), b=(2000, Y[:, 1]))
-        model = var_fit(ds, (Term("a"), Term("b")), 1)
+        model = var_fit(ds, VarSpec((Term("a"), Term("b")), 1))
         for i, dep in enumerate(("a", "b")):
             spec = ModelSpec(Term(dep), (Term("a", lag=1), Term("b", lag=1)))
             fit = ols_fit(ds, spec)
@@ -52,18 +52,17 @@ class TestVarFit:
         for seed in range(5):
             Y = simulated_var1(seed, 2000, A)
             ds = make_dataset(a=(1, Y[:, 0]), b=(1, Y[:, 1]))
-            model = var_fit(ds, (Term("a"), Term("b")), 1)
+            model = var_fit(ds, VarSpec((Term("a"), Term("b")), 1))
             if np.max(np.abs(model.coefficient_matrices[0] - A)) < 0.05:
                 hits += 1
         assert hits >= 4
 
     def test_residual_cov_properties(self, dataset):
-        model = var_fit(
-            dataset,
+        model = var_fit(dataset, VarSpec(
             (Term("Total investment", "ln"), Term("GDP", "ln"), Term("Real interest rate", "ln")),
             4,
             (1970, 2010),
-        )
+        ))
         S = model.residual_cov
         assert np.max(np.abs(S - S.T)) <= 1e-12
         assert np.all(np.diag(S) >= 0)
@@ -72,7 +71,7 @@ class TestVarFit:
     def test_insufficient_sample_error(self):
         ds = make_dataset(a=(2000, np.arange(6.0)), b=(2000, np.arange(6.0) ** 1.1))
         with pytest.raises(EstimationError, match=r"^the VAR\(2\) design has 4 observations for 5 parameters$"):
-            var_fit(ds, (Term("a"), Term("b")), 2)
+            var_fit(ds, VarSpec((Term("a"), Term("b")), 2))
 
 
     @pytest.mark.parametrize("variables, message", [
@@ -83,7 +82,7 @@ class TestVarFit:
         # responses are looked up by label, so a repeated one would hide a variable's
         ds = make_dataset(a=(2000, np.arange(1.0, 21.0)), b=(2000, np.arange(1.0, 21.0) ** 1.5))
         with pytest.raises(EstimationError, match=f"^{message}$"):
-            var_fit(ds, variables, 1)
+            var_fit(ds, VarSpec(variables, 1))
 
 
 class TestImpulseResponse:
@@ -133,8 +132,8 @@ class TestImpulseResponse:
             Term("GDP", "ln", label="Y"),
             Term("Real interest rate", "ln", label="r"),
         )
-        m1 = var_fit(dataset, terms, 2, (1970, 2010))
-        m2 = var_fit(dataset, terms[::-1], 2, (1970, 2010))
+        m1 = var_fit(dataset, VarSpec(terms, 2, (1970, 2010)))
+        m2 = var_fit(dataset, VarSpec(terms[::-1], 2, (1970, 2010)))
         from tsecon.var import _ma_matrices
 
         psi1 = _ma_matrices(m1, 6)
@@ -149,7 +148,7 @@ class TestImpulseResponse:
         from tsecon.var import _ma_matrices
 
         terms = (Term("Total investment", "ln"), Term("GDP", "ln"), Term("Real interest rate", "ln"))
-        model = var_fit(dataset, terms, 4, (1970, 2010))
+        model = var_fit(dataset, VarSpec(terms, 4, (1970, 2010)))
         psi = [np.eye(3)]
         for h in range(1, 11):
             M = np.zeros((3, 3))
@@ -178,12 +177,11 @@ class TestImpulseResponse:
 
 class TestFevd:
     def test_shares_sum_to_one(self, dataset):
-        model = var_fit(
-            dataset,
+        model = var_fit(dataset, VarSpec(
             (Term("Total investment", "ln"), Term("GDP", "ln"), Term("Real interest rate", "ln")),
             4,
             (1970, 2010),
-        )
+        ))
         fevd = variance_decomposition(model, 10)
         assert np.max(np.abs(fevd.shares.sum(axis=2) - 1.0)) <= 1e-10
 
