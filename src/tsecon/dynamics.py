@@ -16,6 +16,7 @@ from .regress import (
     f_pvalue,
     lagged,
     least_squares,
+    year_window,
 )
 
 __all__ = [
@@ -82,6 +83,7 @@ class GrangerSpec:
     def __post_init__(self):
         if self.lags < 1:
             raise EstimationError("Granger lag order must be >= 1", "lags")
+        year_window(self.sample, "sample")
 
 
 @record

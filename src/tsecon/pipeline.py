@@ -24,11 +24,11 @@ from .dataset import Dataset, Term, TermError, _slug, apply_term, load_dataset, 
 from .dynamics import ArSpec, GrangerSpec, chow_test, cochrane_orcutt_fit, compare_models
 from .dynamics import granger_causality, same_dependent
 from .manifest import ManifestError, PipelineManifest, Step, StepError, one_value
-from .regress import EstimationError, ModelSpec, ols_fit
+from .regress import EstimationError, ModelSpec, ols_fit, year_window
 from .report import ReportBundle, _csv, render_irf_plot, render_table
-from .scenario import CapitalScenario, simulate_exports, simulate_unemployment
+from .scenario import CapitalScenario, recursion, simulate_exports, simulate_unemployment
 from .tsls import TslsSpec, tsls_fit
-from .unitroot import DETERMINISTICS, AdfBattery, AdfSpec, adf_test
+from .unitroot import DETERMINISTICS, AdfBattery, AdfSpec, adf_lags, adf_test
 from .var import VarSpec, impulse_response, response_horizon, var_fit, variance_decomposition
 
 __all__ = ["OPS", "StepError", "run_pipeline", "run_steps", "windowed_series"]
@@ -54,10 +54,8 @@ def _number(kind, minimum: int | None = None):
 
 
 def _window(text: str) -> tuple[int, int]:
-    """``YYYY:YYYY`` as a ``(first, last)`` year pair; ``ValueError`` unless first <= last."""
+    """``YYYY:YYYY`` as a ``(first, last)`` year pair."""
     lo, hi = (int(year) for year in text.split(":"))
-    if lo > hi:
-        raise ValueError(text)
     return lo, hi
 
 
@@ -150,7 +148,7 @@ class _Parse:
                           f"one of {', '.join(choices)}", default)
 
     def window(self, key: str, default=_REQUIRED) -> tuple[int, int] | None:
-        return self.value(key, _window, "YYYY:YYYY, the first year <= the last", default)
+        return self.value(key, _window, "YYYY:YYYY", default)
 
     def present(self, key: str, series: str) -> bool:
         """Whether the dataset holds ``series``; an absent one must be declared optional."""
@@ -223,7 +221,7 @@ def _adf_battery(v: _Parse):
 
     expected = f"'term ; deterministic ; lag >= 0' with one of {', '.join(DETERMINISTICS)}"
     rows = [v.parse("row", text, row, expected) for text in v.all("row")]
-    window = v.window("window", None)
+    window = v.checked(year_window, v.window("window", None), "window")
 
     def run(dataset, results):
         return AdfBattery(window, tuple(
@@ -235,7 +233,7 @@ def _adf_battery(v: _Parse):
 
 
 def _adf(v: _Parse):
-    series, window = v.term("series"), v.window("window", None)
+    series, window = v.term("series"), v.checked(year_window, v.window("window", None), "window")
     spec = v.checked(AdfSpec, deterministic=v.value("deterministic", default=None),
                      lag_order=v.integer("lag_order", None))
     return lambda dataset, results: adf_test(windowed_series(dataset, series, window), spec)
@@ -267,7 +265,7 @@ def _compare(v: _Parse):
 
 
 def _coint(v: _Parse):
-    model, lag = v.model(), v.integer("residual_lag", "1", minimum=0)
+    model, lag = v.model(), v.checked(adf_lags, v.integer("residual_lag", "1"), "residual_lag")
     v.checked(relation_size, model)
     v.choice("assume_i1", ("all",), None)  # declares every input I(1), so nothing is left to check
     return lambda dataset, results: engle_granger(dataset, model, lag)
@@ -322,21 +320,29 @@ def _overrides(text: str) -> dict[int, float]:
 
 
 def _simulate(v: _Parse):
-    fit = v.ref("fit", "ols", "tsls")
+    fit, unemployment = v.ref("fit", "ols", "tsls"), v.step.op == "simulate_unemployment"
+    model = v.earlier[fit][2]  # the fit's ModelSpec; the op reports a level or a log path
+    dependent, kind = model.dependent, ("a series' level" if unemployment else "ln(<series>)")
+    if (dependent.transform, dependent.lag) != ("level" if unemployment else "ln", 0):
+        raise v.bad("fit", fit, f"expected a step whose dependent is {kind}; its dependent is "
+                    + dependent.rendered_label())
     scenario = v.checked(CapitalScenario, v.step.name, v.value(
         "overrides", _overrides, "YYYY:rate pairs, each year once"))
-    window, model = v.window("window"), v.earlier[fit][2]  # the fit's ModelSpec
-    terms = {t.rendered_label(): t for t in model.regressors}
-    capital = v.value("capital", terms.__getitem__,
-                      f"a regressor label of step {fit!r}, one of {', '.join(terms)}")
+    window, label = v.window("window"), v.value("capital")
+    lags = v.checked(recursion, model.labels, label, dependent.rendered_label(), f"step {fit!r}")
+    # the recursion reads labels, so an alias must neither hide a dependent lag nor fake one
+    if set(lags) != {(t.lag, t.rendered_label()) for t in model.regressors
+                     if t.lag and (t.base, t.transform) == (dependent.base, dependent.transform)}:
+        raise v.bad("fit", fit, "expected the lags of its dependent, and no other regressor, "
+                    f"labelled {dependent.rendered_label()}(-k)")
+    capital = next(t for t in model.regressors if t.rendered_label() == label)
     v.checked(scenario.check_window, window)
-    unemployment = v.step.op == "simulate_unemployment"
     amount = v.number("eap" if unemployment else "terminal_actual_usd")
 
     def run(dataset, results):  # the simulated series is the fit's dependent's
         simulate = simulate_unemployment if unemployment else simulate_exports
         return simulate(results[fit], scenario, window, amount,
-                        dataset.get(model.dependent.base), apply_term(dataset, capital))
+                        dataset.get(dependent.base), apply_term(dataset, capital))
 
     return run
 

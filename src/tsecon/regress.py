@@ -47,11 +47,19 @@ def unique_labels(labels: tuple[str, ...], key: str) -> tuple[str, ...]:
     return labels
 
 
+def year_window(window: tuple[int, int] | None, key: str) -> tuple[int, int] | None:
+    """``window`` (a ``(first, last)`` year pair, or ``None``) unless its first year is after its last."""
+    if window is not None and window[0] > window[1]:
+        raise EstimationError("expected the first year <= the last", key)
+    return window
+
+
 @record
 class ModelSpec:
     """Declarative regression description evaluated against a dataset.
 
-    A model has at least one column, and no two of its columns share a label.
+    A model has at least one column, no two of its columns share a label, and
+    a ``sample`` (first, last) year pair, if given, runs forward.
     """
 
     dependent: Term
@@ -62,6 +70,7 @@ class ModelSpec:
     def __post_init__(self):
         if not unique_labels(self.labels, "regressors"):
             raise EstimationError("empty model: no regressor and no constant", "regressors")
+        year_window(self.sample, "sample")
 
     @property
     def labels(self) -> tuple[str, ...]:

@@ -1,23 +1,25 @@
 """Counterfactual capital-growth scenarios for unemployment and exports.
 
-The counterfactual is a dynamic deviation simulation: from the first override
-year onward the fitted equation propagates the gap between the scenario
-capital-growth rate and the actual one, with previously simulated deviations
-feeding the autoregressive lags.  The baseline is the actual data path, so a
-scenario that prescribes the actual growth rates reproduces the baseline
-exactly, while an early shock still moves every later year through the lag
-dynamics.  The fit's capital-growth coefficient is the one named as the
-capital-growth series is (``d_Ln(K)`` in the bundled study); a pipeline reads
-that term, and the simulated series of the fit's dependent, from the fit.
+A scenario runs its fit's own equation forward in deviations from the actual
+path: from the first override year on, dev_y = b_K gap_y + sum_k a_k dev_{y-k},
+where gap_y is the scenario capital-growth rate less the actual one, b_K the
+coefficient labelled as the capital-growth series is named (``d_Ln(K)`` in the
+bundled study) and a_k that of each dependent lag ``{dependent}(-k)`` the fit
+holds (any set of k >= 1, none included), as ``recursion`` reads them.  The
+constant and the other regressors drop out.  The baseline is the actual path,
+so a scenario of the actual growth rates reproduces it exactly, while an early
+shock moves every later year through the lags.  An unemployment deviation adds
+to the level; an export deviation is in logs.
 """
 from __future__ import annotations
 
 import math
-from typing import Mapping
+import re
+from typing import Mapping, Sequence
 
 from ._record import record
 from .dataset import AnnualSeries
-from .regress import EstimationError, FitResult
+from .regress import EstimationError, FitResult, year_window
 
 __all__ = ["CapitalScenario", "ScenarioResult", "simulate_exports", "simulate_unemployment"]
 
@@ -43,10 +45,8 @@ class CapitalScenario:
         return self.overrides[max(applicable)] if applicable else None
 
     def check_window(self, window: tuple[int, int]) -> None:
-        """Refuse an empty ``(first, last)`` window or an override year outside it."""
-        lo, hi = window
-        if lo > hi:
-            raise EstimationError("empty simulation window", "window")
+        """Refuse a reversed ``(first, last)`` window or an override year outside it."""
+        lo, hi = year_window(window, "window")
         outside = [y for y in self.overrides if not lo <= y <= hi]
         if outside:
             raise EstimationError(f"override years {outside} lie outside the window {lo}-{hi}",
@@ -61,11 +61,21 @@ class ScenarioResult:
     derived_quantities: dict[str, float]
 
 
-def _coeff(fit: FitResult, label: str) -> float:
-    try:
-        return fit.coefficient(label).estimate
-    except KeyError:
-        raise EstimationError(f"fit is missing the required coefficient {label!r}") from None
+def recursion(labels: Sequence[str], capital: str, dependent: str,
+              fit: str = "the fit") -> tuple[tuple[int, str], ...]:
+    """The lags of ``dependent`` among a fit's coefficient ``labels``: (k, label) in lag order.
+
+    A lag k >= 1 is labelled ``{dependent}(-k)``.  ``capital`` must label one
+    of the other coefficients, not ``const``; otherwise ``EstimationError``
+    (key ``capital``) lists them, naming the fit as ``fit``.
+    """
+    lag = re.compile(re.escape(dependent) + r"\(-([1-9][0-9]*)\)")
+    lags = {label: int(m[1]) for label in labels if (m := lag.fullmatch(label))}
+    regressors = [label for label in labels if label != "const" and label not in lags]
+    if capital not in regressors:
+        raise EstimationError(f"expected a regressor label of {fit}, one of "
+                              + ", ".join(regressors), "capital")
+    return tuple(sorted((k, label) for label, k in lags.items()))
 
 
 def _simulate(
@@ -78,26 +88,26 @@ def _simulate(
 ) -> tuple[range, tuple[float, ...], list[float]]:
     """The window's years, the actual (baseline) path and the deviation in each year.
 
-    ``fit`` must carry coefficients for the constant, the capital-growth
-    regressor (named as ``capital_growth`` is), and the first two lags of the
-    dependent variable; previously simulated deviations feed those lags.
-    ``actual`` needs every window year, ``capital_growth`` each from the first override.
+    The capital-growth coefficient is labelled as ``capital_growth`` is named;
+    previously simulated deviations feed the dependent lags that ``recursion``
+    finds.  ``actual`` needs every window year, ``capital_growth`` each from the
+    first override.
     """
-    _coeff(fit, "const")
-    beta_k = _coeff(fit, capital_growth.name)
-    ar1, ar2 = (_coeff(fit, f"{fit.dep_label}(-{lag})") for lag in (1, 2))
+    lags = [(k, fit.coefficient(label).estimate)
+            for k, label in recursion([c.label for c in fit.coefficients],
+                                      capital_growth.name, fit.dep_label)]
+    beta_k = fit.coefficient(capital_growth.name).estimate
     scenario.check_window(window)
     years = range(window[0], window[1] + 1)
     dev: dict[int, float] = {}
     for y in years:
         rate = scenario.rate_for(y)
-        if rate is None:
-            dev[y] = 0.0
-            continue
-        g_scen = math.log1p(rate) if as_log_growth else rate
-        g_act = capital_growth.value_in(y)
-        dev[y] = beta_k * (g_scen - g_act) + ar1 * dev.get(y - 1, 0.0) + ar2 * dev.get(y - 2, 0.0)
-    return years, tuple(actual.value_in(y) for y in years), [dev[y] for y in years]
+        if rate is not None:
+            g_scen = math.log1p(rate) if as_log_growth else rate
+            dev[y] = beta_k * (g_scen - capital_growth.value_in(y))
+            for k, a in lags:  # left to right in lag order
+                dev[y] += a * dev.get(y - k, 0.0)
+    return years, tuple(actual.value_in(y) for y in years), [dev.get(y, 0.0) for y in years]
 
 
 def simulate_unemployment(

@@ -99,6 +99,13 @@ def mackinnon_pvalue(tau: float, deterministic: str, n_vars: int = 1) -> float:
     return norm_cdf(float(poly))
 
 
+def adf_lags(lags: int, key: str) -> int:
+    """``lags``, the lagged differences of a Dickey-Fuller regression, unless it is negative."""
+    if lags < 0:
+        raise EstimationError("the lag order must be >= 0", key)
+    return lags
+
+
 @record
 class AdfSpec:
     deterministic: str = "constant"
@@ -106,8 +113,7 @@ class AdfSpec:
 
     def __post_init__(self):
         surface_row(self.deterministic)
-        if self.lag_order < 0:
-            raise EstimationError("the lag order must be >= 0", "lag_order")
+        adf_lags(self.lag_order, "lag_order")
 
 
 @record

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._record import record
 from .dataset import Dataset, Term, align
-from .regress import EstimationError, lagged, least_squares, unique_labels
+from .regress import EstimationError, lagged, least_squares, unique_labels, year_window
 
 __all__ = ["FevdResult", "IrfResult", "VarModel", "VarSpec", "impulse_response", "response_horizon",
            "var_fit", "variance_decomposition"]
@@ -77,6 +77,7 @@ class VarSpec:
             raise EstimationError("a VAR needs at least one variable", "variables")
         if self.lags < 1:
             raise EstimationError("VAR lag order must be >= 1", "lags")
+        year_window(self.sample, "sample")
         object.__setattr__(self, "labels", labels)
 
 

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import math
 import os
 import re
 import subprocess
@@ -36,8 +37,10 @@ COMMAND_FLAGS = {
 }
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN_TABLES = Path(__file__).resolve().parent / "golden" / "default_bundle" / "tables"
-# a fit step for scenario steps that only need to parse
+# fit steps for scenario steps that only need to parse: simulate_unemployment reports a
+# level dependent, simulate_exports an ln one
 SCENARIO_FIT = "[step m]\nop = ols\ndependent = Unemployment rate\nregressors = ln(GDP)\n"
+SCENARIO_LN_FIT = "[step m]\nop = ols\ndependent = ln(Exports)\nregressors = ln(GDP)\n"
 
 
 def default_step_flags(name: str) -> list[str]:
@@ -162,7 +165,7 @@ class TestPipeline:
          "[step i]\nop = irf\nvar = v\nplot = d_Ln(GDP) -> d_Ln(Tax benefits)\n"
          "[step f]\nop = fevd\nvar = v\n", ["v", "i", "f"]),
         # a scenario simulates its fit's dependent, so it is skipped with its fit
-        ("[step m]\nop = ols\ndependent = Tax benefits\nregressors = ln(GDP)\n"
+        ("[step m]\nop = ols\ndependent = ln(Tax benefits)\nregressors = ln(GDP)\n"
          "[step s]\nop = simulate_exports\nfit = m\noverrides = 2005:0.15\n"
          "window = 2000:2010\nterminal_actual_usd = 1\ncapital = Ln(GDP)\n", ["m", "s"]),
     ], ids=["term", "regressors", "compare", "irf-fevd", "scenario-fit"])
@@ -435,10 +438,10 @@ class TestCli:
          "tolerance = nan\n", "tolerance", "'nan'"),
         (SCENARIO_FIT + "[step s]\nop = simulate_unemployment\nfit = m\noverrides = 2005:0.15\n"
          "window = 2000:2010\neap = nan\ncapital = Ln(GDP)\n", "eap", "'nan'"),
-        (SCENARIO_FIT + "[step s]\nop = simulate_exports\nfit = m\noverrides = 2005:0.15\n"
+        (SCENARIO_LN_FIT + "[step s]\nop = simulate_exports\nfit = m\noverrides = 2005:0.15\n"
          "window = 2000:2010\nterminal_actual_usd = -inf\ncapital = Ln(GDP)\n",
          "terminal_actual_usd", "'-inf'"),
-        (SCENARIO_FIT + "[step s]\nop = simulate_exports\nfit = m\n"
+        (SCENARIO_LN_FIT + "[step s]\nop = simulate_exports\nfit = m\n"
          "overrides = 2005:0.15 2005:0.9\nwindow = 2000:2010\nterminal_actual_usd = 1\n"
          "capital = Ln(GDP)\n",
          "overrides", "'2005:0.15 2005:0.9'"),
@@ -489,11 +492,30 @@ class TestCli:
          "regressors", "'ln(GDP), ln(Credit), ln(Exports), ln(CPI), ln(Public investment), "
          "ln(Total investment)'; the MacKinnon response surfaces cover at most 6 variables; "
          "the long-run relation has 7"),
-        (SCENARIO_FIT + "[step s]\nop = simulate_exports\nfit = m\noverrides = 1990:0.1\n"
+        (SCENARIO_LN_FIT + "[step s]\nop = simulate_exports\nfit = m\noverrides = 1990:0.1\n"
          "window = 2000:2010\nterminal_actual_usd = 1\ncapital = Ln(GDP)\n",
          "overrides", "'1990:0.1'; override years [1990] lie outside the window 2000-2010"),
-        # a scenario's capital term is one of its fit's regressors, named by its label
+        # a scenario reports a level (unemployment) or a log (exports) dependent
         (SCENARIO_FIT + "[step s]\nop = simulate_exports\nfit = m\noverrides = 2005:0.15\n"
+         "window = 2000:2010\nterminal_actual_usd = 1\ncapital = Ln(GDP)\n", "fit",
+         "'m'; expected a step whose dependent is ln(<series>); its dependent is "
+         "Unemployment rate"),
+        (SCENARIO_LN_FIT + "[step s]\nop = simulate_unemployment\nfit = m\noverrides = 2005:0.15\n"
+         "window = 2000:2010\neap = 1\ncapital = Ln(GDP)\n", "fit",
+         "'m'; expected a step whose dependent is a series' level; its dependent is Ln(Exports)"),
+        # the recursion reads labels: an alias may neither hide a dependent lag nor fake one
+        ("[step m]\nop = ols\ndependent = Unemployment rate\nregressors = dln(Total investment) "
+         "as d_Ln(K), Unemployment rate@1 as UL1\n[step s]\nop = simulate_unemployment\nfit = m\n"
+         "overrides = 2005:0.15\nwindow = 2000:2010\neap = 1\ncapital = d_Ln(K)\n", "fit",
+         "'m'; expected the lags of its dependent, and no other regressor, labelled "
+         "Unemployment rate(-k)"),
+        ("[step m]\nop = ols\ndependent = ln(Exports)\nregressors = dln(Total investment) "
+         "as d_Ln(K), ln(GDP)@1 as Ln(Exports)(-1)\n[step s]\nop = simulate_exports\nfit = m\n"
+         "overrides = 2005:0.15\nwindow = 2000:2010\nterminal_actual_usd = 1\ncapital = d_Ln(K)\n",
+         "fit", "'m'; expected the lags of its dependent, and no other regressor, labelled "
+         "Ln(Exports)(-k)"),
+        # a scenario's capital term is one of its fit's regressors, named by its label
+        (SCENARIO_LN_FIT + "[step s]\nop = simulate_exports\nfit = m\noverrides = 2005:0.15\n"
          "window = 2000:2010\nterminal_actual_usd = 1\ncapital = d_Ln(K)\n", "capital",
          "'d_Ln(K)'; expected a regressor label of step 'm', one of Ln(GDP)"),
         ("[step o]\nop = ols\ndependent = ln(GDP)\nregressors = ln(Exports) as const\n",
@@ -555,20 +577,38 @@ class TestCli:
         ("[step c]\nop = coint\ndependent = ln(Industrial Investment)\nregressors = ln(GDP), "
          "ln(Credit), ln(Exports), ln(CPI), ln(Public investment), ln(Total investment)\n",
          "regressors", "the MacKinnon response surfaces cover at most 6 variables"),
-        (SCENARIO_FIT + "[step s]\nop = simulate_exports\nfit = m\noverrides = 2005:-1\n"
+        (SCENARIO_LN_FIT + "[step s]\nop = simulate_exports\nfit = m\noverrides = 2005:-1\n"
          "window = 2000:2010\nterminal_actual_usd = 1\ncapital = Ln(GDP)\n", "overrides",
          "each YYYY:rate override needs a finite rate > -1"),
         (SCENARIO_FIT + "[step s]\nop = simulate_unemployment\nfit = m\noverrides = 2005:nan\n"
          "window = 2000:2010\neap = 1\ncapital = Ln(GDP)\n", "overrides",
          "each YYYY:rate override needs a finite rate > -1"),
-        (SCENARIO_FIT + "[step s]\nop = simulate_exports\nfit = m\noverrides = 2011:0.1\n"
+        (SCENARIO_LN_FIT + "[step s]\nop = simulate_exports\nfit = m\noverrides = 2011:0.1\n"
          "window = 2000:2010\nterminal_actual_usd = 1\ncapital = Ln(GDP)\n", "overrides",
          "override years [2011] lie outside the window 2000-2010"),
+        # "first <= last" is one rule, for every sample and window
+        ("[step o]\nop = ols\ndependent = ln(GDP)\nregressors = ln(Exports)\nsample = 2010:1975\n",
+         "sample", "expected the first year <= the last"),
+        ("[step g]\nop = granger\nx = dln(GDP)\ny = dln(Exports)\nsample = 2010:1976\n", "sample",
+         "expected the first year <= the last"),
+        ("[step v]\nop = var\nvariables = dln(GDP), dln(Exports)\nsample = 2010:1976\n", "sample",
+         "expected the first year <= the last"),
+        ("[step a]\nop = adf\nseries = ln(GDP)\nwindow = 2010:1975\n", "window",
+         "expected the first year <= the last"),
+        ("[step b]\nop = adf_battery\nrow = ln(GDP) ; constant ; 1\nwindow = 2010:1975\n",
+         "window", "expected the first year <= the last"),
+        (SCENARIO_FIT + "[step s]\nop = simulate_unemployment\nfit = m\noverrides = 2005:0.15\n"
+         "window = 2010:2000\neap = 1\ncapital = Ln(GDP)\n", "window",
+         "expected the first year <= the last"),
+        ("[step c]\nop = coint\ndependent = ln(GDP)\nregressors = ln(Exports)\nresidual_lag = -1\n",
+         "residual_lag", "the lag order must be >= 0"),
     ], ids=["empty-model", "model-label-twice", "tsls-endogenous", "tsls-endogenous-twice",
             "tsls-instrument-label",
             "ar-lags", "ar-iterations", "compare-dependents", "granger-lags", "var-lags",
             "var-variables", "irf-horizon", "fevd-horizon", "adf-deterministic", "adf-lag",
-            "coint-reach", "scenario-rate", "scenario-nan-rate", "scenario-window"])
+            "coint-reach", "scenario-rate", "scenario-nan-rate", "scenario-window",
+            "model-sample", "granger-sample", "var-sample", "adf-window", "battery-window",
+            "scenario-reversed-window", "coint-residual-lag"])
     def test_spec_refusal_exits_2_naming_its_key_before_any_engine_runs(
             self, tmp_path, monkeypatch, step, key, reason):
         import tsecon.pipeline
@@ -808,9 +848,36 @@ class TestCli:
         assert r.exit_code == 2, r.output
         capital = scenario.split("\n")[0].partition(" = ")[2]
         assert (f"manifest error: step 's': bad capital {capital!r}; expected a regressor "
-                "label of step 'm', one of d_Ln(K), Unemployment rate(-1), "
-                "Unemployment rate(-2)") in r.output
+                "label of step 'm', one of d_Ln(K)\n") in r.output
         assert not (tmp_path / "out").exists()
+
+    # the recursion reads whichever dependent lags the fit holds, and needs no constant
+    @pytest.mark.parametrize("lags, constant", [("", "true"), (", Unemployment rate@1", "true"),
+                                                (", Unemployment rate@1", "false")],
+                             ids=["no-lag", "one-lag", "one-lag-no-constant"])
+    def test_scenario_runs_its_fit_equation(self, tmp_path, dataset, lags, constant):
+        from tsecon.dataset import apply_term, parse_term
+        from tsecon.regress import ModelSpec, ols_fit
+
+        regressors = f"dln(Total investment) as d_Ln(K){lags}"
+        manifest = tmp_path / "m.ini"
+        manifest.write_text(
+            f"[step m]\nop = ols\ndependent = Unemployment rate\nregressors = {regressors}\n"
+            f"constant = {constant}\n[step s]\nop = simulate_unemployment\nfit = m\n"
+            "overrides = 2005:0.15 2006:0.10\nwindow = 2000:2010\neap = 1\ncapital = d_Ln(K)\n")
+        r = run_cli(["report", "--manifest", str(manifest), "--output", str(tmp_path / "out")])
+        assert r.exit_code == 0, r.output
+        fit = ols_fit(dataset, ModelSpec(parse_term("Unemployment rate"), tuple(
+            parse_term(t) for t in regressors.split(", ")), constant == "true"))
+        beta_k = fit.coefficient("d_Ln(K)").estimate
+        a1 = fit.coefficient("Unemployment rate(-1)").estimate if lags else 0.0
+        growth = apply_term(dataset, parse_term("dln(Total investment)"))
+        dev = {2004: 0.0}
+        for y, rate in zip(range(2005, 2011), (0.15, *[0.10] * 5)):
+            dev[y] = beta_k * (math.log1p(rate) - growth.value_in(y)) + a1 * dev[y - 1]
+        rows = list(csv.reader((tmp_path / "out" / "tables" / "s.csv").read_text().splitlines()))
+        for year, base, cf in rows[1:12]:
+            assert float(cf) == pytest.approx(float(base) + dev.get(int(year), 0.0), abs=1e-12)
 
     def test_coint_beyond_the_response_surfaces_is_usage_error_naming_the_flag(self):
         r = run_cli([

@@ -10,7 +10,7 @@ from tsecon.dynamics import ArSpec, GrangerSpec, same_dependent
 from tsecon.regress import EstimationError, ModelSpec
 from tsecon.scenario import CapitalScenario
 from tsecon.tsls import TslsSpec
-from tsecon.unitroot import AdfSpec, df_residual_test
+from tsecon.unitroot import AdfSpec, adf_lags, df_residual_test
 from tsecon.var import VarSpec, response_horizon
 
 
@@ -104,6 +104,15 @@ RESIDUALS = AnnualSeries("e", 1970, tuple((-1.0) ** k * k for k in range(30)))
     (lambda: df_residual_test(RESIDUALS, 1, n_vars=7), "regressors", "cover at most 6"),
     (lambda: df_residual_test(RESIDUALS, 1, surface="bogus"), "deterministic", "expected one of"),
     (lambda: same_dependent("y", "x"), "b", "requires the same dependent variable"),
+    (lambda: ModelSpec(Term("y"), (Term("x"),), sample=(2010, 1976)), "sample",
+     "expected the first year <= the last"),
+    (lambda: GrangerSpec(Term("x"), Term("y"), sample=(2010, 1976)), "sample",
+     "expected the first year <= the last"),
+    (lambda: VarSpec((Term("x"),), sample=(2010, 1976)), "sample",
+     "expected the first year <= the last"),
+    (lambda: CapitalScenario("s", {}).check_window((2010, 2000)), "window",
+     "expected the first year <= the last"),
+    (lambda: adf_lags(-1, "residual_lag"), "residual_lag", "lag order must be >= 0"),
 ])
 def test_each_spec_refuses_its_rule_naming_its_key(make, key, message):
     with pytest.raises(EstimationError, match=re.escape(message)) as refusal:

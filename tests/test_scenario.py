@@ -7,14 +7,14 @@ from tsecon.regress import Coefficient, EstimationError, FitResult
 from tsecon.scenario import CapitalScenario, simulate_exports, simulate_unemployment
 
 
-def fake_fit(dep_label, const, beta_k, ar1, ar2):
-    """Minimal FitResult carrying just the coefficients the simulator reads."""
-    coeffs = (
-        Coefficient("const", const, 1.0, const, 0.5),
-        Coefficient("d_Ln(K)", beta_k, 1.0, beta_k, 0.5),
-        Coefficient(f"{dep_label}(-1)", ar1, 1.0, ar1, 0.5),
-        Coefficient(f"{dep_label}(-2)", ar2, 1.0, ar2, 0.5),
-    )
+def fake_fit(dep_label, const, beta_k, ar):
+    """Minimal FitResult: a constant (none if ``const`` is None), d_Ln(K) and the lags ``ar``.
+
+    ``ar`` maps each dependent lag k to its coefficient.
+    """
+    terms = ([] if const is None else [("const", const)]) + [("d_Ln(K)", beta_k)]
+    terms += [(f"{dep_label}(-{k})", a) for k, a in ar.items()]
+    coeffs = tuple(Coefficient(label, b, 1.0, b, 0.5) for label, b in terms)
     resid = AnnualSeries("residuals", 2000, (0.0, 0.0))
     return FitResult(
         coefficients=coeffs, n_obs=2, r_squared=0.9, adj_r_squared=0.9, f_stat=1.0,
@@ -32,7 +32,7 @@ X = AnnualSeries("X", 2000, tuple(1000.0 * 1.05**i for i in range(11)), "thousan
 
 class TestUnemploymentScenario:
     def test_identity_scenario_zero_delta(self):
-        fit = fake_fit("U", 2.0, -20.0, 1.1, -0.4)
+        fit = fake_fit("U", 2.0, -20.0, {1: 1.1, 2: -0.4})
         overrides = {y: G.value_in(y) for y in range(2005, 2011)}
         scenario = CapitalScenario("identity", overrides)
         res = simulate_unemployment(fit, scenario, (2000, 2010), 1_000_000, U, G,
@@ -41,22 +41,36 @@ class TestUnemploymentScenario:
         assert res.terminal_delta == 0.0
         assert res.derived_quantities["jobs_created"] == 0.0
 
-    def test_hand_unrolled_recursion(self):
-        # round coefficients, three override years, unrolled by hand
-        fit = fake_fit("U", 1.0, -2.0, 0.5, 0.25)
-        scenario = CapitalScenario("hand", {2008: 0.10})
-        res = simulate_unemployment(fit, scenario, (2006, 2010), 100_000, U, G)
+    # the recursion is the fit's own: any set of dependent lags, none included
+    @pytest.mark.parametrize("ar", [{}, {1: 0.5}, {2: 0.25}, {1: 0.5, 2: 0.25},
+                                    {1: 0.5, 2: 0.25, 3: -0.125}],
+                             ids=["none", "1", "2", "1-2", "1-2-3"])
+    def test_hand_unrolled_recursion(self, ar):
+        # round coefficients, one override carried over six years, recursed by hand
+        fit = fake_fit("U", 1.0, -2.0, ar)
+        scenario = CapitalScenario("hand", {2005: 0.10})
+        res = simulate_unemployment(fit, scenario, (2004, 2010), 100_000, U, G)
         g_scen = math.log(1.10)
-        d8 = -2.0 * (g_scen - 0.06)   # actual growth: 0.06 in 2008, 0.05, 0.04 after
-        d9 = -2.0 * (g_scen - 0.05) + 0.5 * d8
-        d10 = -2.0 * (g_scen - 0.04) + 0.5 * d9 + 0.25 * d8
-        assert res.counterfactual_path.value_in(2008) == pytest.approx(U.value_in(2008) + d8, abs=1e-12)
-        assert res.counterfactual_path.value_in(2009) == pytest.approx(U.value_in(2009) + d9, abs=1e-12)
-        assert res.counterfactual_path.value_in(2010) == pytest.approx(U.value_in(2010) + d10, abs=1e-12)
-        assert res.derived_quantities["jobs_created"] == pytest.approx(-d10 / 100 * 100_000, abs=1e-9)
+        dev = {2004: 0.0}
+        for y in range(2005, 2011):
+            dev[y] = -2.0 * (g_scen - G.value_in(y))
+            for k, a in ar.items():
+                dev[y] += a * dev.get(y - k, 0.0)
+        cf = res.counterfactual_path
+        for y, d in dev.items():
+            assert cf.value_in(y) == pytest.approx(U.value_in(y) + d, abs=1e-12)
+        assert res.derived_quantities["jobs_created"] == pytest.approx(
+            -dev[2010] / 100 * 100_000, abs=1e-9)
+
+    def test_constant_drops_out(self):
+        scenario = CapitalScenario("s", {2005: 0.15, 2006: 0.10})
+        with_constant = simulate_unemployment(fake_fit("U", 2.0, -20.0, {1: 0.8}), scenario,
+                                              (2000, 2010), 1e6, U, G)
+        assert with_constant == simulate_unemployment(fake_fit("U", None, -20.0, {1: 0.8}),
+                                                      scenario, (2000, 2010), 1e6, U, G)
 
     def test_monotonicity_in_override_rates(self):
-        fit = fake_fit("U", 2.0, -20.0, 0.8, -0.1)
+        fit = fake_fit("U", 2.0, -20.0, {1: 0.8, 2: -0.1})
         lo = CapitalScenario("lo", {2005: 0.05, 2006: 0.05})
         hi = CapitalScenario("hi", {2005: 0.10, 2006: 0.10})
         r_lo = simulate_unemployment(fit, lo, (2000, 2010), 1e6, U, G)
@@ -67,19 +81,19 @@ class TestUnemploymentScenario:
         )
 
     def test_deterministic_rerun(self):
-        fit = fake_fit("U", 2.0, -20.0, 1.1, -0.4)
+        fit = fake_fit("U", 2.0, -20.0, {1: 1.1, 2: -0.4})
         scenario = CapitalScenario("s", {2005: 0.15, 2006: 0.10})
         a = simulate_unemployment(fit, scenario, (2000, 2010), 1e6, U, G)
         b = simulate_unemployment(fit, scenario, (2000, 2010), 1e6, U, G)
         assert a.counterfactual_path.values == b.counterfactual_path.values
 
     def test_window_outside_data_error(self):
-        fit = fake_fit("U", 1.0, -2.0, 0.5, 0.2)
+        fit = fake_fit("U", 1.0, -2.0, {1: 0.5, 2: 0.2})
         with pytest.raises(DatasetError, match=r"series 'd_Ln\(K\)' has no value for 1999"):
             simulate_unemployment(fit, CapitalScenario("s", {1999: 0.1}), (1995, 2010), 1e6, U, G)
 
     def test_capital_growth_needs_only_the_years_from_the_first_override(self):
-        fit = fake_fit("U", 1.0, -2.0, 0.5, 0.25)
+        fit = fake_fit("U", 1.0, -2.0, {1: 0.5, 2: 0.25})
         late = AnnualSeries(G.name, 2008, G.values[8:])
         scenario = CapitalScenario("s", {2008: 0.10})
         res = simulate_unemployment(fit, scenario, (2006, 2010), 1e6, U, late)
@@ -89,23 +103,26 @@ class TestUnemploymentScenario:
                                   AnnualSeries(G.name, 2000, (*G.values, 0.05)))
 
     def test_override_outside_window_error(self):
-        fit = fake_fit("U", 1.0, -2.0, 0.5, 0.2)
+        fit = fake_fit("U", 1.0, -2.0, {1: 0.5, 2: 0.2})
         with pytest.raises(EstimationError, match="outside the window"):
             simulate_unemployment(fit, CapitalScenario("s", {1999: 0.1}), (2000, 2010), 1e6, U, G)
 
-    def test_missing_coefficient_error(self):
-        fit = fake_fit("U", 1.0, -2.0, 0.5, 0.2)
-        other = AnnualSeries("no such label", G.start_year, G.values)
+    # the capital label names a regressor of the fit: not the constant, nor a dependent lag
+    @pytest.mark.parametrize("label", ["no such label", "const", "U(-1)"])
+    def test_capital_that_labels_no_regressor_error(self, label):
+        fit = fake_fit("U", 1.0, -2.0, {1: 0.5, 2: 0.2})
+        other = AnnualSeries(label, G.start_year, G.values)
         with pytest.raises(EstimationError,
-                           match="missing the required coefficient 'no such label'"):
+                           match=r"^expected a regressor label of the fit, one of d_Ln\(K\)$") as e:
             simulate_unemployment(
                 fit, CapitalScenario("s", {2005: 0.1}), (2000, 2010), 1e6, U, other,
             )
+        assert e.value.key == "capital"
 
 
 class TestExportScenario:
     def test_identity_scenario_zero_delta(self):
-        fit = fake_fit("Ln(X)", 0.5, 4.0, 0.8, 0.1)
+        fit = fake_fit("Ln(X)", 0.5, 4.0, {1: 0.8, 2: 0.1})
         overrides = {y: G.value_in(y) for y in range(2005, 2011)}
         res = simulate_exports(
             fit, CapitalScenario("identity", overrides), (2000, 2010), 1e9, X, G,
@@ -115,7 +132,7 @@ class TestExportScenario:
         assert res.derived_quantities["terminal_pct_delta"] == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_unrolled_log_recursion(self):
-        fit = fake_fit("Ln(X)", 0.5, 4.0, 0.5, 0.25)
+        fit = fake_fit("Ln(X)", 0.5, 4.0, {1: 0.5, 2: 0.25})
         res = simulate_exports(
             fit, CapitalScenario("hand", {2008: 0.10}), (2006, 2010), 2_000_000.0, X, G
         )
@@ -131,7 +148,7 @@ class TestExportScenario:
         assert res.derived_quantities["usd_delta"] == pytest.approx(pct * 2_000_000.0, rel=1e-9)
 
     def test_monotonicity_positive_coefficient(self):
-        fit = fake_fit("Ln(X)", 0.5, 4.0, 0.8, 0.1)
+        fit = fake_fit("Ln(X)", 0.5, 4.0, {1: 0.8, 2: 0.1})
         lo = simulate_exports(fit, CapitalScenario("lo", {2005: 0.05}), (2000, 2010), 1e9, X, G)
         hi = simulate_exports(fit, CapitalScenario("hi", {2005: 0.12}), (2000, 2010), 1e9, X, G)
         assert hi.counterfactual_path.value_in(2010) >= lo.counterfactual_path.value_in(2010)
