@@ -85,12 +85,6 @@ class AnnualSeries:
             raise DatasetError(f"series {self.name!r} has no value for {year}")
         return self.values[year - self.start_year]
 
-    def slice(self, first_year: int, last_year: int) -> tuple[float, ...]:
-        """Values of the years ``first_year``..``last_year``; the series must hold them all."""
-        if not self.start_year <= first_year <= last_year <= self.end_year:
-            raise DatasetError(f"series {self.name!r} does not cover {first_year}-{last_year}")
-        return self.values[first_year - self.start_year : last_year - self.start_year + 1]
-
     def window(self, first_year: int, last_year: int) -> "AnnualSeries":
         """Restrict to [first_year, last_year]; errors if the window is empty."""
         lo = max(first_year, self.start_year)
@@ -136,9 +130,6 @@ class Dataset:
     def names(self) -> tuple[str, ...]:
         return tuple(self.series)
 
-    def notes_for(self, name: str) -> tuple[ProvenanceNote, ...]:
-        return tuple(n for n in self.provenance if n.series == name)
-
 
 @record
 class Term:
@@ -158,6 +149,12 @@ class Term:
             raise TermError(f"unknown transform {self.transform!r}")
         if self.lag < 0:
             raise TermError("lag must be >= 0")
+
+    @property
+    def variable(self) -> tuple[str, str, int]:
+        """Series, transform and lag: two terms that share them are one variable, whatever
+        their labels."""
+        return self.base, self.transform, self.lag
 
     def rendered_label(self) -> str:
         if self.label:
@@ -240,7 +237,7 @@ def align(
     if sample is not None:
         lo, hi = max(lo, sample[0]), min(hi, sample[1])
     years = range(lo, hi + 1)
-    return evaluated, years, [s.slice(lo, hi) if years else () for s in evaluated]
+    return evaluated, years, [s.values[lo - s.start_year :][: len(years)] for s in evaluated]
 
 
 # ---------------------------------------------------------------------------

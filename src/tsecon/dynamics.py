@@ -13,6 +13,7 @@ from .regress import (
     ModelSpec,
     build_design,
     diagnostics,
+    distinct_terms,
     f_pvalue,
     lagged,
     least_squares,
@@ -83,6 +84,7 @@ class GrangerSpec:
     def __post_init__(self):
         if self.lags < 1:
             raise EstimationError("Granger lag order must be >= 1", "lags")
+        distinct_terms((self.x, self.y), "y")
         year_window(self.sample, "sample")
 
 
@@ -169,16 +171,16 @@ class ModelComparison:
     improved: dict[str, bool]
 
 
-def same_dependent(a: str, b: str) -> None:
-    """Refuse to compare a fit of the dependent labelled ``a`` with one of ``b``, another."""
-    if a != b:
+def same_dependent(a: Term, b: Term) -> None:
+    """Refuse to compare a fit of the dependent ``a`` with one of ``b``, another variable."""
+    if a.variable != b.variable:
         raise EstimationError("model comparison requires the same dependent variable", "b")
 
 
 def compare_models(a: ArFitResult, b: ArFitResult) -> ModelComparison:
     """Selection table between two AR fits; ``improved`` flags where b beats a."""
     fa, fb = a.structural, b.structural
-    same_dependent(fa.dep_label, fb.dep_label)
+    same_dependent(fa.model.dependent, fb.model.dependent)
     if fa.sample != fb.sample:
         raise EstimationError("model comparison requires identical samples")
     return ModelComparison(

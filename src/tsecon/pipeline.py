@@ -26,7 +26,7 @@ from .dynamics import granger_causality, same_dependent
 from .manifest import ManifestError, PipelineManifest, Step, StepError, one_value
 from .regress import EstimationError, ModelSpec, ols_fit, year_window
 from .report import ReportBundle, _csv, render_irf_plot, render_table
-from .scenario import CapitalScenario, recursion, simulate_exports, simulate_unemployment
+from .scenario import CapitalScenario, equation, simulate_exports, simulate_unemployment
 from .tsls import TslsSpec, tsls_fit
 from .unitroot import DETERMINISTICS, AdfBattery, AdfSpec, adf_lags, adf_test
 from .var import VarSpec, impulse_response, response_horizon, var_fit, variance_decomposition
@@ -260,7 +260,7 @@ def _ar(v: _Parse):
 
 def _compare(v: _Parse):
     a, b = v.ref("a", "ar"), v.ref("b", "ar")
-    v.checked(same_dependent, *(v.earlier[s][2].model.dependent.rendered_label() for s in (a, b)))
+    v.checked(same_dependent, *(v.earlier[s][2].model.dependent for s in (a, b)))
     return lambda dataset, results: compare_models(results[a], results[b])
 
 
@@ -328,14 +328,8 @@ def _simulate(v: _Parse):
                     + dependent.rendered_label())
     scenario = v.checked(CapitalScenario, v.step.name, v.value(
         "overrides", _overrides, "YYYY:rate pairs, each year once"))
-    window, label = v.window("window"), v.value("capital")
-    lags = v.checked(recursion, model.labels, label, dependent.rendered_label(), f"step {fit!r}")
-    # the recursion reads labels, so an alias must neither hide a dependent lag nor fake one
-    if set(lags) != {(t.lag, t.rendered_label()) for t in model.regressors
-                     if t.lag and (t.base, t.transform) == (dependent.base, dependent.transform)}:
-        raise v.bad("fit", fit, "expected the lags of its dependent, and no other regressor, "
-                    f"labelled {dependent.rendered_label()}(-k)")
-    capital = next(t for t in model.regressors if t.rendered_label() == label)
+    window = v.window("window")
+    capital, _ = v.checked(equation, model, v.value("capital"), f"step {fit!r}")
     v.checked(scenario.check_window, window)
     amount = v.number("eap" if unemployment else "terminal_actual_usd")
 

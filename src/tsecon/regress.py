@@ -47,6 +47,16 @@ def unique_labels(labels: tuple[str, ...], key: str) -> tuple[str, ...]:
     return labels
 
 
+def distinct_terms(terms: tuple[Term, ...], key: str) -> None:
+    """Refuse two of ``terms`` that are one variable, whatever their labels, naming ``key``."""
+    labels = {}
+    for term in terms:
+        if term.variable in labels:
+            raise EstimationError(f"the term {term.rendered_label()!r} repeats "
+                                  f"{labels[term.variable]!r}", key)
+        labels[term.variable] = term.rendered_label()
+
+
 def year_window(window: tuple[int, int] | None, key: str) -> tuple[int, int] | None:
     """``window`` (a ``(first, last)`` year pair, or ``None``) unless its first year is after its last."""
     if window is not None and window[0] > window[1]:
@@ -58,8 +68,8 @@ def year_window(window: tuple[int, int] | None, key: str) -> tuple[int, int] | N
 class ModelSpec:
     """Declarative regression description evaluated against a dataset.
 
-    A model has at least one column, no two of its columns share a label, and
-    a ``sample`` (first, last) year pair, if given, runs forward.
+    A model has at least one column, no two columns share a label nor two terms
+    (its dependent's too) a variable, and a ``sample`` year pair runs forward.
     """
 
     dependent: Term
@@ -70,6 +80,7 @@ class ModelSpec:
     def __post_init__(self):
         if not unique_labels(self.labels, "regressors"):
             raise EstimationError("empty model: no regressor and no constant", "regressors")
+        distinct_terms((self.dependent, *self.regressors), "regressors")
         year_window(self.sample, "sample")
 
     @property
@@ -90,7 +101,7 @@ class Coefficient:
 
 @record
 class FitResult:
-    """Estimates plus the printed diagnostic block of the study tables."""
+    """Estimates of ``model`` plus the printed diagnostic block of the study tables."""
 
     coefficients: tuple[Coefficient, ...]
     n_obs: int
@@ -111,7 +122,7 @@ class FitResult:
     rho1: float
     residuals: AnnualSeries
     sample: tuple[int, int]
-    dep_label: str
+    model: ModelSpec
     method: str = "ols"
 
     def coefficient(self, label: str) -> Coefficient:
@@ -259,7 +270,7 @@ def diagnostics(
         rho1=rho1,
         residuals=AnnualSeries("residuals", int(years[0]), tuple(e)),
         sample=(int(years[0]), int(years[-1])),
-        dep_label=spec.dependent.rendered_label(),
+        model=spec,
         method=method,
     )
 

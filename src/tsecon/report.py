@@ -66,7 +66,7 @@ def _align(rows: list[list[str]]) -> str:
 def _fit_table(fit: FitResult, title: str) -> tuple[str, str]:
     head = [
         title,
-        f"Dependent variable: {fit.dep_label}   Method: {fit.method.upper()}",
+        f"Dependent variable: {fit.model.dependent.rendered_label()}   Method: {fit.method.upper()}",
         f"Sample: {fit.sample[0]}-{fit.sample[1]}   Observations: {fit.n_obs}",
         "",
     ]

@@ -3,23 +3,23 @@
 A scenario runs its fit's own equation forward in deviations from the actual
 path: from the first override year on, dev_y = b_K gap_y + sum_k a_k dev_{y-k},
 where gap_y is the scenario capital-growth rate less the actual one, b_K the
-coefficient labelled as the capital-growth series is named (``d_Ln(K)`` in the
-bundled study) and a_k that of each dependent lag ``{dependent}(-k)`` the fit
-holds (any set of k >= 1, none included), as ``recursion`` reads them.  The
-constant and the other regressors drop out.  The baseline is the actual path,
-so a scenario of the actual growth rates reproduces it exactly, while an early
-shock moves every later year through the lags.  An unemployment deviation adds
-to the level; an export deviation is in logs.
+coefficient of the regressor labelled as the capital-growth series is named
+(``d_Ln(K)`` in the bundled study) and a_k that of each regressor that is the
+dependent k >= 1 years back under any label (none included), as ``equation``
+reads them from the fit's model.  The constant and the other regressors drop
+out.  The baseline is the actual path, so a scenario of the actual growth
+rates reproduces it exactly, while an early shock moves every later year
+through the lags.  An unemployment deviation adds to the level; an export
+deviation is in logs.
 """
 from __future__ import annotations
 
 import math
-import re
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from ._record import record
-from .dataset import AnnualSeries
-from .regress import EstimationError, FitResult, year_window
+from .dataset import AnnualSeries, Term
+from .regress import EstimationError, FitResult, ModelSpec, year_window
 
 __all__ = ["CapitalScenario", "ScenarioResult", "simulate_exports", "simulate_unemployment"]
 
@@ -61,21 +61,22 @@ class ScenarioResult:
     derived_quantities: dict[str, float]
 
 
-def recursion(labels: Sequence[str], capital: str, dependent: str,
-              fit: str = "the fit") -> tuple[tuple[int, str], ...]:
-    """The lags of ``dependent`` among a fit's coefficient ``labels``: (k, label) in lag order.
+def equation(model: ModelSpec, capital: str, fit: str = "the fit") -> tuple[Term, dict[int, Term]]:
+    """The capital regressor of ``model`` and its dependent's lags, {k: term} in lag order.
 
-    A lag k >= 1 is labelled ``{dependent}(-k)``.  ``capital`` must label one
-    of the other coefficients, not ``const``; otherwise ``EstimationError``
-    (key ``capital``) lists them, naming the fit as ``fit``.
+    A lag k >= 1 is a regressor that is the dependent's variable k years
+    further back, whatever either's label.  ``capital`` must label one of the
+    other regressors; otherwise ``EstimationError`` (key ``capital``) lists
+    them, naming the fit as ``fit``.
     """
-    lag = re.compile(re.escape(dependent) + r"\(-([1-9][0-9]*)\)")
-    lags = {label: int(m[1]) for label in labels if (m := lag.fullmatch(label))}
-    regressors = [label for label in labels if label != "const" and label not in lags]
-    if capital not in regressors:
+    dep = model.dependent
+    lags = {t.lag - dep.lag: t for t in model.regressors
+            if t.lag > dep.lag and t.variable == Term(dep.base, dep.transform, t.lag).variable}
+    others = {t.rendered_label(): t for t in model.regressors if t not in lags.values()}
+    if capital not in others:
         raise EstimationError(f"expected a regressor label of {fit}, one of "
-                              + ", ".join(regressors), "capital")
-    return tuple(sorted((k, label) for label, k in lags.items()))
+                              + ", ".join(others), "capital")
+    return others[capital], dict(sorted(lags.items()))
 
 
 def _simulate(
@@ -89,13 +90,12 @@ def _simulate(
     """The window's years, the actual (baseline) path and the deviation in each year.
 
     The capital-growth coefficient is labelled as ``capital_growth`` is named;
-    previously simulated deviations feed the dependent lags that ``recursion``
+    previously simulated deviations feed the dependent lags that ``equation``
     finds.  ``actual`` needs every window year, ``capital_growth`` each from the
     first override.
     """
-    lags = [(k, fit.coefficient(label).estimate)
-            for k, label in recursion([c.label for c in fit.coefficients],
-                                      capital_growth.name, fit.dep_label)]
+    _, lags = equation(fit.model, capital_growth.name)
+    lags = [(k, fit.coefficient(term.rendered_label()).estimate) for k, term in lags.items()]
     beta_k = fit.coefficient(capital_growth.name).estimate
     scenario.check_window(window)
     years = range(window[0], window[1] + 1)

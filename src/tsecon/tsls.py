@@ -14,8 +14,8 @@ import numpy as np
 from ._record import record
 from .dataset import Dataset, Term
 from .regress import (
-    EstimationError, FitResult, ModelSpec, build_design, diagnostics, least_squares, ols_fit,
-    unique_labels,
+    EstimationError, FitResult, ModelSpec, build_design, diagnostics, distinct_terms,
+    least_squares, ols_fit, unique_labels,
 )
 
 __all__ = ["TslsSpec", "tsls_fit"]
@@ -43,9 +43,10 @@ class TslsSpec:
         if len(self.instruments) < len(self.endogenous):
             raise EstimationError("order condition violated: need at least as many instruments "
                                   "as endogenous regressors", "instruments")
-        if self.endogenous:  # an instrument labelled as a regressor is refused here
+        if self.endogenous:  # an instrument repeating a label or term of the model is refused here
             unique_labels(m.labels + tuple(t.rendered_label() for t in self.instruments),
                           "instruments")
+            distinct_terms((m.dependent, *m.regressors, *self.instruments), "instruments")
         object.__setattr__(self, "stages", ModelSpec(
             m.dependent, (*m.regressors, *self.instruments), m.include_constant, m.sample,
         ) if self.endogenous else None)

@@ -14,7 +14,8 @@ import numpy as np
 
 from ._record import record
 from .dataset import Dataset, Term, align
-from .regress import EstimationError, lagged, least_squares, unique_labels, year_window
+from .regress import (EstimationError, distinct_terms, lagged, least_squares, unique_labels,
+                      year_window)
 
 __all__ = ["FevdResult", "IrfResult", "VarModel", "VarSpec", "impulse_response", "response_horizon",
            "var_fit", "variance_decomposition"]
@@ -65,7 +66,7 @@ class FevdResult:
 
 @record
 class VarSpec:
-    """A VAR(``lags``) of one or more ``variables``, whose ``labels`` (each once) name responses."""
+    """A VAR(``lags``) of 1+ distinct ``variables``, whose ``labels`` (each once) name responses."""
 
     variables: tuple[Term, ...]
     lags: int = 4
@@ -75,6 +76,7 @@ class VarSpec:
         labels = unique_labels(tuple(t.rendered_label() for t in self.variables), "variables")
         if not labels:
             raise EstimationError("a VAR needs at least one variable", "variables")
+        distinct_terms(self.variables, "variables")
         if self.lags < 1:
             raise EstimationError("VAR lag order must be >= 1", "lags")
         year_window(self.sample, "sample")

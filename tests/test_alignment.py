@@ -1,6 +1,6 @@
 """The sliced data path against per-year reference constructions.
 
-``apply_term``, ``align`` and ``AnnualSeries.slice`` build every model column.
+``apply_term`` and ``align`` build every model column.
 The references below are the per-year forms they replace (list transforms, a
 ``value_in`` lookup per year, a row-by-row CSV parser); columns must agree bit
 for bit and parse errors word for word.
@@ -112,13 +112,6 @@ class TestAlignOracle:
         values = [297.1857] * 8 + [50.0]
         got = apply_term(make_dataset(s=(2000, values)), Term("s", "ln"))
         assert bits(got.values) == bits(map(math.log, values))
-
-    def test_slice_outside_the_series_raises(self):
-        s = AnnualSeries("s", 2000, (1.0, 2.0, 3.0))
-        assert s.slice(2001, 2002) == (2.0, 3.0)
-        for lo, hi in ((1999, 2001), (2001, 2003), (2002, 2001)):
-            with pytest.raises(DatasetError, match="does not cover"):
-                s.slice(lo, hi)
 
 
 class TestEmptyWindowErrors:

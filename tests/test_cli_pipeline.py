@@ -135,14 +135,19 @@ class TestPipeline:
                      "granger_benefits"):
             assert name in bundle.tables
 
-    def test_comparison_csv_reads_back_at_full_precision(self, benefit_dataset, monkeypatch):
+    # compare matches dependents by term: ar_restricted's under another label is the same
+    @pytest.mark.parametrize("label", ["", " as I"], ids=["one-label", "two-labels"])
+    def test_comparison_csv_reads_back_at_full_precision(self, benefit_dataset, monkeypatch,
+                                                         label):
         import tsecon.pipeline
 
         compared = []
         compare_models = tsecon.pipeline.compare_models
         monkeypatch.setattr(tsecon.pipeline, "compare_models",
                             lambda *a: compared.append(compare_models(*a)) or compared[-1])
-        bundle = run_pipeline(parse_manifest(default_manifest_text()), benefit_dataset)
+        restricted = "[step ar_restricted]\nop = ar\ndependent = ln(Industrial Investment)"
+        bundle = run_pipeline(parse_manifest(default_manifest_text().replace(
+            restricted, restricted + label)), benefit_dataset)
         (result,) = compared
         rows = list(csv.reader(bundle.tables["ar_comparison"][1].splitlines()))
         assert rows[0] == ["statistic", "model_a", "model_b", "b_improves"]
@@ -354,9 +359,11 @@ class TestCli:
         assert "s: 1970-1971" in r.output
 
     def test_estimation_error_exits_4(self):
+        # GDP model base is GDP x 0.6091, so its ln is ln(GDP) plus the constant's multiple
         r = run_cli(["fit-ols", "--dependent", "ln(Exports)",
-                     "--regressors", "ln(GDP), ln(GDP) as G2"])
-        assert r.exit_code == 4
+                     "--regressors", "ln(GDP), ln(GDP model base)"])
+        assert r.exit_code == 4, r.output
+        assert "step 'fit-ols' failed: the OLS regression is rank deficient" in r.output
 
     @pytest.mark.parametrize("argv, message", [
         (["adf", "--series", "ln(GDP)", "--window", "1900:1910"],
@@ -503,17 +510,6 @@ class TestCli:
         (SCENARIO_LN_FIT + "[step s]\nop = simulate_unemployment\nfit = m\noverrides = 2005:0.15\n"
          "window = 2000:2010\neap = 1\ncapital = Ln(GDP)\n", "fit",
          "'m'; expected a step whose dependent is a series' level; its dependent is Ln(Exports)"),
-        # the recursion reads labels: an alias may neither hide a dependent lag nor fake one
-        ("[step m]\nop = ols\ndependent = Unemployment rate\nregressors = dln(Total investment) "
-         "as d_Ln(K), Unemployment rate@1 as UL1\n[step s]\nop = simulate_unemployment\nfit = m\n"
-         "overrides = 2005:0.15\nwindow = 2000:2010\neap = 1\ncapital = d_Ln(K)\n", "fit",
-         "'m'; expected the lags of its dependent, and no other regressor, labelled "
-         "Unemployment rate(-k)"),
-        ("[step m]\nop = ols\ndependent = ln(Exports)\nregressors = dln(Total investment) "
-         "as d_Ln(K), ln(GDP)@1 as Ln(Exports)(-1)\n[step s]\nop = simulate_exports\nfit = m\n"
-         "overrides = 2005:0.15\nwindow = 2000:2010\nterminal_actual_usd = 1\ncapital = d_Ln(K)\n",
-         "fit", "'m'; expected the lags of its dependent, and no other regressor, labelled "
-         "Ln(Exports)(-k)"),
         # a scenario's capital term is one of its fit's regressors, named by its label
         (SCENARIO_LN_FIT + "[step s]\nop = simulate_exports\nfit = m\noverrides = 2005:0.15\n"
          "window = 2000:2010\nterminal_actual_usd = 1\ncapital = d_Ln(K)\n", "capital",
@@ -551,6 +547,16 @@ class TestCli:
         ("[step t]\nop = tsls\ndependent = ln(Exports)\nregressors = dln(GDP), ln(GDP)\n"
          "endogenous = d_Ln(GDP)\ninstruments = ln(GDP)\n", "instruments",
          "the label 'Ln(GDP)' is repeated"),
+        # a term is its series, transform and lag, whatever its label
+        ("[step o]\nop = ols\ndependent = ln(GDP)\nregressors = ln(Credit), ln(GDP) as G\n",
+         "regressors", "the term 'G' repeats 'Ln(GDP)'"),
+        ("[step t]\nop = tsls\ndependent = ln(Exports)\nregressors = dln(GDP), ln(GDP)\n"
+         "endogenous = d_Ln(GDP)\ninstruments = ln(Exports) as X\n", "instruments",
+         "the term 'X' repeats 'Ln(Exports)'"),
+        ("[step g]\nop = granger\nx = dln(GDP)\ny = dln(GDP) as G\n", "y",
+         "the term 'G' repeats 'd_Ln(GDP)'"),
+        ("[step v]\nop = var\nvariables = dln(GDP), dln(Exports) as X, dln(Exports)\n", "variables",
+         "the term 'd_Ln(Exports)' repeats 'X'"),
         ("[step r]\nop = ar\ndependent = ln(GDP)\nregressors = ln(Exports)\nar_lags = 0 1\n",
          "ar_lags", "AR lags must be positive"),
         ("[step r]\nop = ar\ndependent = ln(GDP)\nregressors = ln(Exports)\nar_lags = 1\n"
@@ -558,6 +564,10 @@ class TestCli:
         ("[step r1]\nop = ar\ndependent = ln(GDP)\nregressors = ln(Exports)\nar_lags = 1\n"
          "[step r2]\nop = ar\ndependent = ln(Exports)\nregressors = ln(GDP)\nar_lags = 1\n"
          "[step c]\nop = compare\na = r1\nb = r2\n", "b",
+         "model comparison requires the same dependent variable"),
+        ("[step r1]\nop = ar\ndependent = ln(GDP) as Z\nregressors = ln(Credit)\nar_lags = 1\n"
+         "[step r2]\nop = ar\ndependent = ln(Exports) as Z\nregressors = ln(Credit)\n"
+         "ar_lags = 1\n[step c]\nop = compare\na = r1\nb = r2\n", "b",
          "model comparison requires the same dependent variable"),
         ("[step g]\nop = granger\nx = dln(GDP)\ny = dln(Exports)\nlags = 0\n", "lags",
          "Granger lag order must be >= 1"),
@@ -603,8 +613,10 @@ class TestCli:
         ("[step c]\nop = coint\ndependent = ln(GDP)\nregressors = ln(Exports)\nresidual_lag = -1\n",
          "residual_lag", "the lag order must be >= 0"),
     ], ids=["empty-model", "model-label-twice", "tsls-endogenous", "tsls-endogenous-twice",
-            "tsls-instrument-label",
-            "ar-lags", "ar-iterations", "compare-dependents", "granger-lags", "var-lags",
+            "tsls-instrument-label", "model-term-twice", "tsls-instrument-term",
+            "granger-term-twice", "var-term-twice",
+            "ar-lags", "ar-iterations", "compare-dependents", "compare-dependents-one-label",
+            "granger-lags", "var-lags",
             "var-variables", "irf-horizon", "fevd-horizon", "adf-deterministic", "adf-lag",
             "coint-reach", "scenario-rate", "scenario-nan-rate", "scenario-window",
             "model-sample", "granger-sample", "var-sample", "adf-window", "battery-window",
@@ -753,6 +765,16 @@ class TestCli:
         (["fit-ols", "--dependent", "ln(Exports)", "--regressors", "ln(GDP), ln(GDP)"],
          "--regressors"),
         (["var", "--variables", "ln(GDP) as A, ln(Exports) as A", "--lags", "1"], "--variables"),
+        # a term repeated under another label is one variable twice
+        (["fit-ols", "--dependent", "ln(Exports)", "--regressors", "ln(GDP), ln(GDP) as G2"],
+         "--regressors"),
+        (["fit-ols", "--dependent", "ln(GDP)", "--regressors", "ln(Credit), ln(GDP) as G"],
+         "--regressors"),
+        (["var", "--variables", "dln(GDP), dln(Exports), dln(GDP) as G", "--lags", "1"],
+         "--variables"),
+        (["granger", "--x", "dln(GDP)", "--y", "dln(GDP) as G"], "--y"),
+        (["fit-tsls", "--dependent", "ln(Exports)", "--regressors", "dln(GDP), ln(Credit)",
+          "--endogenous", "d_Ln(GDP)", "--instruments", "ln(Credit) as C"], "--instruments"),
     ])
     def test_bad_flag_value_is_usage_error_naming_the_flag(self, argv, flag):
         r = run_cli(argv)
@@ -851,33 +873,55 @@ class TestCli:
                 "label of step 'm', one of d_Ln(K)\n") in r.output
         assert not (tmp_path / "out").exists()
 
-    # the recursion reads whichever dependent lags the fit holds, and needs no constant
-    @pytest.mark.parametrize("lags, constant", [("", "true"), (", Unemployment rate@1", "true"),
-                                                (", Unemployment rate@1", "false")],
-                             ids=["no-lag", "one-lag", "one-lag-no-constant"])
-    def test_scenario_runs_its_fit_equation(self, tmp_path, dataset, lags, constant):
+    # the recursion reads whichever dependent lags the fit holds, and needs no constant; a lag
+    # is a term, so labels move no number: an alias neither hides a dependent lag nor fakes one
+    @pytest.mark.parametrize("dependent, lag, constant", [
+        ("Unemployment rate", "", "true"),
+        ("Unemployment rate", "Unemployment rate@1", "true"),
+        ("Unemployment rate", "Unemployment rate@1", "false"),
+        ("Unemployment rate", "Unemployment rate@1 as UL1", "true"),
+        ("ln(Exports)", "ln(Exports)@1", "true"),
+        ("ln(Exports) as LX", "ln(Exports)@1", "true"),
+        ("ln(Exports)", "ln(Exports)@1 as X1", "true"),
+        ("ln(Exports)", "ln(GDP)@1 as Ln(Exports)(-1)", "true"),
+    ], ids=["no-lag", "one-lag", "one-lag-no-constant", "aliased-lag", "exports",
+            "exports-aliased-dependent", "exports-aliased-lag", "exports-faked-lag"])
+    def test_scenario_runs_its_fit_equation(self, tmp_path, dataset, dependent, lag, constant):
         from tsecon.dataset import apply_term, parse_term
         from tsecon.regress import ModelSpec, ols_fit
 
-        regressors = f"dln(Total investment) as d_Ln(K){lags}"
-        manifest = tmp_path / "m.ini"
-        manifest.write_text(
-            f"[step m]\nop = ols\ndependent = Unemployment rate\nregressors = {regressors}\n"
-            f"constant = {constant}\n[step s]\nop = simulate_unemployment\nfit = m\n"
-            "overrides = 2005:0.15 2006:0.10\nwindow = 2000:2010\neap = 1\ncapital = d_Ln(K)\n")
-        r = run_cli(["report", "--manifest", str(manifest), "--output", str(tmp_path / "out")])
-        assert r.exit_code == 0, r.output
-        fit = ols_fit(dataset, ModelSpec(parse_term("Unemployment rate"), tuple(
+        def scenario(dependent, lag, out):
+            regressors = ", ".join(filter(None, ("dln(Total investment) as d_Ln(K)", lag)))
+            op, amount = (("simulate_exports", "terminal_actual_usd") if "Exports" in dependent
+                          else ("simulate_unemployment", "eap"))
+            manifest = tmp_path / f"{out}.ini"
+            manifest.write_text(
+                f"[step m]\nop = ols\ndependent = {dependent}\nregressors = {regressors}\n"
+                f"constant = {constant}\n[step s]\nop = {op}\nfit = m\n"
+                "overrides = 2005:0.15 2006:0.10\nwindow = 2000:2010\n"
+                f"{amount} = 1\ncapital = d_Ln(K)\n")
+            r = run_cli(["report", "--manifest", str(manifest), "--output", str(tmp_path / out)])
+            assert r.exit_code == 0, r.output
+            return (tmp_path / out / "tables" / "s.csv").read_bytes(), regressors
+
+        table, regressors = scenario(dependent, lag, "out")
+        unaliased = [term.split(" as ")[0] for term in (dependent, lag)]
+        assert table == scenario(*unaliased, "unaliased")[0]
+        dep, lag = parse_term(dependent), parse_term(lag) if lag else None
+        fit = ols_fit(dataset, ModelSpec(dep, tuple(
             parse_term(t) for t in regressors.split(", ")), constant == "true"))
         beta_k = fit.coefficient("d_Ln(K)").estimate
-        a1 = fit.coefficient("Unemployment rate(-1)").estimate if lags else 0.0
+        a1 = (fit.coefficient(lag.rendered_label()).estimate
+              if lag and lag.base == dep.base else 0.0)
         growth = apply_term(dataset, parse_term("dln(Total investment)"))
         dev = {2004: 0.0}
         for y, rate in zip(range(2005, 2011), (0.15, *[0.10] * 5)):
             dev[y] = beta_k * (math.log1p(rate) - growth.value_in(y)) + a1 * dev[y - 1]
-        rows = list(csv.reader((tmp_path / "out" / "tables" / "s.csv").read_text().splitlines()))
+        rows = list(csv.reader(table.decode().splitlines()))
         for year, base, cf in rows[1:12]:
-            assert float(cf) == pytest.approx(float(base) + dev.get(int(year), 0.0), abs=1e-12)
+            d = dev.get(int(year), 0.0)
+            want = float(base) * math.exp(d) if dep.transform == "ln" else float(base) + d
+            assert float(cf) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_coint_beyond_the_response_surfaces_is_usage_error_naming_the_flag(self):
         r = run_cli([

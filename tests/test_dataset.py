@@ -158,8 +158,8 @@ class TestLoad:
         assert ds.get("a") == AnnualSeries("a", 1970, (1.0, 2.0), "t")
 
     def test_provenance_notes(self, dataset):
-        notes = dataset.notes_for("Credit growth")
-        assert any(n.year == 1973 and n.curated == "-45" for n in notes)
+        assert any(n.series == "Credit growth" and n.year == 1973 and n.curated == "-45"
+                   for n in dataset.provenance)
 
 
 class TestTerms:

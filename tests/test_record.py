@@ -84,6 +84,15 @@ RESIDUALS = AnnualSeries("e", 1970, tuple((-1.0) ** k * k for k in range(30)))
 @pytest.mark.parametrize("make, key, message", [
     (lambda: ModelSpec(Term("y"), (), include_constant=False), "regressors", "empty model"),
     (lambda: ModelSpec(Term("y"), (Term("x"), Term("x"))), "regressors", "'x' is repeated"),
+    # a term is its series, transform and lag: under another label it is repeated all the same
+    (lambda: ModelSpec(Term("y"), (Term("x"), Term("y", label="Y"))), "regressors",
+     "the term 'Y' repeats 'y'"),
+    (lambda: GrangerSpec(Term("x", "diff"), Term("x", "diff", label="dx")), "y",
+     "the term 'dx' repeats 'd_x'"),
+    (lambda: VarSpec((Term("x"), Term("w"), Term("x", label="X"))), "variables",
+     "the term 'X' repeats 'x'"),
+    (lambda: TslsSpec(MODEL, ("x",), (Term("z"), Term("w", label="w2"))), "instruments",
+     "the term 'w2' repeats 'w'"),
     (lambda: AdfSpec("quadratic"), "deterministic", "expected one of none, constant"),
     (lambda: AdfSpec(lag_order=-1), "lag_order", "lag order must be >= 0"),
     (lambda: ArSpec(MODEL, (1,), max_iterations=0), "max_iterations", "iteration limit"),
@@ -103,7 +112,8 @@ RESIDUALS = AnnualSeries("e", 1970, tuple((-1.0) ** k * k for k in range(30)))
      "regressors", "cover at most 6 variables; the long-run relation has 7"),
     (lambda: df_residual_test(RESIDUALS, 1, n_vars=7), "regressors", "cover at most 6"),
     (lambda: df_residual_test(RESIDUALS, 1, surface="bogus"), "deterministic", "expected one of"),
-    (lambda: same_dependent("y", "x"), "b", "requires the same dependent variable"),
+    (lambda: same_dependent(Term("y", label="Z"), Term("x", label="Z")), "b",
+     "requires the same dependent variable"),
     (lambda: ModelSpec(Term("y"), (Term("x"),), sample=(2010, 1976)), "sample",
      "expected the first year <= the last"),
     (lambda: GrangerSpec(Term("x"), Term("y"), sample=(2010, 1976)), "sample",

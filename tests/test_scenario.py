@@ -2,26 +2,27 @@ import math
 
 import pytest
 
-from tsecon.dataset import AnnualSeries, DatasetError
-from tsecon.regress import Coefficient, EstimationError, FitResult
+from tsecon.dataset import AnnualSeries, DatasetError, Term, parse_term
+from tsecon.regress import Coefficient, EstimationError, FitResult, ModelSpec
 from tsecon.scenario import CapitalScenario, simulate_exports, simulate_unemployment
 
 
-def fake_fit(dep_label, const, beta_k, ar):
-    """Minimal FitResult: a constant (none if ``const`` is None), d_Ln(K) and the lags ``ar``.
-
-    ``ar`` maps each dependent lag k to its coefficient.
+def fake_fit(dependent, const, beta_k, ar):
+    """Minimal FitResult of the term ``dependent`` on a constant (none if ``const`` is None),
+    d_Ln(K) and the lags ``ar``, which maps each dependent lag k to its coefficient.
     """
-    terms = ([] if const is None else [("const", const)]) + [("d_Ln(K)", beta_k)]
-    terms += [(f"{dep_label}(-{k})", a) for k, a in ar.items()]
-    coeffs = tuple(Coefficient(label, b, 1.0, b, 0.5) for label, b in terms)
+    dep = parse_term(dependent)
+    model = ModelSpec(dep, (parse_term("dln(K) as d_Ln(K)"),
+                            *(Term(dep.base, dep.transform, k) for k in ar)), const is not None)
+    betas = ([] if const is None else [const]) + [beta_k, *ar.values()]
+    coeffs = tuple(Coefficient(label, b, 1.0, b, 0.5) for label, b in zip(model.labels, betas))
     resid = AnnualSeries("residuals", 2000, (0.0, 0.0))
     return FitResult(
         coefficients=coeffs, n_obs=2, r_squared=0.9, adj_r_squared=0.9, f_stat=1.0,
         f_p_value=0.5, f_df=(3, 1), ssr=0.0, resid_std_error=0.0, dep_mean=0.0,
         dep_std_error=1.0, log_likelihood=0.0, aic=0.0, bic=0.0, hqc=0.0,
         durbin_watson=2.0, rho1=0.0, residuals=resid, sample=(2000, 2001),
-        dep_label=dep_label, method="tsls",
+        model=model, method="tsls",
     )
 
 
@@ -122,7 +123,7 @@ class TestUnemploymentScenario:
 
 class TestExportScenario:
     def test_identity_scenario_zero_delta(self):
-        fit = fake_fit("Ln(X)", 0.5, 4.0, {1: 0.8, 2: 0.1})
+        fit = fake_fit("ln(X)", 0.5, 4.0, {1: 0.8, 2: 0.1})
         overrides = {y: G.value_in(y) for y in range(2005, 2011)}
         res = simulate_exports(
             fit, CapitalScenario("identity", overrides), (2000, 2010), 1e9, X, G,
@@ -132,7 +133,7 @@ class TestExportScenario:
         assert res.derived_quantities["terminal_pct_delta"] == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_unrolled_log_recursion(self):
-        fit = fake_fit("Ln(X)", 0.5, 4.0, {1: 0.5, 2: 0.25})
+        fit = fake_fit("ln(X)", 0.5, 4.0, {1: 0.5, 2: 0.25})
         res = simulate_exports(
             fit, CapitalScenario("hand", {2008: 0.10}), (2006, 2010), 2_000_000.0, X, G
         )
@@ -148,7 +149,7 @@ class TestExportScenario:
         assert res.derived_quantities["usd_delta"] == pytest.approx(pct * 2_000_000.0, rel=1e-9)
 
     def test_monotonicity_positive_coefficient(self):
-        fit = fake_fit("Ln(X)", 0.5, 4.0, {1: 0.8, 2: 0.1})
+        fit = fake_fit("ln(X)", 0.5, 4.0, {1: 0.8, 2: 0.1})
         lo = simulate_exports(fit, CapitalScenario("lo", {2005: 0.05}), (2000, 2010), 1e9, X, G)
         hi = simulate_exports(fit, CapitalScenario("hi", {2005: 0.12}), (2000, 2010), 1e9, X, G)
         assert hi.counterfactual_path.value_in(2010) >= lo.counterfactual_path.value_in(2010)

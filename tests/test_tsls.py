@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tsecon.dataset import Term
+from tsecon.dataset import Dataset, Term
 from tsecon.regress import EstimationError, ModelSpec, ols_fit
 from tsecon.tsls import TslsSpec, tsls_fit
 
@@ -106,9 +106,8 @@ class TestTsls:
 
     def test_weak_first_stage_rank_error(self):
         ds = iv_system()
-        spec = TslsSpec(
-            model=model_spec(ds), endogenous=("x",), instruments=(Term("w", label="w2"),)
-        )  # duplicates an exogenous column
+        ds = Dataset({**ds.series, "w2": ds.get("w")})  # the exogenous column, another name
+        spec = TslsSpec(model=model_spec(ds), endogenous=("x",), instruments=(Term("w2"),))
         with pytest.raises(EstimationError, match="rank deficient"):
             tsls_fit(ds, spec)
 
