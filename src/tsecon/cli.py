@@ -2,7 +2,7 @@
 
 ``tsecon report`` runs a pipeline manifest into a report bundle.  Every other
 estimating subcommand builds a one-step manifest from its flags (two steps for
-``irf`` and ``simulate``), runs it through the same op registry and prints the
+``irf`` and ``simulate``), runs it through the same op registry and prints each
 table its last step adds to a bundle.  ``COMMANDS`` declares every subcommand
 once, and its flags are named by the step keys they set: an omitted flag keeps
 the registry's (or the bundled step's) default, and a bad one is a usage error
@@ -181,7 +181,7 @@ def _steps(name: str, values: dict) -> tuple[Step, ...]:
 
 
 def _estimate(args) -> None:
-    """Run the command's steps on the dataset and print the table of the last."""
+    """Run the command's steps on the dataset and print each table of the last."""
     from .pipeline import run_steps
     from .report import ReportBundle
 
@@ -193,7 +193,10 @@ def _estimate(args) -> None:
     def go():
         bundle = ReportBundle()
         run_steps(steps, _load(args.dataset), bundle)
-        print(list(bundle.tables.values())[-1][0])
+        helpers = {step.name for step in steps[:-1]}  # each writes the one table of its name
+        for name, (text, _) in bundle.tables.items():
+            if name not in helpers:
+                print(text)
         return bundle
 
     bundle = _checked(args, go)

@@ -223,13 +223,12 @@ def apply_term(dataset: Dataset, term: Term) -> AnnualSeries:
 
 def align(
     dataset: Dataset, terms: Sequence[Term], sample: tuple[int, int] | None = None
-) -> tuple[list[AnnualSeries], range, list[tuple[float, ...]]]:
+) -> tuple[range, list[tuple[float, ...]]]:
     """Evaluate ``terms`` on their common year window, clipped to ``sample``.
 
-    Returns the evaluated series, the window's years and one column of values
-    per series.  An empty window is zero years, and every column then has zero
-    values: a design built from them has no rows, which ``least_squares``
-    refuses.
+    Returns the window's years and one column of values per term.  An empty
+    window is zero years, and every column then has zero values: a design
+    built from them has no rows, which ``least_squares`` refuses.
     """
     evaluated = [apply_term(dataset, t) for t in terms]
     lo = max(s.start_year for s in evaluated)
@@ -237,7 +236,7 @@ def align(
     if sample is not None:
         lo, hi = max(lo, sample[0]), min(hi, sample[1])
     years = range(lo, hi + 1)
-    return evaluated, years, [s.values[lo - s.start_year :][: len(years)] for s in evaluated]
+    return years, [s.values[lo - s.start_year :][: len(years)] for s in evaluated]
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,10 @@ class ArFitResult:
 
 @record
 class GrangerSpec:
-    """Granger F tests between ``x`` and ``y`` at ``lags`` lags, within ``sample`` if given."""
+    """Granger F tests between ``x`` and ``y`` at ``lags`` lags, within ``sample`` if given.
+
+    ``x`` and ``y`` differ in label and in variable: their labels name the tests.
+    """
 
     x: Term
     y: Term
@@ -213,12 +216,13 @@ def granger_causality(dataset: Dataset, spec: GrangerSpec) -> GrangerResult:
     Stationarity of the two series is the caller's responsibility (the
     pipeline feeds first differences of I(1) variables).
     """
-    (sx, sy), _, columns = align(dataset, (spec.x, spec.y), spec.sample)
+    _, columns = align(dataset, (spec.x, spec.y), spec.sample)
     ax, ay = map(np.array, columns)
+    x, y = spec.x.rendered_label(), spec.y.rendered_label()
     entries = []
-    for cause, effect, cs, es in ((sx, sy, ax, ay), (sy, sx, ay, ax)):
+    for cause, effect, cs, es in ((x, y, ax, ay), (y, x, ay, ax)):
         f, p, rows = _granger_one_direction(cs, es, spec.lags)
-        entries.append(GrangerEntry(cause.name, effect.name, spec.lags, rows, f, p, p < 0.05))
+        entries.append(GrangerEntry(cause, effect, spec.lags, rows, f, p, p < 0.05))
     return GrangerResult(tuple(entries))
 
 

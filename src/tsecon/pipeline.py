@@ -38,19 +38,15 @@ _REQUIRED = object()
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _number(kind, minimum: int | None = None):
-    """The parser of a finite ``kind`` (int or float) >= ``minimum``, and what it expects.
-
-    ``None`` sets no minimum; NaN and the infinities are always rejected.
-    """
+def _number(kind):
+    """The parser of a finite ``kind`` (int or float: no NaN or infinity), and what it expects."""
     def parse(text: str):
         value = kind(text)
-        if not abs(value) < math.inf or (minimum is not None and value < minimum):
+        if not abs(value) < math.inf:
             raise ValueError(text)
         return value
 
-    expected = "an integer" if kind is int else "a finite number"
-    return parse, expected + ("" if minimum is None else f" >= {minimum}")
+    return parse, "an integer" if kind is int else "a finite number"
 
 
 def _window(text: str) -> tuple[int, int]:
@@ -67,21 +63,20 @@ class _Parse:
     raises ``ManifestError`` naming the step, the key and the value when a value
     is bad.  Every series the step reads goes through ``present``: ``missing`` is
     the first absent one, or the reason a step this one references was skipped,
-    and skips the step.  ``terms`` caches parsed term texts across the manifest;
-    ``earlier`` maps each earlier step's name to its op, missing series and
-    ``shared`` (it holds no ``_Parse``, so a parse leaves no reference cycle)
-    and ``writers`` each claimed bundle file to its step and value text.  ``run``
-    is the step's run function, ``shared`` what later steps read of it (a fit's
-    ``ModelSpec`` or ``ArSpec``, a VAR's ``VarSpec``), ``plots`` maps each
-    plot's file name to its shock and response (``irf``) and ``tables`` maps
-    each table name the step writes to the key and value text that name it (the
-    step's name, or a Chow break year).
+    and skips the step.  ``earlier`` maps each earlier step's name to its op,
+    missing series and ``shared`` (it holds no ``_Parse``, so a parse leaves no
+    reference cycle) and ``writers`` each claimed bundle file to its step and
+    value text.  ``run`` is the step's run function, ``shared`` what later steps
+    read of it (a fit's ``ModelSpec`` or ``ArSpec``, a VAR's ``VarSpec``),
+    ``plots`` maps each plot's file name to its shock and response (``irf``) and
+    ``tables`` maps each table name the step writes to the key and value text
+    that name it (the step's name, or a Chow break year).
     """
 
     def __init__(self, step: Step, dataset: Dataset, optional: tuple[str, ...],
-                 terms: dict[str, Term], earlier: dict, writers: dict):
+                 earlier: dict, writers: dict):
         self.step, self._dataset, self._optional = step, dataset, optional
-        self._terms, self.earlier, self._writers = terms, earlier, writers
+        self.earlier, self._writers = earlier, writers
         self.read: set[str] = set()
         self.missing: str | None = None
         self.run, self.shared, self.plots = None, None, {}
@@ -137,8 +132,8 @@ class _Parse:
             raise self.bad(key, text, f"its file {path} is {where}")
         self._writers[path] = self.step.name, text
 
-    def integer(self, key: str, default=_REQUIRED, minimum: int | None = None) -> int:
-        return self.value(key, *_number(int, minimum), default)
+    def integer(self, key: str, default=_REQUIRED) -> int:
+        return self.value(key, *_number(int), default)
 
     def number(self, key: str, default=_REQUIRED) -> float:
         return self.value(key, *_number(float), default)
@@ -166,22 +161,16 @@ class _Parse:
                 self.missing = self.missing or name
 
     def term(self, key: str) -> Term:
-        term = self.value(key, self.cached_term, "a term such as ln(GDP)@1")
+        term = self.value(key, parse_term, "a term such as ln(GDP)@1")
         self.need(key, term.base)
         return term
 
     def terms(self, key: str) -> tuple[Term, ...]:
         terms = self.value(key, lambda text: tuple(
-            self.cached_term(t) for t in text.split(",") if t.strip()),
+            parse_term(t) for t in text.split(",") if t.strip()),
             "comma-separated terms such as ln(GDP)@1")
         self.need(key, *(t.base for t in terms))
         return terms
-
-    def cached_term(self, text: str) -> Term:
-        text = text.strip()
-        if text not in self._terms:
-            self._terms[text] = parse_term(text)
-        return self._terms[text]
 
     def model(self) -> ModelSpec:
         dependent, regressors = self.term("dependent"), self.terms("regressors")
@@ -216,7 +205,7 @@ def _adf_battery(v: _Parse):
     def row(text: str):  # an absent optional series skips only its row
         term, det, lag = (part.strip() for part in text.split(";"))
         spec = AdfSpec(det, int(lag))
-        term = v.cached_term(term)
+        term = parse_term(term)
         return term, spec, v.present("row", term.base)
 
     expected = f"'term ; deterministic ; lag >= 0' with one of {', '.join(DETERMINISTICS)}"
@@ -297,8 +286,11 @@ def _fevd(v: _Parse):
 
 
 def _irf(v: _Parse):
-    var, plots = v.ref("var", "var"), v.all("plot")  # a plot needs 2 points: a horizon >= 1
-    horizon = v.checked(response_horizon, v.integer("horizon", "10", minimum=1 if plots else None))
+    var, plots = v.ref("var", "var"), v.all("plot")
+    horizon = v.checked(response_horizon, v.integer("horizon", "10"))
+    if plots and horizon < 1:
+        raise v.bad("horizon", v.step.options["horizon"][0], "expected 1 or more steps after "
+                    "impact: a plot needs 2 points")
     labels = v.earlier[var][2].labels
     for text in plots:
         pair = tuple(label.strip() for label in text.partition("->")[::2])
@@ -366,14 +358,13 @@ def _parse_steps(steps, dataset: Dataset, optional: tuple[str, ...]) -> list[_Pa
     A value naming a table or plot file that another step or plot writes, or
     ``pipeline_summary``, is a bad value too.
     """
-    terms: dict[str, Term] = {}
     writers: dict[str, tuple[str | None, str]] = {"tables/pipeline_summary.txt": (None, "")}
     earlier: dict[str, tuple[str, str | None, object]] = {}
     plan = []
     for step in steps:
         if step.op not in OPS:
             raise ManifestError(f"unknown op {step.op!r}", step.name, "op", step.op)
-        v = _Parse(step, dataset, optional, terms, earlier, writers)
+        v = _Parse(step, dataset, optional, earlier, writers)
         for text in v.all("requires"):
             v.need("requires", *filter(None, map(str.strip, text.split(","))))
         v.run = OPS[step.op][0](v)

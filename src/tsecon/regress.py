@@ -39,22 +39,19 @@ class EstimationError(Exception):
         self.key = key
 
 
-def unique_labels(labels: tuple[str, ...], key: str) -> tuple[str, ...]:
-    """``labels``, unless one is repeated: then ``EstimationError`` names it, and ``key``."""
-    for i, label in enumerate(labels):
-        if label in labels[:i]:
-            raise EstimationError(f"the label {label!r} is repeated", key)
-    return labels
-
-
-def distinct_terms(terms: tuple[Term, ...], key: str) -> None:
-    """Refuse two of ``terms`` that are one variable, whatever their labels, naming ``key``."""
-    labels = {}
+def distinct_terms(terms: tuple[Term, ...], key: str, taken: tuple[str, ...] = ()) -> None:
+    """Refuse a term whose label is in ``taken`` or an earlier term's, then one whose variable
+    an earlier term is, whatever its label: ``EstimationError`` names it, and ``key``."""
+    labels, variables = set(taken), {}
     for term in terms:
-        if term.variable in labels:
-            raise EstimationError(f"the term {term.rendered_label()!r} repeats "
-                                  f"{labels[term.variable]!r}", key)
-        labels[term.variable] = term.rendered_label()
+        label = term.rendered_label()
+        if label in labels:
+            raise EstimationError(f"the label {label!r} is repeated", key)
+        if term.variable in variables:
+            raise EstimationError(f"the term {label!r} repeats {variables[term.variable]!r}",
+                                  key)
+        labels.add(label)
+        variables[term.variable] = label
 
 
 def year_window(window: tuple[int, int] | None, key: str) -> tuple[int, int] | None:
@@ -68,8 +65,9 @@ def year_window(window: tuple[int, int] | None, key: str) -> tuple[int, int] | N
 class ModelSpec:
     """Declarative regression description evaluated against a dataset.
 
-    A model has at least one column, no two columns share a label nor two terms
-    (its dependent's too) a variable, and a ``sample`` year pair runs forward.
+    A model has at least one column, no two of its terms (its dependent's too)
+    share a label or a variable, none is labelled ``const`` when it has a
+    constant, and a ``sample`` year pair runs forward.
     """
 
     dependent: Term
@@ -78,9 +76,10 @@ class ModelSpec:
     sample: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if not unique_labels(self.labels, "regressors"):
+        distinct_terms((self.dependent, *self.regressors), "regressors",
+                       ("const",) if self.include_constant else ())
+        if not self.regressors and not self.include_constant:
             raise EstimationError("empty model: no regressor and no constant", "regressors")
-        distinct_terms((self.dependent, *self.regressors), "regressors")
         year_window(self.sample, "sample")
 
     @property
@@ -142,7 +141,7 @@ def build_design(dataset: Dataset, spec: ModelSpec):
     All terms are aligned on their common year window, clipped to the spec's
     sample; an empty window gives zero rows, which the kernel refuses.
     """
-    _, window, columns = align(dataset, (spec.dependent, *spec.regressors), spec.sample)
+    window, columns = align(dataset, (spec.dependent, *spec.regressors), spec.sample)
     years = np.arange(window.start, window.stop)
     const = [np.ones(len(years))] if spec.include_constant else []
     return np.array(columns[0]), np.column_stack(const + columns[1:]), years

@@ -88,12 +88,11 @@ def _fit_table(fit: FitResult, title: str) -> tuple[str, str]:
     csv_rows = [["variable", "coefficient", "std_error", "t_stat", "p_value"]]
     for c in fit.coefficients:
         csv_rows.append([c.label, c.estimate, c.std_error, c.t_stat, c.p_value])
-    csv_rows.append([])
     for name in ("n_obs", "r_squared", "adj_r_squared", "f_stat", "f_p_value", "ssr",
                  "resid_std_error", "dep_mean", "dep_std_error", "log_likelihood",
                  "aic", "bic", "hqc", "durbin_watson", "rho1"):
         csv_rows.append([name, getattr(fit, name)])
-    return text, _csv([r for r in csv_rows if r])
+    return text, _csv(csv_rows)
 
 
 def render_table(result, title: str = "") -> tuple[str, str]:

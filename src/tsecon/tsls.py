@@ -15,7 +15,7 @@ from ._record import record
 from .dataset import Dataset, Term
 from .regress import (
     EstimationError, FitResult, ModelSpec, build_design, diagnostics, distinct_terms,
-    least_squares, ols_fit, unique_labels,
+    least_squares, ols_fit,
 )
 
 __all__ = ["TslsSpec", "tsls_fit"]
@@ -27,7 +27,8 @@ class TslsSpec:
 
     Each endogenous label names a regressor, once.  With endogenous regressors,
     ``stages`` is the one design both stages share: the model with the
-    instruments appended, so they share its window.
+    instruments appended, so they share its window, and no instrument repeats
+    a label or a variable of the model.
     """
 
     model: ModelSpec
@@ -36,17 +37,17 @@ class TslsSpec:
 
     def __post_init__(self):
         m = self.model
-        labels = [t.rendered_label() for t in m.regressors]
-        if not set(unique_labels(self.endogenous, "endogenous")) <= set(labels):
-            raise EstimationError(f"expected regressor labels, each one of {', '.join(labels)}",
+        terms = {t.rendered_label(): t for t in m.regressors}
+        if not set(self.endogenous) <= set(terms):
+            raise EstimationError(f"expected regressor labels, each one of {', '.join(terms)}",
                                   "endogenous")
+        distinct_terms(tuple(terms[label] for label in self.endogenous), "endogenous")
         if len(self.instruments) < len(self.endogenous):
             raise EstimationError("order condition violated: need at least as many instruments "
                                   "as endogenous regressors", "instruments")
-        if self.endogenous:  # an instrument repeating a label or term of the model is refused here
-            unique_labels(m.labels + tuple(t.rendered_label() for t in self.instruments),
-                          "instruments")
-            distinct_terms((m.dependent, *m.regressors, *self.instruments), "instruments")
+        if self.endogenous:
+            distinct_terms((m.dependent, *m.regressors, *self.instruments), "instruments",
+                           ("const",) if m.include_constant else ())
         object.__setattr__(self, "stages", ModelSpec(
             m.dependent, (*m.regressors, *self.instruments), m.include_constant, m.sample,
         ) if self.endogenous else None)

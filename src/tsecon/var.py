@@ -14,8 +14,7 @@ import numpy as np
 
 from ._record import record
 from .dataset import Dataset, Term, align
-from .regress import (EstimationError, distinct_terms, lagged, least_squares, unique_labels,
-                      year_window)
+from .regress import EstimationError, distinct_terms, lagged, least_squares, year_window
 
 __all__ = ["FevdResult", "IrfResult", "VarModel", "VarSpec", "impulse_response", "response_horizon",
            "var_fit", "variance_decomposition"]
@@ -73,14 +72,13 @@ class VarSpec:
     sample: tuple[int, int] | None = None
 
     def __post_init__(self):
-        labels = unique_labels(tuple(t.rendered_label() for t in self.variables), "variables")
-        if not labels:
-            raise EstimationError("a VAR needs at least one variable", "variables")
         distinct_terms(self.variables, "variables")
+        if not self.variables:
+            raise EstimationError("a VAR needs at least one variable", "variables")
         if self.lags < 1:
             raise EstimationError("VAR lag order must be >= 1", "lags")
         year_window(self.sample, "sample")
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", tuple(t.rendered_label() for t in self.variables))
 
 
 def response_horizon(horizon: int) -> int:
@@ -93,7 +91,7 @@ def response_horizon(horizon: int) -> int:
 def var_fit(dataset: Dataset, spec: VarSpec) -> VarModel:
     """Fit a VAR(p) by per-equation OLS over the common sample."""
     p = spec.lags
-    _, window, columns = align(dataset, spec.variables, spec.sample)
+    window, columns = align(dataset, spec.variables, spec.sample)
     Y0, *Y_lags = lagged(np.column_stack(columns), range(p + 1), p)
     rows, k = Y0.shape
     X = np.column_stack([np.ones(rows), *Y_lags])

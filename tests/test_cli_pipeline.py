@@ -222,6 +222,11 @@ class TestCli:
         r = run_cli(["chow", "--break", "1998"])
         assert r.exit_code == 0
         assert "3.08263" in r.output
+        # every break's table prints, in the order given
+        r = run_cli(["chow", "--break", "1974 1998"])
+        assert r.exit_code == 0, r.output
+        assert 0 <= r.output.index("Chow test at 1974") < r.output.index("Chow test at 1998")
+        assert "3.08263" in r.output
 
     def test_granger_subcommand(self):
         r = run_cli(["granger", "--x", "dln(GDP)", "--y", "dln(Industrial Investment)",
@@ -773,6 +778,10 @@ class TestCli:
         (["var", "--variables", "dln(GDP), dln(Exports), dln(GDP) as G", "--lags", "1"],
          "--variables"),
         (["granger", "--x", "dln(GDP)", "--y", "dln(GDP) as G"], "--y"),
+        # two columns under one label: Granger's x and y, a regressor and the dependent
+        (["granger", "--x", "dln(GDP) as A", "--y", "dln(Exports) as A", "--lags", "1"], "--y"),
+        (["fit-ols", "--dependent", "ln(GDP)", "--regressors", "ln(Credit) as Ln(GDP)"],
+         "--regressors"),
         (["fit-tsls", "--dependent", "ln(Exports)", "--regressors", "dln(GDP), ln(Credit)",
           "--endogenous", "d_Ln(GDP)", "--instruments", "ln(Credit) as C"], "--instruments"),
     ])

@@ -89,6 +89,13 @@ RESIDUALS = AnnualSeries("e", 1970, tuple((-1.0) ** k * k for k in range(30)))
      "the term 'Y' repeats 'y'"),
     (lambda: GrangerSpec(Term("x", "diff"), Term("x", "diff", label="dx")), "y",
      "the term 'dx' repeats 'd_x'"),
+    # a label names one column, the dependent's and Granger's x and y included
+    (lambda: GrangerSpec(Term("x", label="A"), Term("y", label="A")), "y",
+     "the label 'A' is repeated"),
+    (lambda: ModelSpec(Term("y"), (Term("x", label="y"),)), "regressors",
+     "the label 'y' is repeated"),
+    (lambda: ModelSpec(Term("y"), (Term("x", label="const"),)), "regressors",
+     "the label 'const' is repeated"),
     (lambda: VarSpec((Term("x"), Term("w"), Term("x", label="X"))), "variables",
      "the term 'X' repeats 'x'"),
     (lambda: TslsSpec(MODEL, ("x",), (Term("z"), Term("w", label="w2"))), "instruments",
