@@ -29,7 +29,6 @@ __all__ = [
     "AnnualSeries",
     "Dataset",
     "DatasetError",
-    "ProvenanceNote",
     "Term",
     "TermError",
     "align",
@@ -100,22 +99,10 @@ class AnnualSeries:
 
 
 @record
-class ProvenanceNote:
-    """One curated cell: what the source printed and what the bundle ships."""
-
-    series: str
-    year: int
-    printed: str
-    curated: str
-    reason: str
-
-
-@record
 class Dataset:
-    """Immutable collection of named series plus curation notes and a checksum."""
+    """Immutable collection of named series plus a checksum."""
 
     series: dict[str, AnnualSeries]
-    provenance: tuple[ProvenanceNote, ...] = ()
     checksum: str = ""
 
     def get(self, name: str) -> AnnualSeries:
@@ -332,20 +319,6 @@ def _parse_csv(text: str, origin: str, wide: bool) -> list[AnnualSeries]:
     return [AnnualSeries(n, years[0], col, unit) for n, col in zip(names, columns)]
 
 
-def _parse_provenance(text: str, origin: str) -> tuple[ProvenanceNote, ...]:
-    notes = []
-    for lineno, ln in enumerate(text.splitlines(), start=1):
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        parts = ln.split(",", 4)
-        if len(parts) != 5 or not parts[1].strip().isdecimal():
-            raise DatasetError(f"{origin}: line {lineno}: {ln!r} is not "
-                               "'series,year,printed,curated,reason' with a numeric year")
-        notes.append(ProvenanceNote(parts[0], int(parts[1]), parts[2], parts[3], parts[4]))
-    return tuple(notes)
-
-
 def _read(path: Path) -> str:
     """A bundle file's text; an unreadable or non-UTF-8 file is a ``DatasetError``."""
     try:
@@ -367,9 +340,8 @@ def bundled_dataset_path() -> Path:
 def load_dataset(path: str | Path | None = None) -> Dataset:
     """Load and validate a CSV bundle.
 
-    ``path`` may be a bundle directory (one CSV per series, plus an optional
-    ``provenance.txt``), a single wide CSV file, or ``None`` for the bundled
-    curated dataset.
+    ``path`` may be a bundle directory (one CSV per series), a single wide CSV
+    file, or ``None`` for the bundled curated dataset.
     """
     p = bundled_dataset_path() if path is None else Path(path)
     if not p.exists():
@@ -384,6 +356,4 @@ def load_dataset(path: str | Path | None = None) -> Dataset:
             if s.name in series:
                 raise DatasetError(f"duplicate series name {s.name!r}")
             series[s.name] = s
-    prov = p / "provenance.txt"
-    provenance = () if wide or not prov.exists() else _parse_provenance(_read(prov), prov.name)
-    return Dataset(series, provenance, _checksum(series))
+    return Dataset(series, _checksum(series))

@@ -143,23 +143,22 @@ def cochrane_orcutt_fit(dataset: Dataset, spec: ArSpec) -> ArFitResult:
     y0, *y_lags = lagged(y, (0, *lags), m)
     X0, *X_lags = lagged(X, (0, *lags), m)
 
-    beta, _, _ = least_squares(X, y, "the OLS regression")
+    fit = least_squares(X, y, "the OLS regression")
     last_ssr = None
     converged = False
     for iterations in range(1, spec.max_iterations + 1):
         # re-estimate the disturbance coefficients from current residuals
-        e0, *e_lags = lagged(y - X @ beta, (0, *lags), m)
-        rho, _, _ = least_squares(np.column_stack(e_lags), e0, "the AR disturbance regression")
+        e0, *e_lags = lagged(y - X @ fit.beta, (0, *lags), m)
+        rho = least_squares(np.column_stack(e_lags), e0, "the AR disturbance regression").beta
         # quasi-difference and re-estimate the regression
         y_star = y0 - sum(r * v for r, v in zip(rho, y_lags))
         X_star = X0 - sum(r * v for r, v in zip(rho, X_lags))
-        beta, e_star, R = least_squares(X_star, y_star, "the quasi-differenced AR regression")
-        ssr = float(e_star @ e_star)  # the SSR diagnostics reports, bit for bit
-        if last_ssr is not None and abs(ssr - last_ssr) <= spec.convergence_rel_tol * last_ssr:
+        fit = least_squares(X_star, y_star, "the quasi-differenced AR regression")
+        if last_ssr is not None and abs(fit.ssr - last_ssr) <= spec.convergence_rel_tol * last_ssr:
             converged = True
             break
-        last_ssr = ssr
-    final = diagnostics(spec.model, y_star, X_star, beta, R, years[m:], method="ar")
+        last_ssr = fit.ssr
+    final = diagnostics(spec.model, y_star, fit, years[m:], method="ar")
     diverged = not _ar_poly_stationary(rho, lags)
     return ArFitResult(final, tuple(float(r) for r in rho), lags, iterations, converged, diverged)
 
@@ -203,11 +202,10 @@ def _granger_one_direction(x: np.ndarray, y: np.ndarray, lags: int) -> tuple[flo
     # x's lags go last: the restricted fit without them has an SSR larger by the squared
     # tail of Q'y = R beta, and passes the rank rule whenever this fit does
     X = np.column_stack([np.ones(len(y0)), *y_lags, *lagged(x, range(1, lags + 1), lags)])
-    beta, e, R = least_squares(X, y0, "the Granger regression")
-    tail = R[lags + 1 :] @ beta
-    df = len(e) - X.shape[1]
-    f = (float(tail @ tail) / lags) / (float(e @ e) / df)
-    return float(f), f_pvalue(f, lags, df), len(e)
+    fit = least_squares(X, y0, "the Granger regression")
+    tail = fit.R[lags + 1 :] @ fit.beta
+    f = (float(tail @ tail) / lags) / fit.s2
+    return float(f), f_pvalue(f, lags, fit.df), len(y0)
 
 
 def granger_causality(dataset: Dataset, spec: GrangerSpec) -> GrangerResult:
@@ -235,14 +233,9 @@ def chow_test(dataset: Dataset, spec: ModelSpec, break_year: int) -> ChowResult:
     y, X, years = build_design(dataset, spec)
     n, p = X.shape
     mask = years < break_year
-
-    def ssr(yy, XX, what):
-        _, r, _ = least_squares(XX, yy, what)
-        return float(r @ r)
-
-    ssr_p = ssr(y, X, "the Chow pooled regression")
-    ssr_1 = ssr(y[mask], X[mask], f"the Chow sub-sample before {break_year}")
-    ssr_2 = ssr(y[~mask], X[~mask], f"the Chow sub-sample from {break_year}")
+    ssr_p = least_squares(X, y, "the Chow pooled regression").ssr
+    ssr_1 = least_squares(X[mask], y[mask], f"the Chow sub-sample before {break_year}").ssr
+    ssr_2 = least_squares(X[~mask], y[~mask], f"the Chow sub-sample from {break_year}").ssr
     f = ((ssr_p - ssr_1 - ssr_2) / p) / ((ssr_1 + ssr_2) / (n - 2 * p))
     pval = f_pvalue(f, p, n - 2 * p)
     return ChowResult(break_year, float(f), (p, n - 2 * p), pval, pval < 0.05)

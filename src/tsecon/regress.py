@@ -76,8 +76,9 @@ class ModelSpec:
     sample: tuple[int, int] | None = None
 
     def __post_init__(self):
-        distinct_terms((self.dependent, *self.regressors), "regressors",
-                       ("const",) if self.include_constant else ())
+        taken = ("const",) if self.include_constant else ()
+        distinct_terms((self.dependent,), "dependent", taken)
+        distinct_terms((self.dependent, *self.regressors), "regressors", taken)
         if not self.regressors and not self.include_constant:
             raise EstimationError("empty model: no regressor and no constant", "regressors")
         year_window(self.sample, "sample")
@@ -158,10 +159,31 @@ def lagged(x: np.ndarray, lags, first: int) -> list[np.ndarray]:
     return [x[first - k : n - k] for k in lags]
 
 
-def least_squares(
-    X: np.ndarray, Y: np.ndarray, what: str = "the regression"
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coefficients, residuals and R factor of the least-squares fit of ``Y`` on ``X``.
+@record
+class Solution:
+    """One least-squares fit: ``beta``, the residuals E and the design's R factor.
+
+    ``ssr`` is E'E, a float for one right-hand side and the cross-product
+    matrix for several; ``df`` is n - p and ``s2`` the residual variance
+    ``ssr / df``.
+    """
+
+    beta: np.ndarray
+    residuals: np.ndarray
+    R: np.ndarray
+
+    def __post_init__(self):
+        E = self.residuals
+        object.__setattr__(self, "ssr", E.T @ E if E.ndim > 1 else float(E @ E))
+        object.__setattr__(self, "df", len(E) - len(self.beta))
+
+    @property
+    def s2(self):
+        return self.ssr / self.df
+
+
+def least_squares(X: np.ndarray, Y: np.ndarray, what: str = "the regression") -> Solution:
+    """The least-squares fit of ``Y`` on ``X``: its coefficients, residuals and R factor.
 
     ``Y`` is one right-hand side (1-D) or several (2-D, one per column).  A
     design with no more rows than columns is refused with ``EstimationError``
@@ -186,7 +208,7 @@ def least_squares(
     if len(sv) < p or not sv[-1] > RANK_RTOL * sv[0]:
         raise EstimationError(f"{what} is rank deficient")
     beta = B / (norms if B.ndim == 1 else norms[:, None])
-    return beta, Y - X @ beta, F[:p, :p] * norms
+    return Solution(beta, Y - X @ beta, F[:p, :p] * norms)
 
 
 def f_pvalue(f: float, dfn: float, dfd: float) -> float:
@@ -200,27 +222,17 @@ def f_pvalue(f: float, dfn: float, dfd: float) -> float:
 
 
 def diagnostics(
-    spec: ModelSpec,
-    y: np.ndarray,
-    X: np.ndarray,
-    beta: np.ndarray,
-    R: np.ndarray,
-    years: np.ndarray,
-    *,
-    method: str = "ols",
+    spec: ModelSpec, y: np.ndarray, fit: Solution, years: np.ndarray, *, method: str = "ols"
 ) -> FitResult:
-    """Assemble a FitResult of ``spec`` from a solved regression.
+    """Assemble a FitResult of ``spec`` from ``fit``, the solved regression of ``y``.
 
-    ``R`` is the fit's triangular factor from ``least_squares`` (two-stage least
-    squares passes the projected design's).  Coefficient p-values are
-    standard-normal for ``method == "tsls"`` and Student-t otherwise.
+    Two-stage least squares passes the projected design's R with the residuals
+    of the original one.  Coefficient p-values are standard-normal for
+    ``method == "tsls"`` and Student-t otherwise.
     """
-    n, p = X.shape
-    e = y - X @ beta
-    ssr = float(e @ e)
-    df = n - p
-    s2 = ssr / df
-    se = np.sqrt(s2 * np.square(np.linalg.inv(R)).sum(axis=1))
+    beta, e, ssr, df = fit.beta, fit.residuals, fit.ssr, fit.df
+    n, p = len(e), len(beta)
+    se = np.sqrt(fit.s2 * np.square(np.linalg.inv(fit.R)).sum(axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
         tvals = np.where(se > 0, beta / np.where(se > 0, se, 1.0), np.inf * np.sign(beta))
     if method == "tsls":
@@ -258,7 +270,7 @@ def diagnostics(
         f_p_value=f_p,
         f_df=(q, df),
         ssr=ssr,
-        resid_std_error=math.sqrt(s2),
+        resid_std_error=math.sqrt(fit.s2),
         dep_mean=float(y.mean()),
         dep_std_error=float(y.std(ddof=1)),
         log_likelihood=loglik,
@@ -277,6 +289,5 @@ def diagnostics(
 def ols_fit(dataset: Dataset, spec: ModelSpec) -> FitResult:
     """Ordinary least squares over the spec's realized sample."""
     y, X, years = build_design(dataset, spec)
-    beta, _, R = least_squares(X, y, "the OLS regression")
-    return diagnostics(spec, y, X, beta, R, years)
+    return diagnostics(spec, y, least_squares(X, y, "the OLS regression"), years)
 

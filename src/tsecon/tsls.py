@@ -14,7 +14,7 @@ import numpy as np
 from ._record import record
 from .dataset import Dataset, Term
 from .regress import (
-    EstimationError, FitResult, ModelSpec, build_design, diagnostics, distinct_terms,
+    EstimationError, FitResult, ModelSpec, Solution, build_design, diagnostics, distinct_terms,
     least_squares, ols_fit,
 )
 
@@ -63,9 +63,9 @@ def tsls_fit(dataset: Dataset, spec: TslsSpec) -> FitResult:
     y, D, years = build_design(dataset, spec.stages)
     X, Z = D[:, : len(labels)], np.delete(D, endo_idx, axis=1)
     # stage 1: fitted values of every endogenous column from one fit
-    gamma, _, _ = least_squares(Z, X[:, endo_idx], "the 2SLS first stage")
     X_hat = X.copy()
-    X_hat[:, endo_idx] = Z @ gamma
+    X_hat[:, endo_idx] = Z @ least_squares(Z, X[:, endo_idx], "the 2SLS first stage").beta
     # stage 2: OLS on the projected design; residuals from the original design
-    beta, _, R = least_squares(X_hat, y, "the 2SLS second stage")
-    return diagnostics(m, y, X, beta, R, years, method="tsls")
+    stage2 = least_squares(X_hat, y, "the 2SLS second stage")
+    fit = Solution(stage2.beta, y - X @ stage2.beta, stage2.R)
+    return diagnostics(m, y, fit, years, method="tsls")

@@ -158,10 +158,9 @@ def _adf_regression(values: np.ndarray, spec: AdfSpec) -> tuple[float, float, in
     if spec.deterministic == "constant_and_trend":
         cols.append(np.arange(1.0, rows + 1.0))
     X = np.column_stack(cols + dy_lags + lagged(values, (1,), k + 1))
-    beta, e, R = least_squares(X, Y, f"the ADF design ({spec.deterministic}, {k} lags)")
-    s2 = float(e @ e) / (rows - X.shape[1])
-    se = math.sqrt(s2) / abs(float(R[-1, -1]))
-    return float(beta[-1] / se), float(beta[-1]), rows
+    fit = least_squares(X, Y, f"the ADF design ({spec.deterministic}, {k} lags)")
+    se = math.sqrt(fit.s2) / abs(float(fit.R[-1, -1]))
+    return float(fit.beta[-1] / se), float(fit.beta[-1]), rows
 
 
 def adf_test(series: AnnualSeries, spec: AdfSpec) -> AdfResult:
@@ -184,6 +183,7 @@ def df_residual_test(
     ``surface`` names the deterministic case of that static regression (the
     default ``none`` matches a no-constant long-run fit).
     """
+    surface_row(surface, n_vars)
     spec = AdfSpec("none", lag_order)
     tau, coef, rows = _adf_regression(np.asarray(residuals.values), spec)
     p = mackinnon_pvalue(tau, surface, n_vars)

@@ -95,8 +95,8 @@ def var_fit(dataset: Dataset, spec: VarSpec) -> VarModel:
     Y0, *Y_lags = lagged(np.column_stack(columns), range(p + 1), p)
     rows, k = Y0.shape
     X = np.column_stack([np.ones(rows), *Y_lags])
-    B, E, _ = least_squares(X, Y0, f"the VAR({p}) design")
-    sigma = E.T @ E / (rows - X.shape[1])
+    fit = least_squares(X, Y0, f"the VAR({p}) design")
+    B, sigma = fit.beta, fit.s2
     A = tuple(B[1 + i * k : 1 + (i + 1) * k].T for i in range(p))
     return VarModel(
         labels=spec.labels,

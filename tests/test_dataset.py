@@ -110,15 +110,9 @@ class TestLoad:
 
     @pytest.mark.parametrize("name, content, message", [
         ("s.csv", b"year,s\n1970,1\n1971,\xff\n", r"s\.csv: line 3: byte 0xff is not UTF-8 text"),
-        ("provenance.txt", b"s,1970,1,2,\xe9\n", r"provenance\.txt: line 1: byte 0xe9 is not UTF-8 text"),
-        ("provenance.txt", b"# notes\ns,19x0,1,2,note\n",
-         r"provenance\.txt: line 2: 's,19x0,1,2,note' is not .* with a numeric year"),
-        ("provenance.txt", b"s,1970,1\n", r"provenance\.txt: line 1: 's,1970,1' is not 'series,year,printed,curated,reason'"),
         ("wide.csv", b"year,a\n1970,1\n# \xff\n", r"wide\.csv: line 3: byte 0xff is not UTF-8 text"),
         ("t.csv", None, r"t\.csv: cannot read: Is a directory"),
-        ("provenance.txt", None, r"provenance\.txt: cannot read: Is a directory"),
-    ], ids=["series-not-utf-8", "provenance-not-utf-8", "provenance-year", "provenance-fields",
-            "wide-not-utf-8", "series-unreadable", "provenance-unreadable"])
+    ], ids=["series-not-utf-8", "wide-not-utf-8", "series-unreadable"])
     def test_bad_bundle_file_is_dataset_error_naming_it(self, tmp_path, name, content, message):
         (tmp_path / "s.csv").write_text("year,s\n1970,1\n1971,2\n")
         if content is None:  # a directory where a file is expected cannot be read
@@ -156,10 +150,6 @@ class TestLoad:
                                         "1970,1\n1971,2\n")
         ds = load_dataset(tmp_path / "s.csv" if wide else tmp_path)
         assert ds.get("a") == AnnualSeries("a", 1970, (1.0, 2.0), "t")
-
-    def test_provenance_notes(self, dataset):
-        assert any(n.series == "Credit growth" and n.year == 1973 and n.curated == "-45"
-                   for n in dataset.provenance)
 
 
 class TestTerms:

@@ -105,16 +105,17 @@ class TestKernel:
         rng = np.random.default_rng(4)
         X = np.column_stack([np.ones(30), rng.normal(size=(30, 2))])
         Y = rng.normal(size=(30, 3))
-        B, E, _ = least_squares(X, Y)
+        fit = least_squares(X, Y)
         for j in range(3):
-            b, e, _ = least_squares(X, Y[:, j])
-            np.testing.assert_allclose(B[:, j], b, rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(E[:, j], e, rtol=1e-12, atol=1e-14)
+            col = least_squares(X, Y[:, j])
+            np.testing.assert_allclose(fit.beta[:, j], col.beta, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(fit.residuals[:, j], col.residuals, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(fit.ssr[j, j], col.ssr, rtol=1e-12)
 
     def test_factor_is_the_designs_own(self):
         rng = np.random.default_rng(5)
         X = np.column_stack([np.ones(30), 1e6 * rng.normal(size=30), rng.normal(size=30)])
-        _, _, R = least_squares(X, rng.normal(size=30))
+        R = least_squares(X, rng.normal(size=30)).R
         XtX = X.T @ X
         np.testing.assert_allclose(R.T @ R, XtX, rtol=0, atol=1e-12 * np.abs(XtX).max())
         assert np.array_equal(R, np.triu(R))
@@ -144,8 +145,20 @@ class TestKernel:
         for seed in range(200):
             rng = np.random.default_rng(seed)
             X, y = rng.normal(size=(40, 5)), rng.normal(size=40)
-            for got, want in zip(least_squares(np.asfortranarray(X), y), least_squares(X, y)):
-                assert np.array_equal(got, want), seed
+            got, want = least_squares(np.asfortranarray(X), y), least_squares(X, y)
+            for field in ("beta", "residuals", "R", "ssr", "df"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), (seed, field)
+
+    @pytest.mark.parametrize("k", [None, 3], ids=["vector", "matrix"])
+    def test_ssr_and_residual_variance_are_the_residuals_own(self, k):
+        rng = np.random.default_rng(6)
+        X = np.column_stack([np.ones(30), rng.normal(size=(30, 2))])
+        fit = least_squares(X, rng.normal(size=30 if k is None else (30, k)))
+        E = fit.residuals
+        assert fit.df == 30 - 3
+        assert np.array_equal(fit.ssr, E.T @ E)
+        assert np.array_equal(fit.s2, E.T @ E / (30 - 3))
+        assert isinstance(fit.ssr, float) == (k is None)
 
     def test_more_columns_than_rows_is_too_few_observations(self):
         with pytest.raises(EstimationError, match="^the regression has 3 observations for 4 parameters$"):

@@ -78,6 +78,7 @@ def test_post_init_validates_and_normalises():
 
 MODEL = ModelSpec(Term("y"), (Term("x"), Term("w")))
 RESIDUALS = AnnualSeries("e", 1970, tuple((-1.0) ** k * k for k in range(30)))
+SHORT = AnnualSeries("residuals", 2000, (0.1, -0.2, 0.3))
 
 
 # each spec states its data-free rules once, and names the manifest key a refusal is about
@@ -95,6 +96,8 @@ RESIDUALS = AnnualSeries("e", 1970, tuple((-1.0) ** k * k for k in range(30)))
     (lambda: ModelSpec(Term("y"), (Term("x", label="y"),)), "regressors",
      "the label 'y' is repeated"),
     (lambda: ModelSpec(Term("y"), (Term("x", label="const"),)), "regressors",
+     "the label 'const' is repeated"),
+    (lambda: ModelSpec(Term("y", label="const"), (Term("x"),)), "dependent",
      "the label 'const' is repeated"),
     (lambda: VarSpec((Term("x"), Term("w"), Term("x", label="X"))), "variables",
      "the term 'X' repeats 'x'"),
@@ -119,6 +122,9 @@ RESIDUALS = AnnualSeries("e", 1970, tuple((-1.0) ** k * k for k in range(30)))
      "regressors", "cover at most 6 variables; the long-run relation has 7"),
     (lambda: df_residual_test(RESIDUALS, 1, n_vars=7), "regressors", "cover at most 6"),
     (lambda: df_residual_test(RESIDUALS, 1, surface="bogus"), "deterministic", "expected one of"),
+    # a spec refusal comes before the data's: three residuals are too few to regress
+    (lambda: df_residual_test(SHORT, 1, n_vars=7), "regressors", "cover at most 6"),
+    (lambda: df_residual_test(SHORT, 1, surface="bogus"), "deterministic", "expected one of"),
     (lambda: same_dependent(Term("y", label="Z"), Term("x", label="Z")), "b",
      "requires the same dependent variable"),
     (lambda: ModelSpec(Term("y"), (Term("x"),), sample=(2010, 1976)), "sample",

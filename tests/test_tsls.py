@@ -57,6 +57,22 @@ class TestTsls:
         assert fit.coefficient("x").estimate == pytest.approx(beta[1], abs=1e-10)
         assert fit.coefficient("w").estimate == pytest.approx(beta[2], abs=1e-10)
 
+    def test_ssr_is_the_original_designs(self):
+        # stage two regresses on x_hat, but the reported SSR is that of y - X beta with x itself
+        ds = iv_system(seed=3)
+        spec = TslsSpec(model=model_spec(ds), endogenous=("x",), instruments=(Term("z1"), Term("z2")))
+        fit = tsls_fit(ds, spec)
+        X = np.column_stack([np.ones(60), ds.get("x").values, ds.get("w").values])
+        beta = np.array([c.estimate for c in fit.coefficients])
+        e = np.array(ds.get("y").values) - X @ beta
+        assert fit.ssr == pytest.approx(float(e @ e), rel=1e-12)
+        assert fit.residuals.values == pytest.approx(tuple(e), rel=1e-12, abs=1e-12)
+        Z = np.column_stack([np.ones(60), ds.get("w").values, ds.get("z1").values,
+                             ds.get("z2").values])
+        X[:, 1] = Z @ np.linalg.lstsq(Z, X[:, 1], rcond=None)[0]
+        e_hat = np.array(ds.get("y").values) - X @ beta
+        assert float(e_hat @ e_hat) > 2.0 * fit.ssr  # not the projected design's SSR
+
     def test_consistency_on_known_system(self):
         ds = iv_system(seed=1, n=4000)
         spec = TslsSpec(model=model_spec(ds), endogenous=("x",), instruments=(Term("z1"), Term("z2")))
