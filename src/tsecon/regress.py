@@ -29,6 +29,8 @@ __all__ = [
 
 # a design whose unit-norm columns have sigma_min <= RANK_RTOL * sigma_max is rank deficient
 RANK_RTOL = 1e-10
+# a fit whose E'E <= EXACT_RTOL * ||R beta||^2, in some column, has no residual left
+EXACT_RTOL = float(np.finfo(float).eps)
 
 
 class EstimationError(Exception):
@@ -166,16 +168,22 @@ class Solution:
     ``ssr`` is E'E, a float for one right-hand side and the cross-product
     matrix for several; ``df`` is n - p and ``s2`` the residual variance
     ``ssr / df``.
+    A fit named ``what`` with E'E <= ``EXACT_RTOL`` ||R beta||^2 (= ||X beta||^2) in
+    some column has no residual left: ``EstimationError`` "{what} fits exactly".
     """
 
     beta: np.ndarray
     residuals: np.ndarray
     R: np.ndarray
+    what: str
 
     def __post_init__(self):
         E = self.residuals
         object.__setattr__(self, "ssr", E.T @ E if E.ndim > 1 else float(E @ E))
         object.__setattr__(self, "df", len(E) - len(self.beta))
+        fitted = np.square(self.R @ self.beta).sum(axis=0)
+        if (np.diag(np.atleast_2d(self.ssr)) <= EXACT_RTOL * fitted).any():
+            raise EstimationError(f"{self.what} fits exactly")
 
     @property
     def s2(self):
@@ -191,7 +199,7 @@ def least_squares(X: np.ndarray, Y: np.ndarray, what: str = "the regression") ->
     unit-norm design with ``Y`` appended gives R and Q'Y; ``lstsq`` on their
     p x p block gives the unit-norm coefficients and singular values.  When the
     smallest is at most ``RANK_RTOL`` times the largest (an all-zero column
-    included), "{what} is rank deficient" is raised.  ``what`` names the fit.
+    included), "{what} is rank deficient" is raised; ``Solution`` raises "{what} fits exactly".
     The R returned is ``X``'s own: R'R = X'X, R @ beta = Q'Y, and
     (X'X)^-1 = R^-1 R^-T comes without forming X'X, whose condition number is
     the design's squared (Golub & Van Loan, *Matrix Computations*, section 5.3).
@@ -208,7 +216,7 @@ def least_squares(X: np.ndarray, Y: np.ndarray, what: str = "the regression") ->
     if len(sv) < p or not sv[-1] > RANK_RTOL * sv[0]:
         raise EstimationError(f"{what} is rank deficient")
     beta = B / (norms if B.ndim == 1 else norms[:, None])
-    return Solution(beta, Y - X @ beta, F[:p, :p] * norms)
+    return Solution(beta, Y - X @ beta, F[:p, :p] * norms, what)
 
 
 def f_pvalue(f: float, dfn: float, dfd: float) -> float:
@@ -233,8 +241,7 @@ def diagnostics(
     beta, e, ssr, df = fit.beta, fit.residuals, fit.ssr, fit.df
     n, p = len(e), len(beta)
     se = np.sqrt(fit.s2 * np.square(np.linalg.inv(fit.R)).sum(axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tvals = np.where(se > 0, beta / np.where(se > 0, se, 1.0), np.inf * np.sign(beta))
+    tvals = beta / se
     if method == "tsls":
         pvals = [2.0 * norm_cdf(-abs(t)) for t in tvals.tolist()]
     else:
@@ -244,20 +251,13 @@ def diagnostics(
         for lbl, b, s, t, pv in zip(spec.labels, beta, se, tvals, pvals)
     )
     tss = float(((y - y.mean()) ** 2).sum()) if spec.include_constant else float(y @ y)
-    r2 = 1.0 - ssr / tss if tss > 0 else float("nan")
+    r2 = 1.0 - ssr / tss
     adj = 1.0 - (1.0 - r2) * (n - 1) / df
     q = p - 1 if spec.include_constant else p
-    if q > 0 and r2 < 1.0:
-        f = (r2 / q) / ((1.0 - r2) / df)
-        f_p = f_pvalue(f, q, df)
-    else:
-        f, f_p = float("nan"), float("nan")
-    # a bitwise-perfect fit has unbounded concentrated likelihood
-    loglik = (
-        math.inf if ssr <= 0.0
-        else -0.5 * n * (1.0 + math.log(2.0 * math.pi) + math.log(ssr / n))
-    )
-    dw = float(np.sum(np.diff(e) ** 2) / ssr) if ssr > 0 else float("nan")
+    f = (r2 / q) / ((1.0 - r2) / df) if q else math.nan  # a constant-only model has no slope
+    f_p = f_pvalue(f, q, df)
+    loglik = -0.5 * n * (1.0 + math.log(2.0 * math.pi) + math.log(ssr / n))
+    dw = float(np.sum(np.diff(e) ** 2) / ssr)
     e0, e1 = lagged(e, (0, 1), 1)
     denom = float(np.sum(e1**2))
     rho1 = float(np.sum(e0 * e1) / denom) if denom > 0 else float("nan")
@@ -266,7 +266,7 @@ def diagnostics(
         n_obs=n,
         r_squared=r2,
         adj_r_squared=adj,
-        f_stat=float(f),
+        f_stat=f,
         f_p_value=f_p,
         f_df=(q, df),
         ssr=ssr,

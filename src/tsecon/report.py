@@ -74,10 +74,14 @@ def _fit_table(fit: FitResult, title: str) -> tuple[str, str]:
     for c in fit.coefficients:
         rows.append([c.label, _g6(c.estimate), _g6(c.std_error), _g6(c.t_stat),
                      _g6(c.p_value), significance_stars(c.p_value)])
+    f = {"f_stat": fit.f_stat, "f_p_value": fit.f_p_value}
+    f_text = {key: _g6(v) for key, v in f.items()}
+    if not fit.f_df[0]:  # a constant-only model has no slope for F to test
+        f = f_text = dict.fromkeys(f, "n/a (no regressor)")
     diag = [
         "",
         f"R-squared           {_g6(fit.r_squared)}    Adjusted R-squared  {_g6(fit.adj_r_squared)}",
-        f"F({fit.f_df[0]}, {fit.f_df[1]})             {_g6(fit.f_stat)}    P(F)                {_g6(fit.f_p_value)}",
+        f"F({fit.f_df[0]}, {fit.f_df[1]})             {f_text['f_stat']}    P(F)                {f_text['f_p_value']}",
         f"SSR                 {_g6(fit.ssr)}    S.E. of regression  {_g6(fit.resid_std_error)}",
         f"Mean dep. var       {_g6(fit.dep_mean)}    S.D. dep. var       {_g6(fit.dep_std_error)}",
         f"Log-likelihood      {_g6(fit.log_likelihood)}    Durbin-Watson       {_g6(fit.durbin_watson)}",
@@ -91,7 +95,7 @@ def _fit_table(fit: FitResult, title: str) -> tuple[str, str]:
     for name in ("n_obs", "r_squared", "adj_r_squared", "f_stat", "f_p_value", "ssr",
                  "resid_std_error", "dep_mean", "dep_std_error", "log_likelihood",
                  "aic", "bic", "hqc", "durbin_watson", "rho1"):
-        csv_rows.append([name, getattr(fit, name)])
+        csv_rows.append([name, f.get(name, getattr(fit, name))])
     return text, _csv(csv_rows)
 
 

@@ -67,5 +67,5 @@ def tsls_fit(dataset: Dataset, spec: TslsSpec) -> FitResult:
     X_hat[:, endo_idx] = Z @ least_squares(Z, X[:, endo_idx], "the 2SLS first stage").beta
     # stage 2: OLS on the projected design; residuals from the original design
     stage2 = least_squares(X_hat, y, "the 2SLS second stage")
-    fit = Solution(stage2.beta, y - X @ stage2.beta, stage2.R)
+    fit = Solution(stage2.beta, y - X @ stage2.beta, stage2.R, "the 2SLS regression")
     return diagnostics(m, y, fit, years, method="tsls")

@@ -370,6 +370,32 @@ class TestCli:
         assert r.exit_code == 4, r.output
         assert "step 'fit-ols' failed: the OLS regression is rank deficient" in r.output
 
+    @pytest.mark.parametrize("csv, argv, fit", [
+        # Y = 1 + 2X + 3Z
+        ("year,Y,X,Z\n1970,1,0,0\n1971,6,1,1\n1972,17,2,4\n1973,13,3,2\n1974,15,4,2\n"
+         "1975,23,5,4\n1976,16,6,1\n1977,15,7,0\n1978,20,8,1\n1979,31,9,4\n1980,27,10,2\n"
+         "1981,29,11,2\n",
+         ["fit-ols", "--dependent", "Y", "--regressors", "X, Z"], "the OLS regression"),
+        # dln(Total investment) is ln(Total investment) less its lag: the instruments span it
+        (None, ["fit-tsls", "--dependent", "ln(Exports)", "--regressors",
+                "dln(Total investment) as d_Ln(K), ln(GDP)", "--endogenous", "d_Ln(K)",
+                "--instruments", "ln(Total investment), ln(Total investment)@1"],
+         "the 2SLS first stage"),
+        # y = 1 + 2 x1 + 3 x2: stage two's coefficients are y's own, so y - X b is zero
+        ("year,y,x1,x2,z\n1970,4,0,1,0\n1971,9,1,2,1\n1972,29,2,8,4\n1973,31,3,8,2\n"
+         "1974,33,4,8,2\n1975,29,5,6,4\n1976,31,6,6,1\n1977,27,7,4,0\n1978,26,8,3,1\n"
+         "1979,46,9,9,4\n1980,39,10,6,2\n1981,38,11,5,2\n1982,52,12,9,4\n",
+         ["fit-tsls", "--dependent", "y", "--regressors", "x1, x2", "--endogenous", "x2",
+          "--instruments", "z, z@1"], "the 2SLS regression"),
+    ], ids=["ols", "tsls-first-stage", "tsls-structural"])
+    def test_exact_fit_exits_4_without_a_table(self, tmp_path, csv, argv, fit):
+        if csv is not None:
+            (tmp_path / "exact.csv").write_text(csv)
+            argv = [*argv, "--dataset", str(tmp_path / "exact.csv")]
+        r = run_cli(argv)
+        assert r.exit_code == 4, r.output
+        assert r.output == f"step error: step '{argv[0]}' failed: {fit} fits exactly\n"
+
     @pytest.mark.parametrize("argv, message", [
         (["adf", "--series", "ln(GDP)", "--window", "1900:1910"],
          "step 'adf' failed: series 'GDP': window 1900-1910"),

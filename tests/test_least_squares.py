@@ -13,7 +13,7 @@ from tsecon.cointegration import engle_granger
 from tsecon.dataset import AnnualSeries, Term, parse_term
 from tsecon.dynamics import ArSpec, GrangerSpec, chow_test, cochrane_orcutt_fit, granger_causality
 from tsecon.pipeline import windowed_series
-from tsecon.regress import EstimationError, ModelSpec, least_squares, ols_fit
+from tsecon.regress import EXACT_RTOL, EstimationError, ModelSpec, least_squares, ols_fit
 from tsecon.tsls import TslsSpec, tsls_fit
 from tsecon.unitroot import AdfSpec, adf_test
 from tsecon.var import VarSpec, var_fit
@@ -160,6 +160,25 @@ class TestKernel:
         assert np.array_equal(fit.s2, E.T @ E / (30 - 3))
         assert isinstance(fit.ssr, float) == (k is None)
 
+    @pytest.mark.parametrize("k", [None, 2], ids=["vector", "matrix"])
+    @pytest.mark.parametrize("factor, exact", [(2.0, False), (0.5, True)], ids=["above", "below"])
+    def test_exact_fit_rule_bounds_each_residual_by_its_fitted_values(self, k, factor, exact):
+        # u is orthogonal to the constant and t, so the residual of Y = X b + c u is c u
+        t = np.arange(10.0)
+        X = np.column_stack([np.ones(10), t])
+        u = (t * t - 9.0 * t + 12.0) / math.sqrt(528.0)
+        fitted = X @ np.array([1.0, 2.0])
+        y = fitted + factor ** 0.5 * math.sqrt(EXACT_RTOL) * float(np.linalg.norm(fitted)) * u
+        # the matrix's other column keeps a large residual: the rule reads each column alone
+        Y = y if k is None else np.column_stack([fitted + u, y])
+        if exact:
+            with pytest.raises(EstimationError, match="^my fit fits exactly$"):
+                least_squares(X, Y, "my fit")
+        else:
+            ssr = least_squares(X, Y, "my fit").ssr
+            got = ssr if k is None else ssr[1, 1]
+            assert got == pytest.approx(factor * EXACT_RTOL * float(fitted @ fitted), rel=1e-6)
+
     def test_more_columns_than_rows_is_too_few_observations(self):
         with pytest.raises(EstimationError, match="^the regression has 3 observations for 4 parameters$"):
             least_squares(np.eye(3, 4) + 1.0, np.ones(3))
@@ -230,11 +249,14 @@ def test_every_fit_refuses_no_more_observations_than_parameters(fit):
     assert str(info.value) == message
 
 
-DEGENERATE = ("collinear", "near_collinear", "zero", "duplicate_constant")
+DEGENERATE = ("collinear", "near_collinear", "zero", "duplicate_constant", "exact")
 
 
 def degenerate_dataset(kind, exponent, seed, n=32):
-    """y, a regular x1, a degenerate x2 and an instrument z over ``n`` years."""
+    """y, a regular x1, a degenerate x2 and an instrument z over ``n`` years.
+
+    ``exact`` keeps x2 regular and makes y an exact combination of x1 and x2.
+    """
     rng = np.random.default_rng(seed)
     x1 = np.cumsum(rng.normal(size=n)) + rng.normal(size=n)
     scale = 10.0 ** exponent
@@ -243,14 +265,20 @@ def degenerate_dataset(kind, exponent, seed, n=32):
         "near_collinear": x1 + 1e-13 * rng.normal(size=n),
         "zero": np.zeros(n),
         "duplicate_constant": np.full(n, scale),
+        "exact": np.square(x1),
     }[kind]
     y = 1.0 + 0.5 * x1 + rng.normal(size=n)
+    if kind == "exact":
+        y = scale * (1.0 + 0.5 * x1 - 0.25 * x2)
     z = x1 + rng.normal(size=n)
     return make_dataset(y=(1970, y), x1=(1970, x1), x2=(1970, x2), z=(1970, z))
 
 
 def fit_numbers(fit):
-    yield fit.ssr
+    """Every number of a fit's printed table."""
+    yield (fit.ssr, fit.r_squared, fit.adj_r_squared, fit.f_stat, fit.f_p_value,
+           fit.log_likelihood, fit.aic, fit.bic, fit.hqc, fit.durbin_watson, fit.rho1,
+           fit.resid_std_error)
     for c in fit.coefficients:
         yield c.estimate, c.std_error, c.t_stat, c.p_value
 
@@ -295,3 +323,19 @@ def test_degenerate_design_is_finite_or_estimation_error(estimator, kind, expone
     except EstimationError:
         return
     assert np.all(np.isfinite(np.concatenate(numbers)))
+
+
+EXACT_FITS = {
+    "ols": "the OLS regression",
+    "ar": "the OLS regression",
+    "chow": "the Chow pooled regression",
+    # stage two's coefficients are y's own, so the structural residuals vanish
+    "tsls": "the 2SLS regression",
+}
+
+
+@pytest.mark.parametrize("estimator", EXACT_FITS)
+def test_exact_fit_of_y_is_refused_naming_the_fit(estimator):
+    spec = ModelSpec(Term("y"), (Term("x1"), Term("x2")), sample=(1971, 2001))
+    with pytest.raises(EstimationError, match=f"^{EXACT_FITS[estimator]} fits exactly$"):
+        list(reported_numbers(estimator, degenerate_dataset("exact", 0, 1), spec))

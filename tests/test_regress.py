@@ -25,13 +25,20 @@ def spec_for(names, dep="y", constant=True, sample=None):
 
 class TestOlsCore:
     def test_exact_line(self):
+        # no residual is left for s2, t, F or the log-likelihood to read
         x = np.arange(1.0, 9.0)
         ds = make_dataset(y=(2000, 3.0 * x), x=(2000, x))
-        fit = ols_fit(ds, spec_for(["x"]))
-        assert fit.coefficient("x").estimate == pytest.approx(3.0, abs=1e-12)
-        assert fit.coefficient("const").estimate == pytest.approx(0.0, abs=1e-10)
-        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-        assert fit.ssr == pytest.approx(0.0, abs=1e-18)
+        with pytest.raises(EstimationError, match="^the OLS regression fits exactly$"):
+            ols_fit(ds, spec_for(["x"]))
+
+    def test_rho1_is_nan_when_every_residual_but_the_last_is_zero(self):
+        # x is zero in the last year, so a no-constant fit leaves only that year's residual
+        ds = make_dataset(y=(2000, [1.0, 2.0, 3.0, 4.0, 5.0, 9.0]),
+                          x=(2000, [1.0, 2.0, 3.0, 4.0, 5.0, 0.0]))
+        fit = ols_fit(ds, spec_for(["x"], constant=False))
+        assert fit.residuals.values == (0.0, 0.0, 0.0, 0.0, 0.0, 9.0)
+        assert math.isnan(fit.rho1)
+        assert fit.durbin_watson == 1.0
 
     def test_against_normal_equations_oracle(self):
         rng = np.random.default_rng(11)

@@ -74,6 +74,13 @@ class TestTableRoundTrip:
         text, csv = render_table(a)
         assert "tau" in text
 
+    def test_constant_only_fit_says_f_has_no_regressor(self, toy_dataset):
+        # F tests the slopes, and a constant-only model has none
+        text, csv = render_table(ols_fit(toy_dataset, ModelSpec(Term("y"), ())))
+        assert "F(0, 39)             n/a (no regressor)    P(F)                n/a (no regressor)\n" in text
+        assert "f_stat,n/a (no regressor)\nf_p_value,n/a (no regressor)\n" in csv
+        assert "nan" not in text + csv
+
     def test_unknown_type_raises(self):
         with pytest.raises(TypeError):
             render_table(object())
