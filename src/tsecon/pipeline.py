@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 
 from .cointegration import engle_granger, relation_size
-from .dataset import Dataset, Term, TermError, _slug, apply_term, load_dataset, parse_term
+from .dataset import Dataset, Term, TermError, _slug, apply_term, parse_term
 from .dynamics import ArSpec, GrangerSpec, chow_test, cochrane_orcutt_fit, compare_models
 from .dynamics import granger_causality, same_dependent
 from .manifest import ManifestError, PipelineManifest, Step, StepError, one_value
@@ -402,10 +402,8 @@ def run_steps(steps, dataset: Dataset, bundle: ReportBundle,
     return summary
 
 
-def run_pipeline(manifest: PipelineManifest, dataset: Dataset | None = None) -> ReportBundle:
-    """Parse every step of the manifest, then run each in order; return the rendered bundle."""
-    if dataset is None:
-        dataset = load_dataset(manifest.dataset_location)
+def run_pipeline(manifest: PipelineManifest, dataset: Dataset) -> ReportBundle:
+    """Parse every step of the manifest, then run each on ``dataset``; return the bundle."""
     bundle = ReportBundle(manifest_echo=manifest.source_text, dataset_checksum=dataset.checksum)
     rows = run_steps(manifest.steps, dataset, bundle, manifest.optional_series)
     text = "Pipeline summary\n\n" + "\n".join(f"{r[0]:32s} {r[1]:22s} {r[2]}" for r in rows) + "\n"

@@ -109,8 +109,8 @@ class FitResult:
     n_obs: int
     r_squared: float
     adj_r_squared: float
-    f_stat: float
-    f_p_value: float
+    f_stat: float | None  # None when the model has no slope for F to test
+    f_p_value: float | None
     f_df: tuple[int, int]
     ssr: float
     resid_std_error: float
@@ -121,7 +121,7 @@ class FitResult:
     bic: float
     hqc: float
     durbin_watson: float
-    rho1: float
+    rho1: float | None  # None when every lagged residual is zero
     residuals: AnnualSeries
     sample: tuple[int, int]
     model: ModelSpec
@@ -254,13 +254,13 @@ def diagnostics(
     r2 = 1.0 - ssr / tss
     adj = 1.0 - (1.0 - r2) * (n - 1) / df
     q = p - 1 if spec.include_constant else p
-    f = (r2 / q) / ((1.0 - r2) / df) if q else math.nan  # a constant-only model has no slope
-    f_p = f_pvalue(f, q, df)
+    f = (r2 / q) / ((1.0 - r2) / df) if q else None  # a constant-only model has no slope
+    f_p = None if f is None else f_pvalue(f, q, df)
     loglik = -0.5 * n * (1.0 + math.log(2.0 * math.pi) + math.log(ssr / n))
     dw = float(np.sum(np.diff(e) ** 2) / ssr)
     e0, e1 = lagged(e, (0, 1), 1)
     denom = float(np.sum(e1**2))
-    rho1 = float(np.sum(e0 * e1) / denom) if denom > 0 else float("nan")
+    rho1 = float(np.sum(e0 * e1) / denom) if denom > 0 else None
     return FitResult(
         coefficients=coeffs,
         n_obs=n,

@@ -7,6 +7,8 @@ carries full precision.  Plots are self-contained SVG 1.1 documents limited to
 """
 from __future__ import annotations
 
+import csv
+import io
 import os
 from pathlib import Path
 
@@ -34,25 +36,10 @@ def _g6(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _csv_field(x) -> str:
-    s = str(x)
-    if "," in s or '"' in s or "\n" in s:
-        s = '"' + s.replace('"', '""') + '"'
-    return s
-
-
 def _csv(rows: list[list]) -> str:
-    # str of a float, numpy's float64 included, is its shortest round-trip
-    # repr and never holds a comma, quote or newline; a row needs per-cell
-    # quoting only when it joins to more commas than separators, or a quote
-    # or newline
-    lines = []
-    for row in rows:
-        line = ",".join(map(str, row))
-        if line.count(",") >= len(row) or '"' in line or "\n" in line:
-            line = ",".join(map(_csv_field, row))
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 def _align(rows: list[list[str]]) -> str:
@@ -61,6 +48,15 @@ def _align(rows: list[list[str]]) -> str:
     for r in rows:
         out.append("  ".join(c.ljust(w) if i == 0 else c.rjust(w) for i, (c, w) in enumerate(zip(r, widths))).rstrip())
     return "\n".join(out) + "\n"
+
+
+# the diagnostic block of a fit table, in its CSV's row order
+_DIAGNOSTICS = ("n_obs", "r_squared", "adj_r_squared", "f_stat", "f_p_value", "ssr",
+                "resid_std_error", "dep_mean", "dep_std_error", "log_likelihood",
+                "aic", "bic", "hqc", "durbin_watson", "rho1")
+# why a fit holds None for a statistic, printed and written in its place
+_ABSENT = {"f_stat": "n/a (no regressor)", "f_p_value": "n/a (no regressor)",
+           "rho1": "n/a (no lagged residual)"}
 
 
 def _fit_table(fit: FitResult, title: str) -> tuple[str, str]:
@@ -74,28 +70,24 @@ def _fit_table(fit: FitResult, title: str) -> tuple[str, str]:
     for c in fit.coefficients:
         rows.append([c.label, _g6(c.estimate), _g6(c.std_error), _g6(c.t_stat),
                      _g6(c.p_value), significance_stars(c.p_value)])
-    f = {"f_stat": fit.f_stat, "f_p_value": fit.f_p_value}
-    f_text = {key: _g6(v) for key, v in f.items()}
-    if not fit.f_df[0]:  # a constant-only model has no slope for F to test
-        f = f_text = dict.fromkeys(f, "n/a (no regressor)")
+    cell = {name: getattr(fit, name) for name in _DIAGNOSTICS}
+    cell = {name: _ABSENT[name] if v is None else v for name, v in cell.items()}
+    d = {name: v if isinstance(v, str) else _g6(v) for name, v in cell.items()}
     diag = [
         "",
-        f"R-squared           {_g6(fit.r_squared)}    Adjusted R-squared  {_g6(fit.adj_r_squared)}",
-        f"F({fit.f_df[0]}, {fit.f_df[1]})             {f_text['f_stat']}    P(F)                {f_text['f_p_value']}",
-        f"SSR                 {_g6(fit.ssr)}    S.E. of regression  {_g6(fit.resid_std_error)}",
-        f"Mean dep. var       {_g6(fit.dep_mean)}    S.D. dep. var       {_g6(fit.dep_std_error)}",
-        f"Log-likelihood      {_g6(fit.log_likelihood)}    Durbin-Watson       {_g6(fit.durbin_watson)}",
-        f"AIC                 {_g6(fit.aic)}    BIC                 {_g6(fit.bic)}",
-        f"HQC                 {_g6(fit.hqc)}    rho1                {_g6(fit.rho1)}",
+        f"R-squared           {d['r_squared']}    Adjusted R-squared  {d['adj_r_squared']}",
+        f"F({fit.f_df[0]}, {fit.f_df[1]})             {d['f_stat']}    P(F)                {d['f_p_value']}",
+        f"SSR                 {d['ssr']}    S.E. of regression  {d['resid_std_error']}",
+        f"Mean dep. var       {d['dep_mean']}    S.D. dep. var       {d['dep_std_error']}",
+        f"Log-likelihood      {d['log_likelihood']}    Durbin-Watson       {d['durbin_watson']}",
+        f"AIC                 {d['aic']}    BIC                 {d['bic']}",
+        f"HQC                 {d['hqc']}    rho1                {d['rho1']}",
     ]
     text = "\n".join(head) + _align(rows) + "\n".join(diag) + "\n"
     csv_rows = [["variable", "coefficient", "std_error", "t_stat", "p_value"]]
     for c in fit.coefficients:
         csv_rows.append([c.label, c.estimate, c.std_error, c.t_stat, c.p_value])
-    for name in ("n_obs", "r_squared", "adj_r_squared", "f_stat", "f_p_value", "ssr",
-                 "resid_std_error", "dep_mean", "dep_std_error", "log_likelihood",
-                 "aic", "bic", "hqc", "durbin_watson", "rho1"):
-        csv_rows.append([name, f.get(name, getattr(fit, name))])
+    csv_rows.extend(cell.items())
     return text, _csv(csv_rows)
 
 

@@ -102,9 +102,9 @@ class TestManifestParsing:
         with pytest.raises(ManifestError, match=r"^\[pipeline\]: unknown key 'seed'$"):
             parse_manifest("[pipeline]\nseed = 20181001\noutput = out\n")
 
-    def test_empty_manifest_runs_to_empty_bundle(self):
+    def test_empty_manifest_runs_to_empty_bundle(self, dataset):
         m = parse_manifest("[pipeline]\noutput = out\n")
-        bundle = run_pipeline(m)
+        bundle = run_pipeline(m, dataset)
         assert list(bundle.tables) == ["pipeline_summary"]
         assert bundle.plots == {}
 

@@ -98,6 +98,21 @@ def test_benefit_steps_match(benefit_bundle, name):
         assert (benefit_bundle / name).read_bytes() == (BENEFIT / name).read_bytes()
 
 
+def test_no_csv_cell_of_either_bundle_is_nan_or_inf(bundle, benefit_bundle):
+    # a statistic a fit lacks is written as its reason, never as a bare NaN
+    for out in (bundle, benefit_bundle):
+        paths = sorted(out.glob("tables/*.csv"))
+        assert paths
+        bad = [
+            (path.name, cell)
+            for path in paths
+            for row in csv.reader(io.StringIO(path.read_text("utf-8")))
+            for cell in row
+            if _number(cell) is not None and not math.isfinite(_number(cell))
+        ]
+        assert not bad, bad
+
+
 def test_fresh_cli_process_writes_the_golden_bundle(tmp_path):
     # ``python -m tsecon.cli`` exits through the entry that freezes the heap:
     # stdout must still be flushed and every file whole

@@ -275,10 +275,16 @@ def degenerate_dataset(kind, exponent, seed, n=32):
 
 
 def fit_numbers(fit):
-    """Every number of a fit's printed table."""
-    yield (fit.ssr, fit.r_squared, fit.adj_r_squared, fit.f_stat, fit.f_p_value,
-           fit.log_likelihood, fit.aic, fit.bic, fit.hqc, fit.durbin_watson, fit.rho1,
-           fit.resid_std_error)
+    """Every number of a fit's printed table, less a None where the fit may lack the statistic.
+
+    F and P(F) may be None only when the model has no slope, and rho1 always;
+    any other None is yielded, and the caller reads it as NaN.
+    """
+    may_lack = ("rho1",) + (() if fit.f_df[0] else ("f_stat", "f_p_value"))
+    names = ("ssr", "r_squared", "adj_r_squared", "f_stat", "f_p_value", "log_likelihood",
+             "aic", "bic", "hqc", "durbin_watson", "rho1", "resid_std_error")
+    yield tuple(getattr(fit, name) for name in names
+                if not (name in may_lack and getattr(fit, name) is None))
     for c in fit.coefficients:
         yield c.estimate, c.std_error, c.t_stat, c.p_value
 
@@ -323,6 +329,24 @@ def test_degenerate_design_is_finite_or_estimation_error(estimator, kind, expone
     except EstimationError:
         return
     assert np.all(np.isfinite(np.concatenate(numbers)))
+
+
+def test_fit_numbers_are_finite_or_a_stated_none():
+    # every degenerate design above is refused for a fit, so these fits reach fit_numbers
+    rng = np.random.default_rng(5)
+    ds = make_dataset(y=(2000, rng.normal(size=12)), x=(2000, rng.normal(size=12)))
+    lags = make_dataset(y=(2000, [1.0, 2.0, 3.0, 4.0, 5.0, 9.0]),
+                        x=(2000, [1.0, 2.0, 3.0, 4.0, 5.0, 0.0]))
+    fits = [
+        ols_fit(ds, ModelSpec(Term("y"), (Term("x"),))),
+        ols_fit(ds, ModelSpec(Term("y"), ())),  # no slope: no F
+        ols_fit(lags, ModelSpec(Term("y"), (Term("x"),), include_constant=False)),  # no rho1
+    ]
+    assert [fit.f_stat is None for fit in fits] == [False, True, False]
+    assert [fit.rho1 is None for fit in fits] == [False, False, True]
+    for fit in fits:
+        numbers = [np.ravel(np.asarray(v, float)) for v in fit_numbers(fit)]
+        assert np.all(np.isfinite(np.concatenate(numbers)))
 
 
 EXACT_FITS = {

@@ -5,6 +5,7 @@ import pytest
 
 from tsecon.dataset import Term
 from tsecon.regress import EstimationError, ModelSpec, build_design, ols_fit
+from tsecon.report import render_table
 
 from conftest import make_dataset
 
@@ -31,14 +32,18 @@ class TestOlsCore:
         with pytest.raises(EstimationError, match="^the OLS regression fits exactly$"):
             ols_fit(ds, spec_for(["x"]))
 
-    def test_rho1_is_nan_when_every_residual_but_the_last_is_zero(self):
+    def test_rho1_is_none_when_every_residual_but_the_last_is_zero(self):
         # x is zero in the last year, so a no-constant fit leaves only that year's residual
         ds = make_dataset(y=(2000, [1.0, 2.0, 3.0, 4.0, 5.0, 9.0]),
                           x=(2000, [1.0, 2.0, 3.0, 4.0, 5.0, 0.0]))
         fit = ols_fit(ds, spec_for(["x"], constant=False))
         assert fit.residuals.values == (0.0, 0.0, 0.0, 0.0, 0.0, 9.0)
-        assert math.isnan(fit.rho1)
+        assert fit.rho1 is None
         assert fit.durbin_watson == 1.0
+        text, csv = render_table(fit)
+        assert "rho1                n/a (no lagged residual)\n" in text
+        assert "rho1,n/a (no lagged residual)\n" in csv
+        assert "nan" not in text + csv
 
     def test_against_normal_equations_oracle(self):
         rng = np.random.default_rng(11)

@@ -76,7 +76,9 @@ class TestTableRoundTrip:
 
     def test_constant_only_fit_says_f_has_no_regressor(self, toy_dataset):
         # F tests the slopes, and a constant-only model has none
-        text, csv = render_table(ols_fit(toy_dataset, ModelSpec(Term("y"), ())))
+        fit = ols_fit(toy_dataset, ModelSpec(Term("y"), ()))
+        assert fit.f_stat is None and fit.f_p_value is None
+        text, csv = render_table(fit)
         assert "F(0, 39)             n/a (no regressor)    P(F)                n/a (no regressor)\n" in text
         assert "f_stat,n/a (no regressor)\nf_p_value,n/a (no regressor)\n" in csv
         assert "nan" not in text + csv
